@@ -66,7 +66,7 @@ from .compression import all_codec_names, get_codec
 from .core.engine import CompressStreamDB, EngineConfig
 from .datasets import QUERIES
 from .errors import ReproError
-from .sql.planner import JoinPlan, PassthroughPlan, Planner, WindowAggPlan
+from .sql.plan import JoinPlan, PassthroughPlan, WindowAggPlan
 from .stats import ColumnStats
 
 _DATASET_MODULES = {
@@ -201,14 +201,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     import json
 
     from .optimizer import (
-        bind,
-        optimize_plan,
+        plan_for_engine,
         render_json,
         render_text,
-        schema_infos,
         stats_from_columns,
     )
-    from .sql.parser import parse
 
     text = args.sql_pos or args.sql
     cfg = None
@@ -222,9 +219,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         catalog = dict(cfg.catalog)
     else:
         catalog = _full_catalog()
-    script = parse(text)
-    plan = Planner(catalog).plan(script)
-
     stats = None
     if args.stats:
         if cfg is None:
@@ -232,15 +226,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "--stats needs a named --query (statistics are sampled "
                 "from the query's own source)"
             )
-        batches = list(cfg.make_source(batch_size=2048, batches=1, seed=11))
-        merged = {f.name: batches[0].column(f.name) for f in plan.schema}
-        stats = stats_from_columns(plan.schema, merged)
-    infos = schema_infos(plan.schema, codec_hint=args.codec, stats=stats)
-    if args.no_optimize:
-        root, opt_info = bind(plan, infos, script=script), None
-    else:
-        result = optimize_plan(plan, infos, script=script)
-        root, opt_info = result.root, result.info
+        sample = next(iter(cfg.make_source(batch_size=2048, batches=1, seed=11)))
+        stats = stats_from_columns(sample.schema, sample.columns)
+    planned = plan_for_engine(
+        catalog,
+        text,
+        optimize=not args.no_optimize,
+        codec_hint=args.codec,
+        stats=stats,
+    )
+    plan, root, opt_info = planned.plan, planned.root, planned.info
 
     if args.as_json:
         print(json.dumps(render_json(root, opt_info), indent=2, sort_keys=True))

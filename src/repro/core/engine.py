@@ -46,7 +46,7 @@ from ..net.channel import Channel, QueuedChannel
 from ..net.faults import FaultProfile, FaultyChannel
 from ..net.transport import ReliabilityConfig
 from ..optimizer.optimizer import plan_for_engine
-from ..sql.planner import Plan, Planner
+from ..sql.plan import Plan
 from ..stream.batch import Batch
 from ..stream.schema import Schema
 from .calibration import CalibrationTable, default_calibration
@@ -99,7 +99,7 @@ class EngineConfig:
     demote_after: int = 3
     #: run the query through the rule-based optimizer
     #: (:mod:`repro.optimizer`) before execution.  False is the escape
-    #: hatch: plans execute exactly as the planner emitted them
+    #: hatch: the bound plan is lowered with zero rules applied
     optimize: bool = True
 
 
@@ -119,24 +119,19 @@ class CompressStreamDB:
         self.query = query
         self.config = config
         self._validate_mode(config.mode)
-        # plan once: the plan is immutable; executors are per-run
-        self._base_plan: Plan = self._plan()
-
-    def _plan(self) -> Plan:
-        if not self.config.optimize:
-            return Planner(self.catalog).plan_text(self.query)
         # static modes pin one codec on every column — tell the optimizer
         # so rules needing run/plane evidence can price the representation
         hint = ""
-        if self.config.mode.startswith("static:"):
-            hint = self.config.mode.split(":", 1)[1]
-        return plan_for_engine(
-            self.catalog,
-            self.query,
-            optimize=True,
+        if config.mode.startswith("static:"):
+            hint = config.mode.split(":", 1)[1]
+        # plan once: the plan is immutable; executors are per-run
+        self._base_plan: Plan = plan_for_engine(
+            catalog,
+            query,
+            optimize=config.optimize,
             codec_hint=hint,
-            calibration=self.config.calibration,
-        )
+            calibration=config.calibration,
+        ).plan
 
     @staticmethod
     def _validate_mode(mode: str) -> None:

@@ -27,7 +27,7 @@ from ..net.faults import FaultReport, FaultyChannel
 from ..net.transport import ReliabilityConfig, ReliableTransport
 from ..operators.base import decoded_column
 from ..sql.executor import QueryResult, make_executor
-from ..sql.planner import Plan
+from ..sql.plan import Plan
 from ..stream.batch import Batch
 from .client import Client
 from .cost_model import SystemParams

@@ -38,7 +38,7 @@ from ..compression.registry import get_codec
 from ..core.query_profile import ColumnUse
 from ..operators.base import ExecColumn, decoded_column
 from ..sql.executor import QueryResult, make_executor
-from ..sql.planner import Plan
+from ..sql.plan import Plan
 from ..stream.batch import CompressedBatch
 from .decode_cache import DecodeCache
 
@@ -94,7 +94,7 @@ class Server:
         #: owner charged for this server's cache entries when the cache is
         #: shared across tenants (the serving layer's per-tenant quota)
         self.tenant = tenant
-        opt = getattr(plan, "opt", None)
+        opt = plan.opt
         #: morph decisions by column, from the optimizer's FormatMorph rule
         self._morphs = {
             m.column: m for m in (opt.morphs if opt is not None else ())
@@ -168,7 +168,7 @@ class Server:
         t0 = time.perf_counter()
         result = self.executor.execute(columns, batch.n)
         t_query += time.perf_counter() - t0
-        opt = getattr(self.plan, "opt", None)
+        opt = self.plan.opt
         return ServerReport(
             result=result,
             decompress_seconds=decompress_seconds,

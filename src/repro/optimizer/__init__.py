@@ -1,22 +1,21 @@
 """Compression-aware query optimizer: logical IR, rewrite rules, chooser.
 
-The pipeline is ``bind`` (physical plan -> naive logical tree),
+The plan path is ``parse -> bind(catalogue) -> logical IR -> RULES ->
+lower -> Plan``.  The front end (:mod:`repro.sql`) owns the IR, the
+binder and the lowering; this package owns what sits between them:
 ``RULES`` (cost-gated rewrites: projection pruning, predicate pushdown,
 selection reordering, filter+aggregate run fusion, common-subplan
-sharing, format morphing), and a chooser that keeps the baseline plan
-whenever rewriting is not estimated cheaper.  See ``docs/optimizer.md``.
+sharing, format morphing), a chooser that keeps the baseline plan
+whenever rewriting is not estimated cheaper, and :func:`plan_for_engine`,
+the one function that sequences the whole path.  See
+``docs/optimizer.md``.
 """
 
-from .binder import bind, schema_infos, stats_from_columns
-from .cost import CostContext, plan_cost, predicate_columns
-from .explain import plan_digest, render_json, render_text
-from .info import MorphDecision, OptimizerInfo, RuleFiring
-from .logical import (
+from ..sql.logical import (
     ColumnInfo,
     DeriveNode,
     FilterNode,
     JoinNode,
-    JoinSideInfo,
     LogicalNode,
     MorphNode,
     OrderLimitNode,
@@ -25,9 +24,18 @@ from .logical import (
     WindowAggNode,
     find_scan,
     iter_nodes,
+    schema_infos,
     transform,
 )
-from .optimizer import OptimizeResult, optimize_plan, plan_for_engine
+from ..sql.plan import MorphDecision, OptimizerInfo, RuleFiring
+from .cost import CostContext, plan_cost, predicate_columns
+from .explain import plan_digest, render_json, render_text
+from .optimizer import (
+    OptimizeResult,
+    optimize_plan,
+    plan_for_engine,
+    stats_from_columns,
+)
 from .rules import (
     RULES,
     CommonSubplanSharing,
@@ -49,7 +57,6 @@ __all__ = [
     "FilterNode",
     "FormatMorph",
     "JoinNode",
-    "JoinSideInfo",
     "LogicalNode",
     "MorphDecision",
     "MorphNode",
@@ -65,7 +72,6 @@ __all__ = [
     "ScanNode",
     "SelectionReorder",
     "WindowAggNode",
-    "bind",
     "find_scan",
     "iter_nodes",
     "optimize_plan",

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 from ..core.calibration import CalibrationTable
-from ..sql.planner import LiteralPredicate, PredicateGroup, PredicateNode
-from ..stream.window import MODE_PARTITION, MODE_UNBOUNDED
-from .logical import (
+from ..sql.logical import (
     ColumnInfo,
     DeriveNode,
     FilterNode,
@@ -39,6 +37,8 @@ from .logical import (
     ScanNode,
     WindowAggNode,
 )
+from ..sql.plan import LiteralPredicate, PredicateGroup, PredicateNode
+from ..stream.window import MODE_PARTITION, MODE_UNBOUNDED
 
 #: codecs whose payloads the server can serve as (value, length) runs
 RUN_CODECS = frozenset({"rle", "dict+rle"})
@@ -162,8 +162,8 @@ def predicate_cost(
 def scan_context(node: ScanNode, ctx: CostContext) -> CostContext:
     """The context with the scan's own column infos taking precedence.
 
-    The binder seeds scan infos from the global catalogue, so this is
-    normally the identity; it matters when a rule rewrites a scan-local
+    The driver builds the context from the infos the binder put on the
+    scan, so this is normally the identity; it matters when a rule rewrites a scan-local
     info — the morph rule changes one column's ``codec_hint`` to the
     morph target, and the scan must be priced on that representation.
     """

@@ -17,10 +17,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
-from ..sql.planner import LiteralPredicate, PredicateGroup, PredicateNode
-from ..stream.window import WindowSpec
-from .info import OptimizerInfo
-from .logical import (
+from ..sql.logical import (
     DeriveNode,
     FilterNode,
     JoinNode,
@@ -31,6 +28,13 @@ from .logical import (
     ScanNode,
     WindowAggNode,
 )
+from ..sql.plan import (
+    LiteralPredicate,
+    OptimizerInfo,
+    PredicateGroup,
+    PredicateNode,
+)
+from ..stream.window import WindowSpec
 
 
 def render_predicate(node: PredicateNode) -> str:

@@ -1,122 +1,80 @@
-"""The optimizer driver: bind, rewrite, choose, lower.
+"""The optimizer driver: rewrite, choose, lower — and the one entry point.
 
-``optimize_plan`` is the whole pipeline for one physical plan: bind the
-naive logical tree, run every rule in the static table (each rule's
-rewrite survives only if the cost model prices it strictly cheaper),
-then have the chooser compare the final tree against the naive baseline
-— if rewriting did not help, the baseline plan ships unchanged
-(``fallback=True``).  The chosen tree's annotations are then lowered
-back onto the physical plan: the (possibly reordered/simplified) WHERE
-tree, the fused aggregation column, and the :class:`OptimizerInfo`
-decision record that ``ServerReport`` and ``repro explain`` surface.
+The plan path runs in one direction::
 
-Lowering never changes what a plan computes — pushdown and pruning are
-already how the executor behaves (filters run first, the server only
-materializes referenced columns), so those rules alter the *estimate*
-and the rendering; cascade ordering and run fusion alter the execution
-strategy.  The differential oracle's optimized leg holds every lowered
-plan to bit-equality with its naive twin.
+    parse -> bind(catalogue) -> logical IR -> RULES -> lower -> Plan
+
+:func:`plan_for_engine` sequences it for every consumer (engine, CLI,
+oracle).  :func:`optimize_plan` is the rule stage: run every rule in
+the static table over the tree the binder emitted (each rule's rewrite
+survives only if the cost model prices it strictly cheaper), then have
+the chooser compare the final tree against that naive baseline — if
+rewriting did not help, the baseline ships unchanged (``fallback=True``).
+The chosen tree is lowered once, together with the
+:class:`OptimizerInfo` decision record that ``ServerReport`` and
+``repro explain`` surface.  Skipping the rule stage (``optimize=False``)
+lowers the binder's tree as it stands.
+
+The differential oracle's optimized leg holds every optimized plan to
+bit-equality with its zero-rule twin.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Union
+
+import numpy as np
 
 from ..core.calibration import CalibrationTable
 from ..sql.ast import Script
-from ..sql.planner import (
-    JoinPlan,
-    PassthroughPlan,
-    Plan,
-    Planner,
-    PredicateNode,
-    WindowAggPlan,
-)
+from ..sql.logical import LogicalNode, MorphNode, find_scan, iter_nodes
 from ..sql.parser import parse
+from ..sql.plan import MorphDecision, OptimizerInfo, Plan
+from ..sql.planner import Planner, lower
+from ..stats import ColumnStats
 from ..stream.schema import Schema
-from .binder import bind, schema_infos
 from .cost import CostContext, plan_cost
 from .explain import plan_digest
-from .info import MorphDecision, OptimizerInfo
-from .logical import (
-    ColumnInfo,
-    DeriveNode,
-    FilterNode,
-    LogicalNode,
-    MorphNode,
-    ScanNode,
-    WindowAggNode,
-    iter_nodes,
-)
 from .rules import RULES
 
 
 @dataclass
 class OptimizeResult:
-    """Everything one optimization pass produced."""
+    """A planned query: the physical plan plus the tree it was lowered from."""
 
-    plan: Plan                 # the physical plan to execute (lowered)
+    plan: Plan                 # the physical plan to execute
     root: LogicalNode          # the chosen logical tree (for rendering)
     baseline_root: LogicalNode  # the naive tree the binder produced
-    info: OptimizerInfo
+    info: Optional[OptimizerInfo]  # None when no rule stage ran
 
 
-def _extract_where(root: LogicalNode) -> Optional[PredicateNode]:
-    for node in iter_nodes(root):
-        if isinstance(node, FilterNode):
-            return node.predicate
-        if isinstance(node, ScanNode) and node.predicate is not None:
-            return node.predicate
-    return None
-
-
-def _extract_fuse(root: LogicalNode) -> str:
-    for node in iter_nodes(root):
-        if isinstance(node, WindowAggNode):
-            return node.fuse_column
-    return ""
-
-
-def _lower(plan: Plan, root: LogicalNode, info: OptimizerInfo) -> Plan:
-    """Write the chosen tree's annotations back onto the physical plan."""
-    if isinstance(plan, WindowAggPlan):
-        return dataclasses.replace(
-            plan,
-            where=_extract_where(root),
-            fuse_column=_extract_fuse(root),
-            opt=info,
+def stats_from_columns(
+    schema: Schema, columns: Mapping[str, np.ndarray]
+) -> Dict[str, ColumnStats]:
+    """Column statistics from stored-domain value arrays (e.g. a sample)."""
+    out: Dict[str, ColumnStats] = {}
+    for f in schema:
+        values = columns.get(f.name)
+        if values is None or len(values) == 0:
+            continue
+        out[f.name] = ColumnStats.from_values(
+            np.asarray(values, dtype=np.int64), size_c=f.size
         )
-    if isinstance(plan, PassthroughPlan):
-        return dataclasses.replace(plan, where=_extract_where(root), opt=info)
-    if isinstance(plan, JoinPlan):
-        derived = plan.derived
-        if derived is not None:
-            derive_node = next(
-                (n for n in iter_nodes(root) if isinstance(n, DeriveNode)),
-                None,
-            )
-            if derive_node is not None:
-                derived = dataclasses.replace(
-                    derived, where=_extract_where(derive_node.child)
-                )
-        return dataclasses.replace(plan, derived=derived, opt=info)
-    raise TypeError(f"cannot lower plan type {type(plan).__name__}")
+    return out
 
 
 def optimize_plan(
-    plan: Plan,
-    infos: Optional[Mapping[str, ColumnInfo]] = None,
-    script: Optional[Script] = None,
+    baseline: LogicalNode,
     rows: int = 4096,
     calibration: Optional[CalibrationTable] = None,
 ) -> OptimizeResult:
-    """Bind, rewrite, choose and lower one physical plan."""
-    if infos is None:
-        infos = schema_infos(plan.schema)
-    ctx = CostContext(infos=infos, rows=rows, calibration=calibration)
-    baseline = bind(plan, infos, script=script)
+    """Rewrite a bound tree under the cost model, choose, and lower."""
+    ctx = CostContext(
+        infos={info.name: info for info in find_scan(baseline).infos},
+        rows=rows,
+        calibration=calibration,
+    )
     baseline_cost = plan_cost(baseline, ctx)
 
     root = baseline
@@ -132,11 +90,6 @@ def optimize_plan(
         estimated_cost = baseline_cost
         all_firings = []
 
-    rules_fired = []
-    for firing in all_firings:
-        if firing.rule not in rules_fired:
-            rules_fired.append(firing.rule)
-
     morphs = tuple(
         MorphDecision(
             column=n.column, from_codec=n.from_codec, to_codec=n.to_codec
@@ -146,7 +99,7 @@ def optimize_plan(
     )
 
     info = OptimizerInfo(
-        rules_fired=tuple(rules_fired),
+        rules_fired=tuple(dict.fromkeys(f.rule for f in all_firings)),
         firings=tuple(all_firings),
         estimated_cost=estimated_cost,
         baseline_cost=baseline_cost,
@@ -155,32 +108,29 @@ def optimize_plan(
         morphs=morphs,
     )
     return OptimizeResult(
-        plan=_lower(plan, root, info),
-        root=root,
-        baseline_root=baseline,
-        info=info,
+        plan=lower(root, info), root=root, baseline_root=baseline, info=info
     )
 
 
 def plan_for_engine(
     catalog: Dict[str, Schema],
-    query: str,
+    query: Union[str, Script],
     optimize: bool = True,
     codec_hint: str = "",
     calibration: Optional[CalibrationTable] = None,
-) -> Plan:
-    """Parse, plan and (by default) optimize a query for the engine.
+    stats: Optional[Mapping[str, ColumnStats]] = None,
+) -> OptimizeResult:
+    """Parse, bind, (by default) optimize and lower a query (SQL text,
+    or a script a caller built as AST nodes).
 
     ``codec_hint`` names a pinned codec (the engine's ``static:<name>``
     modes) so the rules can price run/plane representations; adaptive
     modes pass no hint and rules that need run evidence refuse.
+    ``stats`` are sampled statistics of the scanned stream's columns.
+    ``optimize=False`` lowers the bound tree with zero rules applied.
     """
-    script = parse(query)
-    plan = Planner(catalog).plan(script)
-    if not optimize:
-        return plan
-    infos = schema_infos(plan.schema, codec_hint=codec_hint)
-    result = optimize_plan(
-        plan, infos, script=script, calibration=calibration
-    )
-    return result.plan
+    script = parse(query) if isinstance(query, str) else query
+    root = Planner(catalog, codec_hint=codec_hint, stats=stats).bind(script)
+    if optimize:
+        return optimize_plan(root, calibration=calibration)
+    return OptimizeResult(plan=lower(root), root=root, baseline_root=root, info=None)

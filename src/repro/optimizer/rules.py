@@ -18,18 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import ClassVar, List, Optional, Tuple
 
-from ..sql.planner import LiteralPredicate, PredicateGroup, PredicateNode
-from .cost import (
-    MORPH_TARGETS,
-    CostContext,
-    plan_cost,
-    predicate_columns,
-    predicate_leaf_cost,
-    run_length_of,
-    selectivity,
-)
-from .info import RuleFiring
-from .logical import (
+from ..sql.logical import (
     DeriveNode,
     FilterNode,
     JoinNode,
@@ -41,6 +30,21 @@ from .logical import (
     WindowAggNode,
     iter_nodes,
     transform,
+)
+from ..sql.plan import (
+    LiteralPredicate,
+    PredicateGroup,
+    PredicateNode,
+    RuleFiring,
+)
+from .cost import (
+    MORPH_TARGETS,
+    CostContext,
+    plan_cost,
+    predicate_columns,
+    predicate_leaf_cost,
+    run_length_of,
+    selectivity,
 )
 
 #: relative margin a rewrite must clear to be kept — guards against
@@ -79,8 +83,8 @@ class RewriteRule:
 class ProjectionPrune(RewriteRule):
     """Shrink the scan to the columns the query references.
 
-    The binder's naive scan emits every schema column; the planner's
-    query profile knows which ones any operator actually reads.  Refuses
+    The binder's naive scan emits every schema column; the column uses
+    it carries name the ones any operator actually reads.  Refuses
     when the scan is already minimal or nothing is referenced (a bare
     ``count(*)`` still needs one column for row counts).
     """

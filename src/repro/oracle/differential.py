@@ -44,8 +44,9 @@ from ..compression.registry import PAPER_POOL, get_codec
 from ..core.profiler import CoverageMatrix
 from ..core.server import Server
 from ..errors import CodecNotApplicable, ReproError
+from ..sql.ast import expr_columns
 from ..sql.executor import QueryResult
-from ..sql.planner import (
+from ..sql.plan import (
     OUT_AGG,
     OUT_COLUMN,
     OUT_EXPR,
@@ -260,9 +261,7 @@ def column_operator_kinds(plan: Plan) -> Dict[str, Set[str]]:
                 if plan.distinct:
                     mark(out.source_column, "distinct")
             elif out.kind == OUT_EXPR and out.expr is not None:
-                from ..sql.executor import _expr_refs
-
-                for ref in _expr_refs(out.expr):
+                for ref in expr_columns(out.expr):
                     mark(ref.name, "projection")
     elif isinstance(plan, JoinPlan):
         for side in plan.sides:

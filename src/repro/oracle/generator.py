@@ -36,7 +36,9 @@ from ..sql.ast import (
     SelectItem,
     SourceRef,
 )
-from ..sql.planner import Plan, Planner
+from ..optimizer.optimizer import plan_for_engine, stats_from_columns
+from ..sql.plan import Plan
+from ..sql.planner import Planner
 from ..sql.unparse import to_sql
 from ..stream.batch import Batch
 from ..stream.schema import KIND_FLOAT, KIND_INT, Field, Schema
@@ -75,19 +77,17 @@ class OracleCase:
         """The plan after the rule-based optimizer, with statistics bound
         from this case's own batches (the richest context the rules can
         get: codec hint + real run lengths / ranges / cardinalities)."""
-        from ..optimizer import optimize_plan, schema_infos, stats_from_columns
-
         merged = {
             f.name: np.concatenate([b[f.name] for b in self.batches])
             for f in self.schema
             if all(f.name in b for b in self.batches)
         } if self.batches else {}
-        stats = stats_from_columns(self.schema, merged)
-        infos = schema_infos(self.schema, codec_hint=codec_hint, stats=stats)
-        result = optimize_plan(
-            self.plan(), infos, script=_as_script(self.query)
-        )
-        return result.plan
+        return plan_for_engine(
+            self.catalog,
+            _as_script(self.query),
+            codec_hint=codec_hint,
+            stats=stats_from_columns(self.schema, merged),
+        ).plan
 
     def to_batches(self) -> List[Batch]:
         return [Batch(self.schema, columns) for columns in self.batches]

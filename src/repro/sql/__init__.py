@@ -1,4 +1,4 @@
-"""Streaming SQL: lexer, parser, planner and executors (Table III dialect)."""
+"""Streaming SQL: lexer, parser, binder/lowering and executors (Table III dialect)."""
 
 from .ast import (
     AggregateCall,
@@ -24,8 +24,7 @@ from .executor import (
 from .lexer import Token, tokenize
 from .parser import parse, parse_query
 from .unparse import to_sql
-from .planner import (
-    HavingGroup,
+from .plan import (
     HavingPredicate,
     JoinPlan,
     JoinSide,
@@ -34,10 +33,9 @@ from .planner import (
     OutputColumn,
     PassthroughPlan,
     Plan,
-    Planner,
     WindowAggPlan,
-    plan_query,
 )
+from .planner import Planner, plan_query
 
 __all__ = [
     "AggregateCall",
@@ -62,7 +60,6 @@ __all__ = [
     "parse",
     "parse_query",
     "to_sql",
-    "HavingGroup",
     "HavingPredicate",
     "JoinPlan",
     "JoinSide",

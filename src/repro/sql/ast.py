@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..stream.window import WindowSpec
 
@@ -53,6 +53,17 @@ class AggregateCall:
 Expr = Union[ColumnRef, Literal, BinaryOp, AggregateCall]
 
 
+def expr_columns(expr: Expr) -> List[ColumnRef]:
+    """Every column reference in an expression, left to right."""
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    if isinstance(expr, BinaryOp):
+        return expr_columns(expr.left) + expr_columns(expr.right)
+    if isinstance(expr, AggregateCall):
+        return [expr.arg] if expr.arg else []
+    return []
+
+
 @dataclass(frozen=True)
 class SelectItem:
     expr: Expr
@@ -91,15 +102,6 @@ class BoolOp:
 
 
 BoolExpr = Union[Comparison, BoolOp]
-
-
-def conjunction_terms(expr: Optional[BoolExpr]) -> Tuple["BoolExpr", ...]:
-    """Top-level AND-ed terms of a condition (empty for None)."""
-    if expr is None:
-        return ()
-    if isinstance(expr, BoolOp) and expr.op == "and":
-        return expr.items
-    return (expr,)
 
 
 @dataclass(frozen=True)

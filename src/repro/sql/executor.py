@@ -10,8 +10,9 @@ batch-buffer tail (DESIGN.md §2, Sec. VI of the paper).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,17 +32,14 @@ from ..stream.window import (
     TimeWindowScheduler,
     WindowScheduler,
 )
-from .ast import BinaryOp, ColumnRef, Expr, Literal
-from .planner import (
+from .ast import BinaryOp, ColumnRef, Expr, Literal, expr_columns
+from .plan import (
     OUT_AGG,
     OUT_COLUMN,
     OUT_EXPR,
     OUT_KEY,
     OUT_LAST,
-    HavingNode,
-    HavingPredicate,
     JoinPlan,
-    LiteralPredicate,
     OutputColumn,
     PassthroughPlan,
     Plan,
@@ -49,6 +47,16 @@ from .planner import (
     PredicateNode,
     WindowAggPlan,
 )
+
+#: HAVING compares converted (user-domain) result arrays to a literal
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass
@@ -115,13 +123,12 @@ def _eval_expr(expr: Expr, values: Dict[str, np.ndarray]) -> np.ndarray:
     raise PlanningError(f"cannot evaluate expression {expr!s}")
 
 
-def _predicate_mask(
-    columns: Dict[str, ExecColumn], node: "PredicateNode", n: int
-) -> np.ndarray:
-    """Evaluate an AND/OR predicate tree into a boolean row mask."""
-    if isinstance(node, LiteralPredicate):
-        return compare_to_literal(columns[node.column], node.op, node.literal)
-    masks = [_predicate_mask(columns, child, n) for child in node.children]
+def _predicate_mask(node, leaf: Callable[..., np.ndarray]) -> np.ndarray:
+    """Fold an AND/OR predicate tree into a boolean mask; ``leaf``
+    evaluates one WHERE or HAVING comparison."""
+    if not isinstance(node, PredicateGroup):
+        return leaf(node)
+    masks = [_predicate_mask(child, leaf) for child in node.children]
     out = masks[0].copy()
     for m in masks[1:]:
         if node.op == "and":
@@ -129,6 +136,17 @@ def _predicate_mask(
         else:
             out |= m
     return out
+
+
+def _where_mask(
+    columns: Dict[str, ExecColumn], node: PredicateNode
+) -> np.ndarray:
+    return _predicate_mask(
+        node,
+        lambda pred: compare_to_literal(
+            columns[pred.column], pred.op, pred.literal
+        ),
+    )
 
 
 def _apply_where(
@@ -143,7 +161,7 @@ def _apply_where(
         and predicate.ordered
     ):
         return _apply_where_cascade(columns, predicate, n)
-    mask = _predicate_mask(columns, predicate, n)
+    mask = _where_mask(columns, predicate)
     if mask.all():
         return columns, n
     idx = np.nonzero(mask)[0]
@@ -159,7 +177,7 @@ def _apply_where_cascade(
     for child in predicate.children:
         if n == 0:
             break
-        mask = _predicate_mask(columns, child, n)
+        mask = _where_mask(columns, child)
         if mask.all():
             continue
         idx = np.nonzero(mask)[0]
@@ -190,9 +208,7 @@ def _apply_where_fused(
     if runs is None:
         return _apply_where(columns, predicate, n)
     run_values, run_lengths = runs
-    run_mask = _predicate_mask(
-        {fuse: decoded_column(fuse, run_values)}, predicate, int(run_values.size)
-    )
+    run_mask = _where_mask({fuse: decoded_column(fuse, run_values)}, predicate)
     if run_mask.all():
         return columns, n
     row_idx = np.flatnonzero(np.repeat(run_mask, run_lengths))
@@ -283,30 +299,6 @@ class WindowAggExecutor:
             return self._run_grouped(work, windows)
         return self._run_global(work, windows)
 
-    def _having_mask(self, node: HavingNode, out: Dict[str, np.ndarray]) -> np.ndarray:
-        """Evaluate the HAVING tree into a boolean row mask."""
-        if isinstance(node, HavingPredicate):
-            col = out[node.output]
-            if node.op == "==":
-                return col == node.literal
-            if node.op == "!=":
-                return col != node.literal
-            if node.op == "<":
-                return col < node.literal
-            if node.op == "<=":
-                return col <= node.literal
-            if node.op == ">":
-                return col > node.literal
-            return col >= node.literal
-        masks = [self._having_mask(child, out) for child in node.children]
-        acc = masks[0].copy()
-        for m in masks[1:]:
-            if node.op == "and":
-                acc &= m
-            else:
-                acc |= m
-        return acc
-
     def _finalize(
         self, out: Dict[str, np.ndarray], window_ids: np.ndarray
     ) -> QueryResult:
@@ -315,7 +307,10 @@ class WindowAggExecutor:
         visible = [o.name for o in plan.outputs]
         n_rows = len(next(iter(out.values()))) if out else 0
         if plan.having is not None and n_rows:
-            mask = self._having_mask(plan.having, out)
+            mask = _predicate_mask(
+                plan.having,
+                lambda pred: _COMPARE[pred.op](out[pred.output], pred.literal),
+            )
             if not mask.all():
                 out = {name: arr[mask] for name, arr in out.items()}
                 window_ids = window_ids[mask]
@@ -474,7 +469,10 @@ class PassthroughExecutor:
                 # lint: force-decode bounded, selected output rows only
                 out[o.name] = col.decode(col.codes[indices])
             elif o.kind == OUT_EXPR:
-                refs = {c.name: col_values(c.name)[indices] for c in _expr_refs(o.expr)}
+                refs = {
+                    c.name: col_values(c.name)[indices]
+                    for c in expr_columns(o.expr)
+                }
                 out[o.name] = np.asarray(_eval_expr(o.expr, refs), dtype=np.int64)
             else:
                 raise PlanningError(f"unsupported output kind {o.kind!r} here")
@@ -487,14 +485,6 @@ class PassthroughExecutor:
         }
         n_rows = len(next(iter(out.values()))) if out else 0
         return QueryResult(columns=out, n_rows=n_rows)
-
-
-def _expr_refs(expr: Expr) -> List[ColumnRef]:
-    if isinstance(expr, ColumnRef):
-        return [expr]
-    if isinstance(expr, BinaryOp):
-        return _expr_refs(expr.left) + _expr_refs(expr.right)
-    return []
 
 
 class JoinExecutor:
@@ -516,8 +506,6 @@ class JoinExecutor:
             self.scheduler = WindowScheduler(plan.window)
         self.sides = plan.sides
         self.states = [PartitionWindowState(side.window) for side in self.sides]
-        # backwards-compatible alias for the single-side state
-        self.state = self.states[0]
         only = self.sides[0]
         self._semi = (
             len(self.sides) == 1
@@ -589,15 +577,15 @@ class JoinExecutor:
     def _probe_semi(
         self, merged: Dict[str, np.ndarray], s: int, e: int
     ) -> Optional[QueryResult]:
-        plan = self.plan
-        rows = semi_join_latest(merged[plan.join_key][s:e], self.state)
+        key = self.sides[0].key_column
+        rows = semi_join_latest(merged[key][s:e], self.states[0])
         if not rows:
             return None
         out = {
             o.name: _convert_output(o, rows[o.source_column])
-            for o in plan.outputs
+            for o in self.plan.outputs
         }
-        return QueryResult(columns=out, n_rows=len(rows[plan.join_key]))
+        return QueryResult(columns=out, n_rows=len(rows[key]))
 
     def _probe_general(
         self, merged: Dict[str, np.ndarray], s: int, e: int

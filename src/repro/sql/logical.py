@@ -1,12 +1,19 @@
-"""The logical-plan IR the rewrite rules operate on.
+"""The logical-plan IR: what the binder emits and the rules rewrite.
 
-The binder (:mod:`.binder`) turns a parsed script plus the planner's
-physical plan into a small tree of frozen nodes — scan, filter, project,
-window-aggregate, join, order/limit, derive — each carrying just enough
-catalogue knowledge (per-column codec hints and statistics) for the cost
-model to price rewrites.  Rules rewrite this tree; the driver then lowers
-the surviving annotations back onto the physical plan
-(:class:`~repro.sql.planner.Plan`), which remains the execution contract.
+The plan path runs in one direction::
+
+    parse -> bind(catalogue) -> logical IR -> RULES -> lower -> Plan
+
+The binder (:meth:`~.planner.Planner.bind`) resolves every name and type
+of a parsed script exactly once and emits a small tree of frozen nodes —
+scan, filter, project, window-aggregate, join, order/limit, derive.  The
+nodes carry everything downstream stages need: the resolved output
+columns, HAVING/ORDER keys and join sides that :func:`~.planner.lower`
+assembles into the physical :class:`~.plan.Plan`, the per-column
+:class:`ColumnUse` requirements, and the catalogue knowledge (codec
+hints, statistics) the cost model prices rewrites with.  The optimizer's
+rules rewrite this tree; lowering the tree the binder emitted, with zero
+rules applied, *is* the unoptimized plan.
 
 Nodes are immutable: every rewrite builds a new tree via
 :func:`dataclasses.replace`, so a rule can never corrupt the plan it was
@@ -17,10 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
-from ..sql.planner import PredicateNode
+from ..core.query_profile import ColumnUse
+from ..stats import ColumnStats
+from ..stream.schema import Schema
 from ..stream.window import WindowSpec
+from .plan import HavingNode, JoinSide, OutputColumn, PredicateNode
 
 
 @dataclass(frozen=True)
@@ -46,8 +56,40 @@ class ColumnInfo:
     max_value: int = 0
 
 
+def schema_infos(
+    schema: Schema,
+    codec_hint: str = "",
+    stats: Optional[Mapping[str, ColumnStats]] = None,
+) -> Dict[str, ColumnInfo]:
+    """Per-column catalogue info from a schema plus optional statistics."""
+    infos: Dict[str, ColumnInfo] = {}
+    for f in schema:
+        st = stats.get(f.name) if stats else None
+        if st is not None:
+            infos[f.name] = ColumnInfo(
+                name=f.name,
+                kind=f.kind,
+                size_c=f.size,
+                codec_hint=codec_hint,
+                has_stats=True,
+                avg_run_length=float(st.avg_run_length),
+                distinct=int(st.kindnum),
+                min_value=int(st.min_value),
+                max_value=int(st.max_value),
+            )
+        else:
+            infos[f.name] = ColumnInfo(
+                name=f.name, kind=f.kind, size_c=f.size, codec_hint=codec_hint
+            )
+    return infos
+
+
 class LogicalNode:
-    """Base class of the logical plan nodes (all frozen dataclasses)."""
+    """Base class of the logical plan nodes (all frozen dataclasses).
+
+    Every operator of the dialect has at most one input, held in a field
+    named ``child`` — a plan is a chain from the root down to one scan.
+    """
 
 
 @dataclass(frozen=True)
@@ -62,10 +104,18 @@ class ScanNode(LogicalNode):
     stream: str
     columns: Tuple[str, ...]
     infos: Tuple[ColumnInfo, ...]
-    #: columns the query actually touches (catalogue knowledge bound by
-    #: the planner's profile; the prune rule shrinks ``columns`` to this)
-    referenced: Tuple[str, ...] = ()
+    #: the stream's full schema, as it arrives on the wire
+    schema: Optional[Schema] = None
+    #: how the query touches each column it references — the capability
+    #: requirements the server and the codec selector serve columns by
+    uses: Tuple[ColumnUse, ...] = ()
     predicate: Optional[PredicateNode] = None
+
+    @property
+    def referenced(self) -> Tuple[str, ...]:
+        """Columns the query touches (the prune rule shrinks ``columns``
+        to this)."""
+        return tuple(sorted(use.name for use in self.uses))
 
     def info_of(self, name: str) -> Optional[ColumnInfo]:
         for info in self.infos:
@@ -117,6 +167,9 @@ class WindowAggNode(LogicalNode):
     group_keys: Tuple[str, ...]
     aggregates: Tuple[Tuple[str, str], ...]
     fuse_column: str = ""
+    #: aggregates computed only to evaluate HAVING/ORDER BY
+    hidden: Tuple[OutputColumn, ...] = ()
+    having: Optional[HavingNode] = None
 
 
 @dataclass(frozen=True)
@@ -126,6 +179,8 @@ class ProjectNode(LogicalNode):
     child: LogicalNode
     outputs: Tuple[str, ...]
     distinct: bool = False
+    #: the resolved definition of each name in ``outputs``
+    columns: Tuple[OutputColumn, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -153,47 +208,35 @@ class DeriveNode(LogicalNode):
 
 
 @dataclass(frozen=True)
-class JoinSideInfo:
-    """One partition-window side of a join, for rendering and costing."""
-
-    binding: str
-    key_column: str
-    probe_column: str
-    outer: bool = False
-
-
-@dataclass(frozen=True)
 class JoinNode(LogicalNode):
     """Window x partition-state join (comma form and explicit form)."""
 
     child: LogicalNode
     window: WindowSpec
-    sides: Tuple[JoinSideInfo, ...]
+    sides: Tuple[JoinSide, ...]
+    #: schema the join sides see (the derived stream's when one feeds it)
+    schema: Optional[Schema] = None
+    #: for each projected output, the index into ``sides`` it reads from
+    output_sides: Tuple[int, ...] = ()
 
 
 def transform(
     node: LogicalNode, fn: Callable[[LogicalNode], LogicalNode]
 ) -> LogicalNode:
-    """Bottom-up rewrite: apply ``fn`` to every node, children first."""
-    updates = {}
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, LogicalNode):
-            rewritten = transform(value, fn)
-            if rewritten is not value:
-                updates[f.name] = rewritten
-    if updates:
-        node = dataclasses.replace(node, **updates)
+    """Bottom-up rewrite: apply ``fn`` to every node, input first."""
+    child = getattr(node, "child", None)
+    if child is not None:
+        rewritten = transform(child, fn)
+        if rewritten is not child:
+            node = dataclasses.replace(node, child=rewritten)
     return fn(node)
 
 
-def iter_nodes(node: LogicalNode) -> Iterator[LogicalNode]:
-    """Pre-order traversal of a logical tree."""
-    yield node
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, LogicalNode):
-            yield from iter_nodes(value)
+def iter_nodes(node: Optional[LogicalNode]) -> Iterator[LogicalNode]:
+    """Root-to-scan traversal of a logical tree."""
+    while node is not None:
+        yield node
+        node = getattr(node, "child", None)
 
 
 def find_scan(node: LogicalNode) -> Optional[ScanNode]:

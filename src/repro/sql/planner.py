@@ -1,31 +1,29 @@
-"""Query planner: binds parsed scripts to stream schemas and derives the
-per-column direct-processing requirements of DESIGN.md §2.
+"""Query binder and lowering: parsed scripts in, physical plans out.
 
-Three plan shapes cover the dialect:
+The front end runs in one direction::
 
-* :class:`WindowAggPlan` — single count-windowed source with optional
-  group-by and aggregates (Q1, Q2, Q4, Q5, Q6);
-* :class:`PassthroughPlan` — ``[range unbounded]`` per-tuple projection and
-  selection, also used for derived streams (Q3's SegSpeedStr);
-* :class:`JoinPlan` — sliding window ⋈ partition window equi-join with
-  distinct output (Q3).
+    parse -> bind(catalogue) -> logical IR -> RULES -> lower -> Plan
 
-The planner computes a :class:`~repro.core.query_profile.QueryProfile`
-whose :class:`ColumnUse` entries tell both the cost model and the server
-which columns can be served directly by which codecs.
+:meth:`Planner.bind` resolves every stream, column, type and literal of a
+script exactly once against the catalogue and emits the naive logical
+tree (:mod:`.logical`) in SQL evaluation order; the tree carries the
+per-column :class:`ColumnUse` requirements of DESIGN.md §2, which tell
+both the cost model and the server which columns can be served directly
+by which codecs.  :func:`lower` assembles a tree — rewritten by the
+optimizer's rules or not — into one of the three plan shapes of
+:mod:`.plan`.  :meth:`Planner.plan` is ``lower(bind(script))``: the
+unoptimized plan is lowering with zero rules, not a second route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # plans carry optimizer records without a module cycle
-    from ..optimizer.info import OptimizerInfo
+import itertools
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..compression.base import CAP_AFFINE, CAP_EQUALITY, CAP_ORDER
 from ..core.query_profile import ColumnUse, QueryProfile
 from ..errors import PlanningError
+from ..stats import ColumnStats
 from ..stream.schema import KIND_FLOAT, KIND_INT, Field, Schema
 from ..stream.window import (
     MODE_COUNT,
@@ -36,221 +34,73 @@ from ..stream.window import (
 )
 from .ast import (
     AggregateCall,
-    BinaryOp,
     BoolExpr,
     BoolOp,
     ColumnRef,
     Comparison,
     Expr,
-    JoinClause,
     Literal,
     Query,
     Script,
     SelectItem,
     SourceRef,
+    expr_columns,
+)
+from .logical import (
+    DeriveNode,
+    FilterNode,
+    JoinNode,
+    LogicalNode,
+    OrderLimitNode,
+    ProjectNode,
+    ScanNode,
+    WindowAggNode,
+    schema_infos,
 )
 from .parser import parse
-
-# ----- plan dataclasses ------------------------------------------------
-
-OUT_KEY = "key"        # group-by key column
-OUT_LAST = "last"      # non-aggregated column under windowing: last row
-OUT_AGG = "aggregate"  # avg/sum/max/min/count
-OUT_COLUMN = "column"  # plain per-tuple column (passthrough)
-OUT_EXPR = "expr"      # arithmetic expression per tuple
-
-
-@dataclass(frozen=True)
-class OutputColumn:
-    """One column of the query result."""
-
-    name: str
-    kind: str
-    source_column: Optional[str] = None
-    agg_func: Optional[str] = None
-    expr: Optional[Expr] = None
-    out_field: Field = Field("out")
-    #: decimals of the *source* field: aggregates computed in the stored
-    #: fixed-point domain are rescaled by 10**src_decimals at output time
-    src_decimals: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind in (OUT_KEY, OUT_LAST, OUT_COLUMN) and not self.source_column:
-            raise PlanningError(f"output {self.name!r} needs a source column")
-        if self.kind == OUT_AGG and not self.agg_func:
-            raise PlanningError(f"output {self.name!r} needs an aggregate function")
-        if self.kind == OUT_EXPR and self.expr is None:
-            raise PlanningError(f"output {self.name!r} needs an expression")
-
-
-@dataclass(frozen=True)
-class LiteralPredicate:
-    """``column <op> literal`` in the stored integer domain."""
-
-    column: str
-    op: str
-    literal: int
-
-
-@dataclass(frozen=True)
-class PredicateGroup:
-    """AND/OR tree over literal predicates (evaluated as boolean masks)."""
-
-    op: str  # "and" | "or"
-    children: Tuple["PredicateNode", ...]
-    #: set by the optimizer's selection-reorder rule on a top-level AND:
-    #: the executor evaluates the conjuncts as a short-circuit cascade
-    #: (each child sees only the survivors of the previous one), in the
-    #: order given.  Only meaningful for ``op == "and"``.
-    ordered: bool = False
-
-
-PredicateNode = Union[LiteralPredicate, PredicateGroup]
-
-
-@dataclass(frozen=True)
-class HavingPredicate:
-    """``<output> <op> literal`` over the converted (user-domain) results.
-
-    ``output`` names either a select-list column or a hidden aggregate the
-    planner added solely for the HAVING evaluation.
-    """
-
-    output: str
-    op: str
-    literal: float
-
-
-@dataclass(frozen=True)
-class HavingGroup:
-    """AND/OR tree over having predicates (mirrors :class:`PredicateGroup`
-    but evaluated on converted per-window result rows)."""
-
-    op: str  # "and" | "or"
-    children: Tuple["HavingNode", ...]
-
-
-HavingNode = Union[HavingPredicate, HavingGroup]
-
-
-@dataclass(frozen=True)
-class OrderKey:
-    """One resolved ORDER BY key: an output (possibly hidden) column."""
-
-    output: str
-    desc: bool = False
-
-
-@dataclass
-class WindowAggPlan:
-    stream: str
-    schema: Schema
-    window: WindowSpec
-    outputs: Tuple[OutputColumn, ...]
-    group_keys: Tuple[str, ...]
-    where: Optional[PredicateNode]
-    profile: QueryProfile
-    #: aggregates computed only to evaluate HAVING/ORDER BY, dropped from
-    #: the visible results
-    hidden_outputs: Tuple[OutputColumn, ...] = ()
-    having: Optional[HavingNode] = None
-    #: per-window sort keys; ties are broken on every visible column so
-    #: the row order is deterministic across execution paths
-    order_by: Tuple[OrderKey, ...] = ()
-    #: per-window row cap, applied after ORDER BY
-    limit: Optional[int] = None
-    #: set by the optimizer's filter+aggregate fusion rule: the WHERE
-    #: predicate is single-column on this column and the executor may
-    #: evaluate it at run granularity, keeping the column run-structured
-    #: through aggregation (falls back to row filtering when the batch
-    #: carries no run view)
-    fuse_column: str = ""
-    #: optimizer decision record (rules fired, costs, digest); None when
-    #: the plan never went through the optimizer
-    opt: Optional["OptimizerInfo"] = None
-
-
-@dataclass
-class PassthroughPlan:
-    stream: str
-    schema: Schema
-    outputs: Tuple[OutputColumn, ...]
-    where: Optional[PredicateNode]
-    distinct: bool
-    profile: QueryProfile
-    #: optimizer decision record; None when never optimized
-    opt: Optional["OptimizerInfo"] = None
-
-    @property
-    def output_schema(self) -> Schema:
-        return Schema([out.out_field for out in self.outputs])
-
-
-@dataclass(frozen=True)
-class JoinSide:
-    """One partition-window side of the join.
-
-    ``probe_column`` is the window-side column whose values probe this
-    side's state; ``key_column`` is the side's partition-by column.  The
-    legacy comma-form join has ``probe_column == key_column``; the
-    explicit ``JOIN ... ON`` form may probe with a different column,
-    which is what makes LEFT OUTER misses observable.
-    """
-
-    binding: str
-    window: WindowSpec
-    probe_column: str
-    key_column: str
-    outer: bool = False
-
-
-@dataclass
-class JoinPlan:
-    stream: str                       # physical input stream
-    schema: Schema                    # physical input schema
-    derived: Optional[PassthroughPlan]  # applied per batch before the join
-    join_schema: Schema               # schema the join sides see
-    window: WindowSpec                # probe side A (count/time window)
-    partition: WindowSpec             # first partition side (compat alias)
-    join_key: str                     # first side's key (compat alias)
-    outputs: Tuple[OutputColumn, ...]  # columns of the partition sides
-    distinct: bool
-    profile: QueryProfile
-    #: all partition sides (multi-way joins have several)
-    sides: Tuple[JoinSide, ...] = ()
-    #: for each output, the index into ``sides`` it reads from
-    output_sides: Tuple[int, ...] = ()
-    #: optimizer decision record; None when never optimized
-    opt: Optional["OptimizerInfo"] = None
-
-
-Plan = Union[WindowAggPlan, PassthroughPlan, JoinPlan]
-
+from .plan import (
+    OUT_AGG,
+    OUT_COLUMN,
+    OUT_EXPR,
+    OUT_KEY,
+    OUT_LAST,
+    HavingPredicate,
+    JoinPlan,
+    JoinSide,
+    LiteralPredicate,
+    OptimizerInfo,
+    OrderKey,
+    OutputColumn,
+    PassthroughPlan,
+    Plan,
+    PredicateGroup,
+    PredicateNode,
+    WindowAggPlan,
+)
 
 # ----- helpers ----------------------------------------------------------
 
+_CAP_BY_AGG = {
+    "avg": frozenset({CAP_AFFINE}),
+    "sum": frozenset({CAP_AFFINE}),
+    "max": frozenset({CAP_ORDER}),
+    "min": frozenset({CAP_ORDER}),
+    "count": frozenset(),
+}
 
-def _merge_use(uses: Dict[str, ColumnUse], new: ColumnUse) -> None:
-    if new.name in uses:
-        uses[new.name] = uses[new.name].merge(new)
-    else:
-        uses[new.name] = new
+_CAP_BY_COMPARE = {
+    "==": frozenset({CAP_EQUALITY}),
+    "!=": frozenset({CAP_EQUALITY}),
+    "<": frozenset({CAP_ORDER}),
+    "<=": frozenset({CAP_ORDER}),
+    ">": frozenset({CAP_ORDER}),
+    ">=": frozenset({CAP_ORDER}),
+}
 
+#: the comparison ``literal <op> x`` reads ``x <flipped op> literal``
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
-def _expr_columns(expr: Expr) -> List[ColumnRef]:
-    if isinstance(expr, ColumnRef):
-        return [expr]
-    if isinstance(expr, BinaryOp):
-        return _expr_columns(expr.left) + _expr_columns(expr.right)
-    if isinstance(expr, AggregateCall):
-        return [expr.arg] if expr.arg else []
-    return []
-
-
-def _check_column(schema: Schema, ref: ColumnRef, context: str) -> Field:
-    if ref.name not in schema:
-        raise PlanningError(f"{context}: unknown column {ref.name!r} in {schema!r}")
-    return schema[ref.name]
+_SLIDING_MODES = (MODE_COUNT, MODE_TIME)
 
 
 def _agg_output_field(func: str, src: Field, name: str) -> Field:
@@ -285,56 +135,187 @@ def _quantized_literal(value: Union[int, float], f: Field) -> int:
     return int(value)
 
 
-_CAP_BY_AGG = {
-    "avg": frozenset({CAP_AFFINE}),
-    "sum": frozenset({CAP_AFFINE}),
-    "max": frozenset({CAP_ORDER}),
-    "min": frozenset({CAP_ORDER}),
-    "count": frozenset(),
-}
+def _column_output(
+    name: str, kind: str, f: Field, widen: bool = False
+) -> OutputColumn:
+    """An output that reads source column ``f`` (``widen``: as a float)."""
+    return OutputColumn(
+        name=name,
+        kind=kind,
+        source_column=f.name,
+        out_field=(
+            Field(name, KIND_FLOAT, 8, decimals=f.decimals)
+            if widen
+            else Field(name, f.kind, f.size, decimals=f.decimals)
+        ),
+        src_decimals=f.decimals,
+    )
 
-_CAP_BY_COMPARE = {
-    "==": frozenset({CAP_EQUALITY}),
-    "!=": frozenset({CAP_EQUALITY}),
-    "<": frozenset({CAP_ORDER}),
-    "<=": frozenset({CAP_ORDER}),
-    ">": frozenset({CAP_ORDER}),
-    ">=": frozenset({CAP_ORDER}),
-}
+
+def _literal_on_right(comp: Comparison) -> Tuple[Expr, str, Expr]:
+    """``(operand, op, literal)`` with a literal-first comparison flipped."""
+    if isinstance(comp.left, Literal) and not isinstance(comp.right, Literal):
+        return comp.right, _FLIP[comp.op], comp.left
+    return comp.left, comp.op, comp.right
 
 
-# ----- planner ------------------------------------------------------
+def _bind_condition(
+    condition: Optional[BoolExpr], leaf: Callable[[Comparison], object]
+):
+    """Bind a WHERE/HAVING or-of-ands tree; ``leaf`` binds one comparison."""
+    if condition is None:
+        return None
+    if isinstance(condition, BoolOp):
+        return PredicateGroup(
+            op=condition.op,
+            children=tuple(
+                _bind_condition(item, leaf) for item in condition.items
+            ),
+        )
+    return leaf(condition)
+
+
+def _no_order_limit(query: Query) -> None:
+    if query.order_by or query.limit is not None:
+        raise PlanningError(
+            "order by / limit apply to windowed aggregation results"
+        )
+
+
+def _project(
+    child: LogicalNode, outputs: List[OutputColumn], distinct: bool = False
+) -> ProjectNode:
+    return ProjectNode(
+        child=child,
+        outputs=tuple(o.name for o in outputs),
+        distinct=distinct,
+        columns=tuple(outputs),
+    )
+
+
+class _Scope:
+    """Name resolution for one query block: the source stream's schema
+    plus the per-column uses the block accumulates while it binds."""
+
+    def __init__(self, stream: str, schema: Schema):
+        self.stream = stream
+        self.schema = schema
+        self.uses: Dict[str, ColumnUse] = {}
+
+    def field(self, name: str, context: str) -> Field:
+        if name not in self.schema:
+            raise PlanningError(
+                f"{context}: unknown column {name!r} in {self.schema!r}"
+            )
+        return self.schema[name]
+
+    def use(self, name: str, **how) -> None:
+        new = ColumnUse(name, **how)
+        old = self.uses.get(name)
+        self.uses[name] = old.merge(new) if old is not None else new
+
+    def time_window(self, window: WindowSpec, context: str) -> None:
+        """A time window's column must be an integer field; the scheduler
+        reads its values to assign tuples to windows."""
+        if window.mode != MODE_TIME:
+            return
+        tc = window.time_column
+        if self.field(tc, context).kind != KIND_INT:
+            raise PlanningError(
+                f"time window column {tc!r} must be an integer field"
+            )
+        self.use(tc, needs_values=True)
+
+    def bind_where(self, condition: Optional[BoolExpr]) -> Optional[PredicateNode]:
+        def leaf(comp: Comparison) -> LiteralPredicate:
+            left, op, right = _literal_on_right(comp)
+            if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
+                raise PlanningError(
+                    "where supports column-vs-literal predicates here; "
+                    "column-vs-column equality belongs to the join form"
+                )
+            f = self.field(left.name, "where")
+            self.use(left.name, caps=_CAP_BY_COMPARE[op])
+            return LiteralPredicate(
+                left.name, op, _quantized_literal(right.value, f)
+            )
+
+        return _bind_condition(condition, leaf)
+
+    def aggregate(self, agg: AggregateCall, name: str) -> OutputColumn:
+        src = Field(name, KIND_INT, 8)
+        if agg.arg is not None:
+            src = self.field(agg.arg.name, f"aggregate {agg.func}")
+            self.use(agg.arg.name, caps=_CAP_BY_AGG[agg.func])
+        return OutputColumn(
+            name=name,
+            kind=OUT_AGG,
+            source_column=agg.arg.name if agg.arg else None,
+            agg_func=agg.func,
+            out_field=_agg_output_field(agg.func, src, name),
+            src_decimals=src.decimals,
+        )
+
+
+# ----- binder ----------------------------------------------------------
 
 
 class Planner:
-    """Plans scripts against a catalog of stream schemas."""
+    """Binds and plans scripts against a catalogue: stream schemas plus
+    what is known about the columns behind them.
 
-    def __init__(self, catalog: Dict[str, Schema]):
+    ``codec_hint`` names a pinned codec (the engine's ``static:<name>``
+    modes) and ``stats`` holds sampled per-column statistics of the
+    scanned stream; both ride on the scan node so the optimizer's rules
+    can price run/plane representations.  Neither affects :meth:`plan`.
+    """
+
+    def __init__(
+        self,
+        catalog: Dict[str, Schema],
+        codec_hint: str = "",
+        stats: Optional[Mapping[str, ColumnStats]] = None,
+    ):
         self.catalog = dict(catalog)
+        self.codec_hint = codec_hint
+        self.stats = stats
 
     def plan_text(self, text: str) -> Plan:
         return self.plan(parse(text))
 
     def plan(self, script: Script) -> Plan:
-        catalog = dict(self.catalog)
-        derived_plans: Dict[str, PassthroughPlan] = {}
-        for derived in script.derived:
-            plan = self._plan_passthrough_query(derived.query, catalog, derived.name)
-            derived_plans[derived.name] = plan
-            catalog[derived.name] = plan.output_schema
+        """The unoptimized physical plan: lowering with zero rules."""
+        return lower(self.bind(script))
+
+    def bind(self, script: Script) -> LogicalNode:
+        """The naive logical tree of a script, in SQL evaluation order.
+
+        Derived streams bind first and enter the catalogue under their
+        name, so the main query resolves them like any other stream.
+        """
+        schemas = dict(self.catalog)
         main = script.main
-        if main.joins:
-            return self._plan_explicit_join(main, catalog, derived_plans)
-        if len(main.sources) == 2:
-            return self._plan_join(main, catalog, derived_plans)
+        readers = [src.stream for src in main.sources]
+        readers += [clause.source.stream for clause in main.joins]
+        derived: Dict[str, DeriveNode] = {}
+        for d in script.derived:
+            inner = self._bind_passthrough(d.query, schemas)
+            derived[d.name] = DeriveNode(
+                name=d.name,
+                child=inner,
+                consumers=max(readers.count(d.name), 1),
+            )
+            schemas[d.name] = Schema([o.out_field for o in inner.columns])
+        if main.joins or len(main.sources) == 2:
+            return self._bind_join(main, schemas, derived)
         if len(main.sources) != 1:
             raise PlanningError("queries must read one or two sources")
-        window = main.sources[0].window
-        if window.mode == MODE_UNBOUNDED:
+        mode = main.sources[0].window.mode
+        if mode == MODE_UNBOUNDED:
             if script.derived:
                 raise PlanningError("derived streams must feed a windowed main query")
-            return self._plan_passthrough_query(main, catalog, None)
-        if window.mode not in (MODE_COUNT, MODE_TIME):
+            return self._bind_passthrough(main, schemas)
+        if mode not in _SLIDING_MODES:
             raise PlanningError(
                 "single-source main query needs a count or time window"
             )
@@ -342,242 +323,131 @@ class Planner:
             raise PlanningError(
                 "derived streams are only supported with the join form of Q3"
             )
-        return self._plan_window_agg(main, catalog)
+        return self._bind_window_agg(main, schemas)
 
-    # ----- per-shape planning -------------------------------------------
+    # ----- per-shape binding --------------------------------------------
 
-    def _resolve_source(self, query: Query, catalog: Dict[str, Schema], idx: int = 0):
-        source = query.sources[idx]
-        if source.stream not in catalog:
+    def _scope(self, source: SourceRef, schemas: Dict[str, Schema]) -> _Scope:
+        if source.stream not in schemas:
             raise PlanningError(f"unknown stream {source.stream!r}")
-        return source, catalog[source.stream]
+        return _Scope(source.stream, schemas[source.stream])
 
-    def _plan_window_agg(
-        self, query: Query, catalog: Dict[str, Schema]
-    ) -> WindowAggPlan:
-        source, schema = self._resolve_source(query, catalog)
+    def _scan(
+        self, scope: _Scope, where: Optional[PredicateNode] = None
+    ) -> LogicalNode:
+        """The naive input of a block: a scan of every schema column with
+        the WHERE filter sitting above it.  Called once the block is
+        bound, so the scan carries the complete set of column uses."""
+        infos = schema_infos(scope.schema, self.codec_hint, self.stats)
+        node: LogicalNode = ScanNode(
+            stream=scope.stream,
+            columns=tuple(infos),
+            infos=tuple(infos.values()),
+            schema=scope.schema,
+            uses=tuple(scope.uses.values()),
+        )
+        return node if where is None else FilterNode(child=node, predicate=where)
+
+    def _bind_window_agg(
+        self, query: Query, schemas: Dict[str, Schema]
+    ) -> LogicalNode:
+        source = query.sources[0]
+        scope = self._scope(source, schemas)
         if query.distinct:
             raise PlanningError("distinct is not supported with window aggregation")
-        uses: Dict[str, ColumnUse] = {}
-        if source.window.mode == MODE_TIME:
-            tc = source.window.time_column
-            f = _check_column(schema, ColumnRef(tc), "time window")
-            if f.kind != KIND_INT:
-                raise PlanningError(
-                    f"time window column {tc!r} must be an integer field"
-                )
-            # the scheduler reads timestamp values to assign windows
-            _merge_use(uses, ColumnUse(tc, needs_values=True))
-        group_keys: List[str] = []
-        for ref in query.group_by:
-            _check_column(schema, ref, "group by")
-            group_keys.append(ref.name)
-            _merge_use(
-                uses,
-                ColumnUse(
-                    ref.name, caps=frozenset({CAP_EQUALITY}), positional=True
-                ),
-            )
-
-        outputs: List[OutputColumn] = []
-        has_aggregate = False
-        for item in query.items:
-            outputs.append(
-                self._plan_agg_item(item, schema, set(group_keys), uses)
-            )
-            has_aggregate = has_aggregate or outputs[-1].kind == OUT_AGG
-        if not has_aggregate and not group_keys:
+        scope.time_window(source.window, "time window")
+        group_keys = tuple(ref.name for ref in query.group_by)
+        for key in group_keys:
+            scope.field(key, "group by")
+            scope.use(key, caps=frozenset({CAP_EQUALITY}), positional=True)
+        outputs = [
+            self._bind_agg_item(item, scope, group_keys) for item in query.items
+        ]
+        if not group_keys and not any(o.kind == OUT_AGG for o in outputs):
             raise PlanningError(
                 "a count-windowed query needs aggregates or group by; "
                 "use [range unbounded] for per-tuple projection"
             )
-        where = self._plan_where(query.where, schema, uses)
+        where = scope.bind_where(query.where)
         hidden: List[OutputColumn] = []
-        having = self._plan_having(query.having, schema, outputs, hidden, uses)
-        order_by = self._plan_order_by(query, schema, outputs, hidden, uses)
-        profile = QueryProfile(column_uses=uses)
-        return WindowAggPlan(
-            stream=source.stream,
-            schema=schema,
-            window=source.window,
-            outputs=tuple(outputs),
-            group_keys=tuple(group_keys),
-            where=where,
-            profile=profile,
-            hidden_outputs=tuple(hidden),
-            having=having,
-            order_by=order_by,
-            limit=query.limit,
-        )
 
-    def _plan_having(
-        self,
-        condition: Optional[BoolExpr],
-        schema: Schema,
-        outputs: Sequence[OutputColumn],
-        hidden: List[OutputColumn],
-        uses: Dict[str, ColumnUse],
-    ) -> Optional[HavingNode]:
-        if condition is None:
-            return None
-        counter = [0]
-        return self._plan_having_node(
-            condition, schema, outputs, hidden, uses, counter
-        )
-
-    def _plan_having_node(
-        self,
-        condition: BoolExpr,
-        schema: Schema,
-        outputs: Sequence[OutputColumn],
-        hidden: List[OutputColumn],
-        uses: Dict[str, ColumnUse],
-        counter: List[int],
-    ) -> HavingNode:
-        if isinstance(condition, BoolOp):
-            return HavingGroup(
-                op=condition.op,
-                children=tuple(
-                    self._plan_having_node(
-                        item, schema, outputs, hidden, uses, counter
-                    )
-                    for item in condition.items
-                ),
-            )
-        comp = condition
-        by_name = {o.name: o for o in outputs}
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-        left, right, op = comp.left, comp.right, comp.op
-        if isinstance(left, Literal) and not isinstance(right, Literal):
-            left, right, op = right, left, flip[op]
-        if not isinstance(right, Literal):
-            raise PlanningError("having compares an aggregate to a literal")
-        index = counter[0]
-        counter[0] += 1
-        if isinstance(left, AggregateCall):
-            target = self._agg_target(
-                left, schema, outputs, hidden, uses, f"__having_{index}"
-            )
-        elif isinstance(left, ColumnRef) and left.name in by_name:
-            target = left.name
-        else:
+        def result_column(expr: Expr, hidden_name: str, clause: str) -> str:
+            """The output (hidden if need be) a HAVING/ORDER BY operand names."""
+            if isinstance(expr, AggregateCall):
+                wanted = (expr.func, expr.arg.name if expr.arg else None)
+                for o in outputs + hidden:
+                    if o.kind == OUT_AGG and (o.agg_func, o.source_column) == wanted:
+                        return o.name
+                # no matching select item: compute a hidden aggregate
+                hidden.append(scope.aggregate(expr, hidden_name))
+                return hidden_name
+            if (
+                isinstance(expr, ColumnRef)
+                and expr.table is None
+                and any(o.name == expr.name for o in outputs)
+            ):
+                return expr.name
             raise PlanningError(
-                "having supports aggregates or select-list names; "
-                f"got {left!s}"
+                f"{clause} supports aggregates or select-list names; got {expr!s}"
             )
-        return HavingPredicate(target, op, float(right.value))
 
-    def _plan_order_by(
-        self,
-        query: Query,
-        schema: Schema,
-        outputs: Sequence[OutputColumn],
-        hidden: List[OutputColumn],
-        uses: Dict[str, ColumnUse],
-    ) -> Tuple[OrderKey, ...]:
+        index = itertools.count()
+
+        def having_leaf(comp: Comparison) -> HavingPredicate:
+            left, op, right = _literal_on_right(comp)
+            if not isinstance(right, Literal):
+                raise PlanningError("having compares an aggregate to a literal")
+            target = result_column(left, f"__having_{next(index)}", "having")
+            return HavingPredicate(target, op, float(right.value))
+
+        having = _bind_condition(query.having, having_leaf)
         if query.limit is not None and not query.order_by:
             raise PlanningError(
                 "limit requires an order by clause (unordered truncation "
                 "would be nondeterministic)"
             )
-        by_name = {o.name for o in outputs}
-        keys: List[OrderKey] = []
-        for i, item in enumerate(query.order_by):
-            expr = item.expr
-            if (
-                isinstance(expr, ColumnRef)
-                and expr.table is None
-                and expr.name in by_name
-            ):
-                target = expr.name
-            elif isinstance(expr, AggregateCall):
-                target = self._agg_target(
-                    expr, schema, outputs, hidden, uses, f"__order_{i}"
-                )
-            else:
-                raise PlanningError(
-                    "order by supports select-list names or aggregates; "
-                    f"got {expr!s}"
-                )
-            keys.append(OrderKey(output=target, desc=item.desc))
-        return tuple(keys)
-
-    def _agg_target(
-        self,
-        agg: AggregateCall,
-        schema: Schema,
-        outputs: Sequence[OutputColumn],
-        hidden: List[OutputColumn],
-        uses: Dict[str, ColumnUse],
-        name: str,
-    ) -> str:
-        wanted_col = agg.arg.name if agg.arg else None
-        for o in list(outputs) + hidden:
-            if (
-                o.kind == OUT_AGG
-                and o.agg_func == agg.func
-                and o.source_column == wanted_col
-            ):
-                return o.name
-        # no matching select item: compute a hidden aggregate
-        src_field = Field(name, KIND_INT, 8)
-        if agg.arg is not None:
-            src_field = _check_column(schema, agg.arg, f"aggregate {agg.func}")
-            _merge_use(uses, ColumnUse(agg.arg.name, caps=_CAP_BY_AGG[agg.func]))
-        hidden.append(
-            OutputColumn(
-                name=name,
-                kind=OUT_AGG,
-                source_column=wanted_col,
-                agg_func=agg.func,
-                out_field=_agg_output_field(agg.func, src_field, name),
-                src_decimals=src_field.decimals,
-            )
+        keys = tuple(
+            (result_column(item.expr, f"__order_{i}", "order by"), item.desc)
+            for i, item in enumerate(query.order_by)
         )
-        return name
+        node: LogicalNode = WindowAggNode(
+            child=self._scan(scope, where),
+            window=source.window,
+            group_keys=group_keys,
+            aggregates=tuple(
+                (o.agg_func or "", o.source_column or "*")
+                for o in outputs + hidden
+                if o.kind == OUT_AGG
+            ),
+            hidden=tuple(hidden),
+            having=having,
+        )
+        node = _project(node, outputs)
+        if keys or query.limit is not None:
+            node = OrderLimitNode(child=node, keys=keys, limit=query.limit)
+        return node
 
-    def _plan_agg_item(
-        self,
-        item: SelectItem,
-        schema: Schema,
-        group_keys: set,
-        uses: Dict[str, ColumnUse],
+    def _bind_agg_item(
+        self, item: SelectItem, scope: _Scope, group_keys: Tuple[str, ...]
     ) -> OutputColumn:
         expr = item.expr
-        name = item.output_name
         if isinstance(expr, AggregateCall):
-            src_field = Field(name, KIND_INT, 8)
-            if expr.arg is not None:
-                src_field = _check_column(schema, expr.arg, f"aggregate {expr.func}")
-                _merge_use(uses, ColumnUse(expr.arg.name, caps=_CAP_BY_AGG[expr.func]))
-            return OutputColumn(
-                name=name,
-                kind=OUT_AGG,
-                source_column=expr.arg.name if expr.arg else None,
-                agg_func=expr.func,
-                out_field=_agg_output_field(expr.func, src_field, name),
-                src_decimals=src_field.decimals,
-            )
+            return scope.aggregate(expr, item.output_name)
         if isinstance(expr, ColumnRef):
-            f = _check_column(schema, expr, "select")
+            f = scope.field(expr.name, "select")
+            scope.use(expr.name, positional=True)
             kind = OUT_KEY if expr.name in group_keys else OUT_LAST
-            _merge_use(uses, ColumnUse(expr.name, positional=True))
-            return OutputColumn(
-                name=name,
-                kind=kind,
-                source_column=expr.name,
-                out_field=Field(name, f.kind, f.size, decimals=f.decimals),
-                src_decimals=f.decimals,
-            )
+            return _column_output(item.output_name, kind, f)
         raise PlanningError(
             "window aggregation supports plain columns and aggregates; "
             f"got expression {expr!s}"
         )
 
-    def _plan_passthrough_query(
-        self, query: Query, catalog: Dict[str, Schema], derived_name: Optional[str]
-    ) -> PassthroughPlan:
-        source, schema = self._resolve_source(query, catalog)
+    def _bind_passthrough(
+        self, query: Query, schemas: Dict[str, Schema]
+    ) -> ProjectNode:
+        source = query.sources[0]
+        scope = self._scope(source, schemas)
         if source.window.mode != MODE_UNBOUNDED:
             raise PlanningError("passthrough queries use [range unbounded]")
         if query.group_by:
@@ -586,11 +456,7 @@ class Planner:
             raise PlanningError("having requires aggregation over a count window")
         if query.joins:
             raise PlanningError("join clauses require a windowed main query")
-        if query.order_by or query.limit is not None:
-            raise PlanningError(
-                "order by / limit apply to windowed aggregation results"
-            )
-        uses: Dict[str, ColumnUse] = {}
+        _no_order_limit(query)
         outputs: List[OutputColumn] = []
         for item in query.items:
             expr = item.expr
@@ -598,39 +464,29 @@ class Planner:
             if isinstance(expr, AggregateCall):
                 raise PlanningError("aggregates require a count window")
             if isinstance(expr, ColumnRef):
-                f = _check_column(schema, expr, "select")
+                f = scope.field(expr.name, "select")
                 if query.distinct:
                     # dedup runs on codes; only survivors are decoded
-                    use = ColumnUse(
+                    scope.use(
                         expr.name, caps=frozenset({CAP_EQUALITY}), positional=True
                     )
                 else:
                     # every surviving row reaches the output (or the derived
                     # stream buffer), so the values themselves are needed
-                    use = ColumnUse(expr.name, needs_values=True)
-                _merge_use(uses, use)
-                outputs.append(
-                    OutputColumn(
-                        name=name,
-                        kind=OUT_COLUMN,
-                        source_column=expr.name,
-                        out_field=Field(name, f.kind, f.size, decimals=f.decimals),
-                        src_decimals=f.decimals,
-                    )
-                )
+                    scope.use(expr.name, needs_values=True)
+                outputs.append(_column_output(name, OUT_COLUMN, f))
                 continue
             # arithmetic expression: needs values of every referenced column
-            refs = _expr_columns(expr)
+            refs = expr_columns(expr)
             if not refs:
                 raise PlanningError(f"constant select item {expr!s} is not supported")
             for ref in refs:
-                f = _check_column(schema, ref, "select expression")
-                if f.kind != KIND_INT:
+                if scope.field(ref.name, "select expression").kind != KIND_INT:
                     raise PlanningError(
                         f"arithmetic on float column {ref.name!r} is not supported; "
                         "aggregate it instead"
                     )
-                _merge_use(uses, ColumnUse(ref.name, needs_values=True))
+                scope.use(ref.name, needs_values=True)
             outputs.append(
                 OutputColumn(
                     name=name,
@@ -639,179 +495,121 @@ class Planner:
                     out_field=Field(name, KIND_INT, 8),
                 )
             )
-        where = self._plan_where(query.where, schema, uses)
-        return PassthroughPlan(
-            stream=source.stream,
-            schema=schema,
-            outputs=tuple(outputs),
-            where=where,
-            distinct=query.distinct,
-            profile=QueryProfile(column_uses=uses),
-        )
+        where = scope.bind_where(query.where)
+        return _project(self._scan(scope, where), outputs, query.distinct)
 
-    def _plan_where(
-        self,
-        condition: Optional[BoolExpr],
-        schema: Schema,
-        uses: Dict[str, ColumnUse],
-    ) -> Optional[PredicateNode]:
-        if condition is None:
-            return None
-        if isinstance(condition, BoolOp):
-            return PredicateGroup(
-                op=condition.op,
-                children=tuple(
-                    self._plan_where(item, schema, uses) for item in condition.items
-                ),
-            )
-        comp = condition
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-        left, right, op = comp.left, comp.right, comp.op
-        if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            left, right, op = right, left, flip[op]
-        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
-            raise PlanningError(
-                "where supports column-vs-literal predicates here; "
-                "column-vs-column equality belongs to the join form"
-            )
-        f = _check_column(schema, left, "where")
-        _merge_use(uses, ColumnUse(left.name, caps=_CAP_BY_COMPARE[op]))
-        return LiteralPredicate(left.name, op, _quantized_literal(right.value, f))
-
-    def _plan_join(
+    def _bind_join(
         self,
         query: Query,
-        catalog: Dict[str, Schema],
-        derived_plans: Dict[str, PassthroughPlan],
-    ) -> JoinPlan:
-        first, second = query.sources
-        if first.stream != second.stream:
-            raise PlanningError("the join form requires two windows of one stream")
-        if first.stream not in catalog:
-            raise PlanningError(f"unknown stream {first.stream!r}")
-        join_schema = catalog[first.stream]
-        sliding_modes = (MODE_COUNT, MODE_TIME)
-        if first.window.mode in sliding_modes and second.window.mode == MODE_PARTITION:
-            window_src, partition_src = first, second
-        elif (
-            first.window.mode == MODE_PARTITION and second.window.mode in sliding_modes
-        ):
-            window_src, partition_src = second, first
-        else:
-            raise PlanningError(
-                "the join form needs one count/time window and one partition window"
-            )
-        if not isinstance(query.where, Comparison):
-            raise PlanningError("the join form needs exactly one join predicate")
-        if query.having is not None:
-            raise PlanningError("having is not supported on the join form")
-        if query.order_by or query.limit is not None:
-            raise PlanningError(
-                "order by / limit apply to windowed aggregation results"
-            )
-        comp = query.where
-        if comp.op != "==" or not (
-            isinstance(comp.left, ColumnRef) and isinstance(comp.right, ColumnRef)
-        ):
-            raise PlanningError("the join predicate must be column == column")
-        sides = {window_src.binding, partition_src.binding}
-        tables = {comp.left.table, comp.right.table}
-        if comp.left.name != comp.right.name or tables != sides:
-            raise PlanningError(
-                "the join predicate must equate the same column of both sides"
-            )
-        join_key = comp.left.name
-        if join_key != partition_src.window.partition_by:
-            raise PlanningError("the join key must be the partition-by column")
-        _check_column(join_schema, ColumnRef(join_key), "join key")
+        schemas: Dict[str, Schema],
+        derived: Dict[str, DeriveNode],
+    ) -> LogicalNode:
+        """Bind both join forms: window ⋈ partition state(s) of one stream.
 
+        The comma form (Q3) and the explicit ``[LEFT] JOIN ... ON`` form
+        differ only in how they name their sides; outputs, column uses
+        and the derived-stream wiring are shared.  Misses on a LEFT side
+        emit the probe value for the key column and NaN for its other
+        columns.
+        """
+        if query.having is not None or query.group_by:
+            raise PlanningError("having/group by are not supported on joins")
+        _no_order_limit(query)
+        join = self._scope(query.sources[0], schemas)
+        if query.joins:
+            probe, sides = self._explicit_sides(query, join)
+        else:
+            probe, sides = self._comma_sides(query, join)
+
+        by_binding = {side.binding: i for i, side in enumerate(sides)}
         outputs: List[OutputColumn] = []
+        output_sides: List[int] = []
         for item in query.items:
             expr = item.expr
             if not isinstance(expr, ColumnRef):
                 raise PlanningError("the join form selects plain columns only")
-            if expr.table is not None and expr.table != partition_src.binding:
+            if expr.table is None and len(sides) != 1:
                 raise PlanningError(
-                    "the join form outputs columns of the partition side "
-                    f"({partition_src.binding!r}); got {expr!s}"
+                    "multi-way joins need side-qualified output columns; "
+                    f"got {expr!s}"
                 )
-            f = _check_column(join_schema, expr, "select")
+            if expr.table is not None and expr.table not in by_binding:
+                raise PlanningError(
+                    "the join form outputs columns of the partition sides; "
+                    f"got {expr!s}"
+                )
+            side_idx = by_binding.get(expr.table, 0)
+            side = sides[side_idx]
+            f = join.field(expr.name, "select")
+            # misses of a LEFT side fill with NaN, so the output widens
+            widen = side.outer and expr.name != side.key_column
             outputs.append(
-                OutputColumn(
-                    name=item.output_name,
-                    kind=OUT_COLUMN,
-                    source_column=expr.name,
-                    out_field=Field(
-                        item.output_name, f.kind, f.size, decimals=f.decimals
-                    ),
-                    src_decimals=f.decimals,
-                )
+                _column_output(item.output_name, OUT_COLUMN, f, widen=widen)
             )
-
-        if window_src.window.mode == MODE_TIME:
-            tc = window_src.window.time_column
-            f = _check_column(join_schema, ColumnRef(tc), "join time window")
-            if f.kind != KIND_INT:
-                raise PlanningError(
-                    f"time window column {tc!r} must be an integer field"
-                )
-        derived = derived_plans.get(first.stream)
-        if derived is not None:
-            physical_stream = derived.stream
-            physical_schema = derived.schema
-            profile = derived.profile
-        else:
-            physical_stream = first.stream
-            physical_schema = join_schema
-            # Without a derived projection the join runs on values of the
-            # referenced columns directly.
-            uses: Dict[str, ColumnUse] = {}
-            for out in outputs:
-                _merge_use(uses, ColumnUse(out.source_column, needs_values=True))
-            _merge_use(uses, ColumnUse(join_key, needs_values=True))
-            if window_src.window.mode == MODE_TIME:
-                _merge_use(
-                    uses,
-                    ColumnUse(window_src.window.time_column, needs_values=True),
-                )
-            profile = QueryProfile(column_uses=uses)
-        return JoinPlan(
-            stream=physical_stream,
-            schema=physical_schema,
-            derived=derived,
-            join_schema=join_schema,
-            window=window_src.window,
-            partition=partition_src.window,
-            join_key=join_key,
-            outputs=tuple(outputs),
-            distinct=query.distinct,
-            profile=profile,
-            sides=(
-                JoinSide(
-                    binding=partition_src.binding,
-                    window=partition_src.window,
-                    probe_column=join_key,
-                    key_column=join_key,
-                    outer=False,
-                ),
-            ),
-            output_sides=(0,) * len(outputs),
+            output_sides.append(side_idx)
+            join.use(expr.name, needs_values=True)
+        for side in sides:
+            join.use(side.probe_column, needs_values=True)
+            join.use(side.key_column, needs_values=True)
+        join.time_window(probe.window, "join time window")
+        # a derived projection feeds the join its own scan (and uses);
+        # without one the join runs on values of the referenced columns
+        node = JoinNode(
+            child=derived.get(probe.stream) or self._scan(join),
+            window=probe.window,
+            sides=tuple(sides),
+            schema=join.schema,
+            output_sides=tuple(output_sides),
         )
+        return _project(node, outputs, query.distinct)
 
-    def _plan_explicit_join(
-        self,
-        query: Query,
-        catalog: Dict[str, Schema],
-        derived_plans: Dict[str, PassthroughPlan],
-    ) -> JoinPlan:
-        """Plan the explicit ``[LEFT] JOIN ... ON`` form (multi-way, outer).
+    def _comma_sides(
+        self, query: Query, join: _Scope
+    ) -> Tuple[SourceRef, List[JoinSide]]:
+        first, second = query.sources
+        if first.stream != second.stream:
+            raise PlanningError("the join form requires two windows of one stream")
+        if (
+            first.window.mode in _SLIDING_MODES
+            and second.window.mode == MODE_PARTITION
+        ):
+            probe, partition = first, second
+        elif (
+            first.window.mode == MODE_PARTITION
+            and second.window.mode in _SLIDING_MODES
+        ):
+            probe, partition = second, first
+        else:
+            raise PlanningError(
+                "the join form needs one count/time window and one partition window"
+            )
+        comp = query.where
+        if not isinstance(comp, Comparison):
+            raise PlanningError("the join form needs exactly one join predicate")
+        if comp.op != "==" or not (
+            isinstance(comp.left, ColumnRef) and isinstance(comp.right, ColumnRef)
+        ):
+            raise PlanningError("the join predicate must be column == column")
+        tables = {comp.left.table, comp.right.table}
+        if comp.left.name != comp.right.name or tables != {
+            probe.binding,
+            partition.binding,
+        }:
+            raise PlanningError(
+                "the join predicate must equate the same column of both sides"
+            )
+        key = comp.left.name
+        if key != partition.window.partition_by:
+            raise PlanningError("the join key must be the partition-by column")
+        join.field(key, "join key")
+        return probe, [JoinSide(partition.binding, partition.window, key, key)]
 
-        One count/time-windowed probe source joins one or more
-        ``[partition by k rows 1]`` sides of the same stream.  Each ON
-        predicate equates a probe-side column with the side's partition
-        key; misses on a LEFT side emit the probe value for the key
-        column and NaN for its other columns.
-        """
+    def _explicit_sides(
+        self, query: Query, join: _Scope
+    ) -> Tuple[SourceRef, List[JoinSide]]:
+        """One count/time-windowed probe source joins one or more
+        ``[partition by k rows 1]`` sides of the same stream; each ON
+        predicate equates a probe-side column with the side's key."""
         if len(query.sources) != 1:
             raise PlanningError(
                 "explicit join clauses take a single windowed FROM source"
@@ -821,26 +619,16 @@ class Planner:
                 "the explicit join form takes its predicates in ON clauses, "
                 "not WHERE"
             )
-        if query.having is not None or query.group_by:
-            raise PlanningError("having/group by are not supported on joins")
-        if query.order_by or query.limit is not None:
-            raise PlanningError(
-                "order by / limit apply to windowed aggregation results"
-            )
-        probe_src = query.sources[0]
-        if probe_src.window.mode not in (MODE_COUNT, MODE_TIME):
+        probe = query.sources[0]
+        if probe.window.mode not in _SLIDING_MODES:
             raise PlanningError(
                 "the probe side of a join needs a count or time window"
             )
-        if probe_src.stream not in catalog:
-            raise PlanningError(f"unknown stream {probe_src.stream!r}")
-        join_schema = catalog[probe_src.stream]
-
-        bindings = {probe_src.binding}
+        bindings = {probe.binding}
         sides: List[JoinSide] = []
         for clause in query.joins:
-            src = clause.source
-            if src.stream != probe_src.stream:
+            src, comp = clause.source, clause.on
+            if src.stream != probe.stream:
                 raise PlanningError(
                     "join sides must window the same stream as the probe "
                     f"side; got {src.stream!r}"
@@ -859,145 +647,124 @@ class Planner:
                     f"duplicate source binding {src.binding!r} in join"
                 )
             bindings.add(src.binding)
+            if comp.op != "==" or not (
+                isinstance(comp.left, ColumnRef) and isinstance(comp.right, ColumnRef)
+            ):
+                raise PlanningError("the ON predicate must be column == column")
+            refs = {comp.left, comp.right}
+            side_refs = [r for r in refs if r.table == src.binding]
+            probe_refs = [
+                r
+                for r in refs
+                if r.table in (None, probe.binding) and r not in side_refs
+            ]
+            if len(side_refs) != 1 or len(probe_refs) != 1:
+                raise PlanningError(
+                    "the ON predicate must equate a probe-side column with the "
+                    f"joined side's key; got {comp.left!s} == {comp.right!s}"
+                )
+            key, probe_col = side_refs[0].name, probe_refs[0].name
+            if key != src.window.partition_by:
+                raise PlanningError(
+                    f"the side of {src.binding!r} must join on its partition-by "
+                    f"column {src.window.partition_by!r}; got {key!r}"
+                )
+            kf = join.field(key, "join key")
+            pf = join.field(probe_col, "join probe")
+            if (pf.kind, pf.decimals) != (kf.kind, kf.decimals):
+                raise PlanningError(
+                    f"join compares columns of mismatched types: "
+                    f"{probe_col!r} vs {key!r}"
+                )
             sides.append(
-                self._plan_join_side(clause, probe_src, join_schema)
+                JoinSide(src.binding, src.window, probe_col, key, clause.outer)
             )
-
-        outputs: List[OutputColumn] = []
-        output_sides: List[int] = []
-        by_binding = {side.binding: i for i, side in enumerate(sides)}
-        for item in query.items:
-            expr = item.expr
-            if not isinstance(expr, ColumnRef):
-                raise PlanningError("the join form selects plain columns only")
-            if expr.table is None:
-                if len(sides) != 1:
-                    raise PlanningError(
-                        "multi-way joins need side-qualified output columns; "
-                        f"got {expr!s}"
-                    )
-                side_idx = 0
-            elif expr.table in by_binding:
-                side_idx = by_binding[expr.table]
-            else:
-                raise PlanningError(
-                    "the join form outputs columns of the partition sides; "
-                    f"got {expr!s}"
-                )
-            f = _check_column(join_schema, expr, "select")
-            side = sides[side_idx]
-            name = item.output_name
-            if side.outer and expr.name != side.key_column:
-                # misses fill with NaN, so the output widens to float
-                out_field = Field(name, KIND_FLOAT, 8, decimals=f.decimals)
-            else:
-                out_field = Field(name, f.kind, f.size, decimals=f.decimals)
-            outputs.append(
-                OutputColumn(
-                    name=name,
-                    kind=OUT_COLUMN,
-                    source_column=expr.name,
-                    out_field=out_field,
-                    src_decimals=f.decimals,
-                )
-            )
-            output_sides.append(side_idx)
-
-        if probe_src.window.mode == MODE_TIME:
-            tc = probe_src.window.time_column
-            f = _check_column(join_schema, ColumnRef(tc), "join time window")
-            if f.kind != KIND_INT:
-                raise PlanningError(
-                    f"time window column {tc!r} must be an integer field"
-                )
-        derived = derived_plans.get(probe_src.stream)
-        if derived is not None:
-            physical_stream = derived.stream
-            physical_schema = derived.schema
-            profile = derived.profile
-        else:
-            physical_stream = probe_src.stream
-            physical_schema = join_schema
-            uses: Dict[str, ColumnUse] = {}
-            for out in outputs:
-                _merge_use(uses, ColumnUse(out.source_column, needs_values=True))
-            for side in sides:
-                _merge_use(uses, ColumnUse(side.probe_column, needs_values=True))
-                _merge_use(uses, ColumnUse(side.key_column, needs_values=True))
-            if probe_src.window.mode == MODE_TIME:
-                _merge_use(
-                    uses,
-                    ColumnUse(probe_src.window.time_column, needs_values=True),
-                )
-            profile = QueryProfile(column_uses=uses)
-        return JoinPlan(
-            stream=physical_stream,
-            schema=physical_schema,
-            derived=derived,
-            join_schema=join_schema,
-            window=probe_src.window,
-            partition=sides[0].window,
-            join_key=sides[0].key_column,
-            outputs=tuple(outputs),
-            distinct=query.distinct,
-            profile=profile,
-            sides=tuple(sides),
-            output_sides=tuple(output_sides),
-        )
-
-    def _plan_join_side(
-        self, clause: JoinClause, probe_src: SourceRef, join_schema: Schema
-    ) -> JoinSide:
-        src = clause.source
-        comp = clause.on
-        if comp.op != "==" or not (
-            isinstance(comp.left, ColumnRef) and isinstance(comp.right, ColumnRef)
-        ):
-            raise PlanningError("the ON predicate must be column == column")
-        refs = {comp.left, comp.right}
-        side_refs = [r for r in refs if r.table == src.binding]
-        probe_refs = [
-            r for r in refs if r.table in (None, probe_src.binding) and r not in side_refs
-        ]
-        if len(side_refs) != 1 or len(probe_refs) != 1:
-            raise PlanningError(
-                "the ON predicate must equate a probe-side column with the "
-                f"joined side's key; got {comp.left!s} == {comp.right!s}"
-            )
-        key_ref, probe_ref = side_refs[0], probe_refs[0]
-        if key_ref.name != src.window.partition_by:
-            raise PlanningError(
-                f"the side of {src.binding!r} must join on its partition-by "
-                f"column {src.window.partition_by!r}; got {key_ref.name!r}"
-            )
-        kf = _check_column(join_schema, ColumnRef(key_ref.name), "join key")
-        pf = _check_column(join_schema, ColumnRef(probe_ref.name), "join probe")
-        if (pf.kind, pf.decimals) != (kf.kind, kf.decimals):
-            raise PlanningError(
-                f"join compares columns of mismatched types: "
-                f"{probe_ref.name!r} vs {key_ref.name!r}"
-            )
-        return JoinSide(
-            binding=src.binding,
-            window=src.window,
-            probe_column=probe_ref.name,
-            key_column=key_ref.name,
-            outer=clause.outer,
-        )
+        return probe, sides
 
 
-def plan_query(
-    text: str, catalog: Dict[str, Schema], optimize: bool = False
-) -> Plan:
-    """Parse and plan a streaming SQL script in one call.
+# ----- lowering ---------------------------------------------------------
 
-    ``optimize=True`` additionally runs the plan through the rule-based
-    optimizer (:mod:`repro.optimizer`) with catalogue defaults — no
-    codec hint, no statistics.  The engine threads richer context
-    through :func:`repro.optimizer.plan_for_engine` instead.
+
+def _input(node: LogicalNode) -> Tuple[ScanNode, Optional[PredicateNode]]:
+    """The scan under a block and the block's WHERE, wherever the rules
+    left it: in a filter above the scan or pushed into the scan."""
+    where = None
+    while not isinstance(node, ScanNode):
+        if isinstance(node, FilterNode):
+            where = node.predicate
+        node = node.child
+    return node, node.predicate if where is None else where
+
+
+def lower(root: LogicalNode, info: Optional[OptimizerInfo] = None) -> Plan:
+    """Assemble the physical plan a logical tree describes.
+
+    Lowering never changes what a plan computes: pushdown and pruning are
+    already how the executor behaves (filters run first, the server only
+    materializes referenced columns), so of everything the rules rewrite
+    only the predicate tree, the fused aggregation column and the
+    decision record ``info`` reach the plan.
     """
-    if optimize:
-        from ..optimizer import plan_for_engine  # deferred: module cycle
+    order = root if isinstance(root, OrderLimitNode) else None
+    project = root.child if isinstance(root, OrderLimitNode) else root
+    if not isinstance(project, ProjectNode):
+        raise PlanningError(f"cannot lower a {type(root).__name__} root")
+    body = project.child
+    if isinstance(body, JoinNode):
+        derived = None
+        if isinstance(body.child, DeriveNode):
+            derived = lower(body.child.child)
+            stream, schema, profile = derived.stream, derived.schema, derived.profile
+        else:
+            scan, _ = _input(body.child)
+            stream, schema, profile = scan.stream, scan.schema, _profile(scan)
+        return JoinPlan(
+            stream=stream,
+            schema=schema,
+            derived=derived,
+            join_schema=body.schema,
+            window=body.window,
+            outputs=project.columns,
+            distinct=project.distinct,
+            profile=profile,
+            sides=body.sides,
+            output_sides=body.output_sides,
+            opt=info,
+        )
+    if isinstance(body, WindowAggNode):
+        scan, where = _input(body.child)
+        return WindowAggPlan(
+            stream=scan.stream,
+            schema=scan.schema,
+            window=body.window,
+            outputs=project.columns,
+            group_keys=body.group_keys,
+            where=where,
+            profile=_profile(scan),
+            hidden_outputs=body.hidden,
+            having=body.having,
+            order_by=tuple(OrderKey(*key) for key in order.keys) if order else (),
+            limit=order.limit if order else None,
+            fuse_column=body.fuse_column,
+            opt=info,
+        )
+    scan, where = _input(body)
+    return PassthroughPlan(
+        stream=scan.stream,
+        schema=scan.schema,
+        outputs=project.columns,
+        where=where,
+        distinct=project.distinct,
+        profile=_profile(scan),
+        opt=info,
+    )
 
-        return plan_for_engine(catalog, text, optimize=True)
+
+def _profile(scan: ScanNode) -> QueryProfile:
+    return QueryProfile(column_uses={use.name: use for use in scan.uses})
+
+
+def plan_query(text: str, catalog: Dict[str, Schema]) -> Plan:
+    """Parse and plan a streaming SQL script in one call (no rewrites;
+    :func:`repro.optimizer.plan_for_engine` is the optimizing entry)."""
     return Planner(catalog).plan_text(text)

@@ -32,10 +32,7 @@ from repro.core.calibration import CalibrationError, CalibrationTable, CodecTimi
 from repro.core.decode_cache import DecodeCache, _column_digest
 from repro.core.server import Server
 from repro.errors import CodecNotApplicable
-from repro.optimizer import optimize_plan, schema_infos
-from repro.optimizer.binder import stats_from_columns
-from repro.sql.parser import parse
-from repro.sql.planner import Planner
+from repro.optimizer import plan_for_engine, stats_from_columns
 from repro.stats import ColumnStats
 from repro.stream.batch import Batch, CompressedBatch
 from repro.stream.schema import Field, Schema
@@ -396,17 +393,17 @@ def _morph_batches(batches=3, n=128):
 
 
 def _morph_plan(optimize=True):
-    script = parse(MORPH_SQL)
-    plan = Planner({"S": MORPH_SCHEMA}).plan(script)
-    if not optimize:
-        return plan
     merged = {
         name: np.concatenate([b.column(name) for b in _morph_batches()])
         for name in ("ts", "value", "kind")
     }
-    stats = stats_from_columns(MORPH_SCHEMA, merged)
-    infos = schema_infos(MORPH_SCHEMA, codec_hint="rle", stats=stats)
-    return optimize_plan(plan, infos, script=script).plan
+    return plan_for_engine(
+        {"S": MORPH_SCHEMA},
+        MORPH_SQL,
+        optimize=optimize,
+        codec_hint="rle",
+        stats=stats_from_columns(MORPH_SCHEMA, merged),
+    ).plan
 
 
 def _compress_rle(batch):

@@ -20,10 +20,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import QUERIES
-from repro.optimizer import optimize_plan, render_text, schema_infos
-from repro.optimizer.binder import stats_from_columns
-from repro.sql.parser import parse
-from repro.sql.planner import Planner
+from repro.optimizer import plan_for_engine, render_text, stats_from_columns
 from repro.stream.schema import Field, Schema
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "explain"
@@ -48,13 +45,8 @@ STATS_COLUMNS = {
 
 
 def _render(catalog, sql, codec_hint="", with_stats=False):
-    script = parse(sql)
-    plan = Planner(catalog).plan(script)
-    stats = (
-        stats_from_columns(plan.schema, STATS_COLUMNS) if with_stats else None
-    )
-    infos = schema_infos(plan.schema, codec_hint=codec_hint, stats=stats)
-    result = optimize_plan(plan, infos, script=script)
+    stats = stats_from_columns(SCHEMA, STATS_COLUMNS) if with_stats else None
+    result = plan_for_engine(catalog, sql, codec_hint=codec_hint, stats=stats)
     return render_text(result.root, result.info) + "\n", result.info
 
 

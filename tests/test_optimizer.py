@@ -13,10 +13,17 @@ pin the mechanisms.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.sql
 from repro import CompressStreamDB, EngineConfig
+from repro.datasets import QUERIES
 from repro.optimizer import (
     RULES,
     CommonSubplanSharing,
@@ -34,19 +41,21 @@ from repro.optimizer import (
     ScanNode,
     SelectionReorder,
     WindowAggNode,
-    bind,
     optimize_plan,
     plan_digest,
+    plan_for_engine,
+    render_text,
     schema_infos,
     simplify_predicate,
+    stats_from_columns,
 )
-from repro.optimizer.binder import stats_from_columns
 from repro.optimizer.cost import run_length_of, selectivity, touch_weight
-from repro.optimizer.logical import iter_nodes
+from repro.sql.logical import iter_nodes
 from repro.sql.parser import parse
 from repro.sql.planner import LiteralPredicate, Planner, PredicateGroup
 from repro.stream.schema import Field, Schema
 from repro.stream.source import GeneratorSource
+from repro.workloads.corpus import QUERIES as CORPUS
 
 SCHEMA = Schema(
     [
@@ -63,9 +72,8 @@ def plan_of(sql):
     return Planner(CATALOG).plan(parse(sql))
 
 
-def naive_root(sql, codec_hint=""):
-    plan = plan_of(sql)
-    return bind(plan, schema_infos(plan.schema, codec_hint=codec_hint))
+def naive_root(sql, codec_hint="", stats=None):
+    return Planner(CATALOG, codec_hint=codec_hint, stats=stats).bind(parse(sql))
 
 
 def node_types(root):
@@ -132,9 +140,7 @@ class TestBinder:
         from repro.datasets import QUERIES
 
         q3 = QUERIES["q3"]
-        script = parse(q3.text())
-        plan = Planner(q3.catalog).plan(script)
-        root = bind(plan, schema_infos(plan.schema), script=script)
+        root = Planner(q3.catalog).bind(parse(q3.text()))
         derive = find(root, DeriveNode)
         assert derive.name == "SegSpeedStr"
         assert derive.consumers == 2
@@ -241,22 +247,19 @@ class TestRules:
         assert same is root and firings == ()
 
     def test_reorder_puts_the_selective_conjunct_first(self):
-        plan = plan_of(
+        sql = (
             "select value from S [range unbounded] where value < 90 and kind == 2"
         )
         stats = stats_from_columns(
-            plan.schema,
+            SCHEMA,
             {
                 # value < 90 keeps ~90% of rows; kind == 2 keeps ~0.1%
                 "value": np.arange(100, dtype=np.int64),
                 "kind": np.arange(1000, dtype=np.int64),
             },
         )
-        infos = schema_infos(plan.schema, stats=stats)
-        root = bind(plan, infos)
-        ordered, firings = SelectionReorder().apply(
-            root, CostContext(infos=infos)
-        )
+        root = naive_root(sql, stats=stats)
+        ordered, firings = SelectionReorder().apply(root, self._ctx(root))
         assert [f.rule for f in firings] == ["reorder"]
         predicate = find(ordered, FilterNode).predicate
         assert predicate.ordered
@@ -265,21 +268,18 @@ class TestRules:
     def test_reorder_refuses_when_cost_says_it_loses(self):
         # both conjuncts keep every row, so the cascade saves nothing
         # and the framework's strict-improvement gate rejects it
-        plan = plan_of(
+        sql = (
             "select value from S [range unbounded] where value <= 99 and kind <= 999"
         )
         stats = stats_from_columns(
-            plan.schema,
+            SCHEMA,
             {
                 "value": np.arange(100, dtype=np.int64),
                 "kind": np.arange(1000, dtype=np.int64),
             },
         )
-        infos = schema_infos(plan.schema, stats=stats)
-        root = bind(plan, infos)
-        same, firings = SelectionReorder().apply(
-            root, CostContext(infos=infos)
-        )
+        root = naive_root(sql, stats=stats)
+        same, firings = SelectionReorder().apply(root, self._ctx(root))
         assert same is root and firings == ()
 
     def test_fusion_fires_with_run_evidence(self):
@@ -333,13 +333,8 @@ class TestRules:
         from repro.datasets import QUERIES
 
         q3 = QUERIES["q3"]
-        script = parse(q3.text())
-        plan = Planner(q3.catalog).plan(script)
-        infos = schema_infos(plan.schema)
-        root = bind(plan, infos, script=script)
-        shared, firings = CommonSubplanSharing().apply(
-            root, CostContext(infos=infos)
-        )
+        root = Planner(q3.catalog).bind(parse(q3.text()))
+        shared, firings = CommonSubplanSharing().apply(root, self._ctx(root))
         assert "cse" in [f.rule for f in firings]
         assert find(shared, DeriveNode).shared
 
@@ -365,7 +360,7 @@ class TestRules:
             def rewrite(self, root, ctx):
                 import dataclasses
 
-                from repro.optimizer.info import RuleFiring
+                from repro.sql.plan import RuleFiring
 
                 def visit(node):
                     if isinstance(node, ScanNode):
@@ -374,7 +369,7 @@ class TestRules:
                         )
                     return node
 
-                from repro.optimizer.logical import transform
+                from repro.sql.logical import transform
 
                 return transform(root, visit), (
                     RuleFiring(rule="widen", detail="doubled the scan"),
@@ -446,24 +441,22 @@ class TestSimplifyPredicate:
 class TestOptimizePlan:
     def test_chooser_falls_back_when_nothing_fires(self):
         # every column referenced, no WHERE, grouped: no rule applies
-        plan = plan_of(
+        sql = (
             "select ts, kind, payload, avg(value) as a "
             "from S [range 64 slide 64] group by ts, kind, payload"
         )
-        result = optimize_plan(plan)
+        result = optimize_plan(naive_root(sql))
         assert result.info.fallback
         assert result.info.rules_fired == ()
         assert result.info.estimated_cost == result.info.baseline_cost
         assert result.root is result.baseline_root
 
     def test_rules_fire_and_estimate_beats_baseline(self):
-        plan = plan_of(
+        sql = (
             "select avg(value) as a from S [range 64 slide 64] "
             "where value < 50"
         )
-        result = optimize_plan(
-            plan, schema_infos(plan.schema, codec_hint="rle")
-        )
+        result = optimize_plan(naive_root(sql, codec_hint="rle"))
         assert not result.info.fallback
         assert {"prune", "pushdown", "fusion"} <= set(result.info.rules_fired)
         assert result.info.estimated_cost < result.info.baseline_cost
@@ -471,31 +464,147 @@ class TestOptimizePlan:
         assert result.plan.opt is result.info
 
     def test_digest_is_stable_and_stats_blind(self):
-        plan = plan_of("select value from S [range unbounded] where value < 10")
-        a = optimize_plan(plan, schema_infos(plan.schema))
+        sql = "select value from S [range unbounded] where value < 10"
+        a = optimize_plan(naive_root(sql))
         stats = stats_from_columns(
-            plan.schema, {"value": np.arange(100, dtype=np.int64)}
+            SCHEMA, {"value": np.arange(100, dtype=np.int64)}
         )
-        b = optimize_plan(plan, schema_infos(plan.schema, stats=stats))
+        b = optimize_plan(naive_root(sql, stats=stats))
         assert a.info.plan_digest == b.info.plan_digest
         assert plan_digest(a.root) == a.info.plan_digest
         # the naive tree has a different shape, hence a different digest
         assert plan_digest(a.baseline_root) != a.info.plan_digest
 
     def test_lowered_where_keeps_the_cascade_order(self):
-        plan = plan_of(
+        sql = (
             "select value from S [range unbounded] where value < 90 and kind == 2"
         )
         stats = stats_from_columns(
-            plan.schema,
+            SCHEMA,
             {
                 "value": np.arange(100, dtype=np.int64),
                 "kind": np.arange(1000, dtype=np.int64),
             },
         )
-        result = optimize_plan(plan, schema_infos(plan.schema, stats=stats))
+        result = optimize_plan(naive_root(sql, stats=stats))
         assert result.plan.where.ordered
         assert result.plan.where.children[0].column == "kind"
+
+
+# ----- the one-way front end: parse -> bind -> RULES -> lower ----------
+
+
+#: (catalog, sql) of the paper's Q1-Q6 at their default windows plus the
+#: workload corpus (tumbling Q1-Q6 and the widened-surface queries)
+FRONT_END_QUERIES = {
+    **{f"paper_{name}": (q.catalog, q.text()) for name, q in QUERIES.items()},
+    **{name: (e.catalog, e.sql) for name, e in CORPUS.items()},
+}
+
+#: the only plan fields the rule stage may change
+REWRITTEN_FIELDS = {"where", "fuse_column", "derived", "opt"}
+
+
+class TestOneWayFrontEnd:
+    @pytest.mark.parametrize("codec_hint", ["", "rle"])
+    @pytest.mark.parametrize("name", sorted(FRONT_END_QUERIES))
+    def test_zero_rule_lowering_is_the_naive_plan(self, name, codec_hint):
+        catalog, sql = FRONT_END_QUERIES[name]
+        naive = Planner(catalog).plan_text(sql)
+        zero = plan_for_engine(catalog, sql, optimize=False, codec_hint=codec_hint)
+        assert zero.plan == naive and naive.opt is None
+        assert zero.info is None and zero.root is zero.baseline_root
+        # the rule stage reaches the plan through four fields and no other
+        optimized = plan_for_engine(catalog, sql, codec_hint=codec_hint).plan
+        assert type(optimized) is type(naive) and optimized.opt is not None
+        for f in dataclasses.fields(naive):
+            if f.name not in REWRITTEN_FIELDS:
+                assert getattr(optimized, f.name) == getattr(naive, f.name), f.name
+        if getattr(naive, "derived", None) is not None:
+            same_where = dataclasses.replace(
+                optimized.derived, where=naive.derived.where
+            )
+            assert same_where == naive.derived
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_engine_parses_and_binds_exactly_once(self, monkeypatch, optimize):
+        import repro.optimizer.optimizer as driver
+        import repro.sql.planner as planner
+
+        calls = Counter()
+        real_parse, real_bind = driver.parse, Planner.bind
+
+        def counted_parse(text):
+            calls["parse"] += 1
+            return real_parse(text)
+
+        def counted_bind(self, script):
+            calls["bind"] += 1
+            return real_bind(self, script)
+
+        monkeypatch.setattr(driver, "parse", counted_parse)
+        monkeypatch.setattr(planner, "parse", counted_parse)
+        monkeypatch.setattr(Planner, "bind", counted_bind)
+        CompressStreamDB(CATALOG, FILTERED_AVG, EngineConfig(optimize=optimize))
+        assert calls == {"parse": 1, "bind": 1}
+
+    def test_sql_never_imports_the_optimizer(self):
+        # one direction of data flow: the optimizer imports the front
+        # end, never the reverse — not at module level, not inside a
+        # function, not under TYPE_CHECKING, not through importlib
+        offenders = []
+        for path in sorted(Path(repro.sql.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                targets = []
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = "repro.sql".rsplit(".", node.level - 1)[0]
+                    parts = (base if node.level else "", node.module)
+                    module = ".".join(part for part in parts if part)
+                    targets = [module] + [f"{module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", ""))
+                    if name in ("import_module", "__import__"):
+                        targets = ["repro.optimizer"]
+                offenders += [
+                    f"{path.name}:{node.lineno}: {target}"
+                    for target in targets
+                    if (target + ".").startswith("repro.optimizer.")
+                ]
+        assert offenders == []
+
+    def test_q3_digest_and_explain_agree_on_every_route(self, capsys):
+        # the derived stream's real name and consumer count reach the
+        # DeriveNode on every route (no route guesses "derived"/2)
+        from repro.cli import main
+        from repro.oracle.generator import OracleCase
+        from repro.sql import plan_query
+
+        q3 = QUERIES["q3"]
+        planned = plan_for_engine(q3.catalog, q3.text())
+        explained = render_text(planned.root, planned.info)
+        assert "consumers=2; name=SegSpeedStr; shared=True" in explained
+        engine = CompressStreamDB(q3.catalog, q3.text())
+        assert engine.plan.opt == planned.info  # digest, firings, costs
+        assert main(["explain", "--query", "q3"]) == 0
+        assert explained in capsys.readouterr().out
+        naive = plan_for_engine(q3.catalog, q3.text(), optimize=False)
+        assert plan_query(q3.text(), q3.catalog) == naive.plan
+        # the oracle plans AST-built scripts through the same entry point
+        script = parse(q3.text())
+        catalog = {"SegSpeedStr": planned.plan.join_schema}
+        case = OracleCase(
+            case_id=0,
+            seed=0,
+            schema=planned.plan.join_schema,
+            query=script.main,
+            stream="SegSpeedStr",
+        )
+        by_text = plan_for_engine(catalog, case.sql)
+        assert case.optimized_plan().opt == by_text.info
+        assert case.plan() == plan_for_engine(catalog, case.sql, optimize=False).plan
 
 
 # ----- lowered plans execute identically -------------------------------

@@ -132,9 +132,9 @@ class TestJoinPlanning:
         q3 = QUERIES["q3"]
         plan = plan_query(QUERY_TEXT["q3"], q3.catalog)
         assert isinstance(plan, JoinPlan)
-        assert plan.join_key == "vehicle"
+        assert plan.sides[0].key_column == "vehicle"
         assert plan.window.size == 30
-        assert plan.partition.rows == 1
+        assert plan.sides[0].window.rows == 1
         assert plan.derived is not None
         assert plan.stream == "PosSpeedStr"  # physical stream
         assert {o.name for o in plan.outputs} >= {"segment", "vehicle"}
