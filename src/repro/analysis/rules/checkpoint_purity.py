@@ -11,10 +11,13 @@ from :class:`TenantSession` (annotated types, constructor assignments,
 annotated-parameter assignments) and flags every reachable attribute
 carrying a pickle-hostile marker or an unpicklable type root.
 
-Attributes the checkpoint code deliberately detaches or rebuilds on
-restore (the spec, the source iterator, the shared decode cache …) are
-excluded below; keep :data:`DETACHED_ATTRS` in sync with
-``state_bytes``/``restore`` in ``repro.serve.session``.
+The walk follows composition: ``TenantSession -> Pipeline -> {client,
+server, channel, transport, feed}``.  What the checkpoint code leaves
+out is excluded below and nowhere else: the two attributes
+``TenantSession.restore`` takes as arguments
+(``repro.serve.session.REBUILT_ON_RESTORE``), the source iterator
+``Pipeline.__getstate__`` drops, and the shared decode cache
+``state_bytes`` detaches.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ from .base import GraphRule
 #: root of the pickled object graph
 ROOT_CLASS = "TenantSession"
 
-#: (class leaf name, attribute) pairs excluded from the pickled state —
-#: mirror of the state dict in TenantSession.state_bytes plus the
-#: attributes restore() rebuilds from the spec
+#: (class leaf name, attribute) pairs excluded from the pickled state
 DETACHED_ATTRS: Set[Tuple[str, str]] = {
+    # restore() arguments (session.REBUILT_ON_RESTORE)
     ("TenantSession", "spec"),
-    ("TenantSession", "plan"),
-    ("TenantSession", "_iterator"),
     ("TenantSession", "disarmed"),
+    # dropped by Pipeline.__getstate__; attach() re-seeks a fresh one
+    ("Pipeline", "_source"),
     # shared across tenants; state_bytes() detaches it before pickling
     ("Server", "cache"),
 }

@@ -1,30 +1,40 @@
 """End-to-end pipeline: source -> client -> channel -> server (Fig. 4).
 
-The pipeline drives the four cost-model stages per batch.  It maintains a
-lookahead buffer over the source so the client's selector can "scan the
-next five batches" exactly as Sec. IV-B describes, and it measures the
-query profile (baseline memory/compute split for Eq. 8) on the first batch
-with a throwaway executor before the run starts.
+A :class:`Pipeline` is one stream's data path, advanced one batch at a
+time: :meth:`Pipeline.step` is the only place an engine batch goes
+``Client.compress_batch`` -> link -> ``Server.process``.  It returns a
+:class:`BatchRecord` and keeps no history.  Two drivers loop over it:
+:meth:`Pipeline.run`, the engine's whole-stream loop, which owns the
+:class:`~repro.core.profiler.Profiler` and measures the query profile
+(baseline memory/compute split for Eq. 8) on the first batch; and
+:class:`repro.serve.session.TenantSession`, which wraps a pipeline in
+serving policy and checkpoints it between batches.
 
-When the channel is a :class:`~repro.net.faults.FaultyChannel`, batches
-additionally travel as real binary frames through
-``serialize_batch``/``deserialize_batch`` under the reliable transport
-(:mod:`repro.net.transport`): corrupted or dropped frames are
-retransmitted with capped exponential backoff in virtual time, and
-batches that exhaust their retries are quarantined instead of crashing
-the run.  The resulting :class:`~repro.net.faults.FaultReport` rides on
-the :class:`RunReport`.
+What a step needs is explicit attributes, so a pipeline pickles between
+steps: the lookahead ``feed`` over the source (the client's selector
+"scans the next five batches", Sec. IV-B), the pulled/served cursors,
+the arrival counter and — when the channel is a
+:class:`~repro.net.faults.FaultyChannel` — the reliable transport
+(:mod:`repro.net.transport`), which ships batches as binary frames,
+retransmits with capped exponential backoff in virtual time and
+quarantines a batch that exhausts its retries instead of crashing the
+run.  Only the source iterator stays out of a pickle;
+:meth:`Pipeline.attach` seeks a fresh one to the pulled cursor.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Iterable, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Deque, Dict, Iterable, Iterator, Optional
 
-from ..net.channel import Channel, QueuedChannel
+from ..compression.registry import get_codec
+from ..errors import EngineError
+from ..net.channel import Channel
 from ..net.faults import FaultReport, FaultyChannel
-from ..net.transport import ReliabilityConfig, ReliableTransport
+from ..net.transport import ReliabilityConfig, ReliableTransport, TransportOutcome
 from ..operators.base import decoded_column
 from ..sql.executor import QueryResult, make_executor
 from ..sql.plan import Plan
@@ -33,7 +43,7 @@ from .client import Client
 from .cost_model import SystemParams
 from .metrics import RunReport
 from .profiler import BatchTiming, Profiler
-from .server import Server
+from .server import Server, ServerReport
 
 
 def measure_query_profile(plan: Plan, batch: Batch, memory_fraction: float) -> None:
@@ -55,8 +65,28 @@ def measure_query_profile(plan: Plan, batch: Batch, memory_fraction: float) -> N
     plan.profile.op_seconds = elapsed * (1.0 - memory_fraction)
 
 
+@dataclass
+class BatchRecord:
+    """What one :meth:`Pipeline.step` did with one batch."""
+
+    index: int
+    tuples: int
+    bytes_uncompressed: int
+    #: bytes that crossed the link (every attempt, under the transport)
+    bytes_on_wire: int
+    #: send attempts made (1 = clean first try)
+    attempts: int
+    choices: Dict[str, str]
+    #: stage seconds; ``trans`` is the link's virtual time, and
+    #: ``decompress``/``query`` stay zero for a quarantined batch
+    timing: BatchTiming
+    #: None when the transport quarantined the batch: the time and bytes
+    #: were spent, but it never reached the query
+    report: Optional[ServerReport]
+
+
 class Pipeline:
-    """Sequential compress -> transmit -> decompress -> query loop."""
+    """One stream's compress -> link -> query path, one batch per step."""
 
     def __init__(
         self,
@@ -74,7 +104,120 @@ class Pipeline:
         self.channel = channel
         self.params = params
         self.profile_first_batch = profile_first_batch
-        self.reliability = reliability
+        # an unreliable channel engages the reliable transport: batches
+        # travel as sequence-numbered binary frames with retransmission
+        self.transport: Optional[ReliableTransport] = (
+            ReliableTransport(channel, plan.schema, reliability)
+            if isinstance(channel, FaultyChannel)
+            else None
+        )
+        self._source: Optional[Iterator[Batch]] = None
+        #: lookahead over the source; the head is the next batch to serve
+        self.feed: Deque[Batch] = deque()
+        #: batches pulled from the source so far (the seek offset)
+        self.pulled = 0
+        #: index of the next batch to be taken
+        self.cursor = 0
+        self.arrived_tuples = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # iterators do not pickle; attach() seeks a fresh one to ``pulled``
+        return {**self.__dict__, "_source": None}
+
+    # ----- the source feed -------------------------------------------------
+
+    def attach(self, source: Iterable[Batch]) -> None:
+        """Bind the stream and fill the lookahead.
+
+        On an unpickled pipeline this is a log-offset seek: the source
+        (rebuilt by the caller) is advanced past every batch the pickled
+        pipeline had already pulled.
+        """
+        if self._source is not None:
+            raise EngineError("a Pipeline serves one stream; make a fresh one")
+        self._source = iter(source)
+        skipped = sum(1 for _ in islice(self._source, self.pulled))
+        if skipped < self.pulled:
+            raise EngineError(
+                f"source ended at batch {skipped}, cannot seek to batch {self.pulled}"
+            )
+        self._refill()
+
+    def _refill(self) -> None:
+        if self._source is None:
+            raise EngineError("attach() a source before stepping a Pipeline")
+        while len(self.feed) < self.client.lookahead:
+            try:
+                self.feed.append(next(self._source))
+            except StopIteration:
+                break
+            self.pulled += 1
+
+    def take(self) -> Batch:
+        """Dequeue the head batch and pull its replacement.
+
+        :meth:`step` serves what it takes; a caller shedding load takes a
+        batch and drops it.
+        """
+        batch = self.feed.popleft()
+        self._refill()
+        self.cursor += 1
+        return batch
+
+    # ----- the per-batch path ----------------------------------------------
+
+    def step(self, compute_seconds: Optional[float] = None) -> BatchRecord:
+        """Serve the head batch: compress, cross the link, query.
+
+        Under an arrival-rate model a batch is ready for the link once
+        its tuples have arrived and the client has spent
+        ``compute_seconds`` on it; None charges the measured compression
+        time, a fixed value keeps the virtual clock deterministic.
+        """
+        index = self.cursor
+        batch = self.take()
+        outcome = self.client.compress_batch(batch, upcoming=tuple(self.feed))
+        if compute_seconds is None:
+            compute_seconds = outcome.seconds
+        ready: Optional[float] = None
+        rate = self.params.arrival_rate_tps
+        if rate is not None:
+            self.arrived_tuples += batch.n
+            ready = self.arrived_tuples / rate + compute_seconds
+        any_lazy = any(
+            not name_is_eager(codec_name) for codec_name in outcome.choices.values()
+        )
+        timing = BatchTiming(
+            wait=self.params.t_wait if any_lazy else 0.0, compress=outcome.seconds
+        )
+        if self.transport is not None:
+            shipped = self.transport.send_batch(outcome.batch, ready_time=ready)
+        else:
+            nbytes = outcome.batch.nbytes
+            shipped = TransportOutcome(
+                delivered=outcome.batch,
+                seconds=self.channel.ship(nbytes, ready),
+                attempts=1,
+                bytes_on_wire=nbytes,
+            )
+        timing.trans = shipped.seconds
+        report: Optional[ServerReport] = None
+        if shipped.delivered is not None:
+            report = self.server.process(shipped.delivered)
+            timing.decompress = report.decompress_seconds
+            timing.query = report.query_seconds
+        return BatchRecord(
+            index=index,
+            tuples=batch.n,
+            bytes_uncompressed=batch.uncompressed_nbytes,
+            bytes_on_wire=shipped.bytes_on_wire,
+            attempts=shipped.attempts,
+            choices=outcome.choices,
+            timing=timing,
+            report=report,
+        )
+
+    # ----- the engine's whole-stream loop ----------------------------------
 
     def run(
         self,
@@ -82,104 +225,27 @@ class Pipeline:
         max_batches: Optional[int] = None,
         collect_outputs: bool = False,
     ) -> RunReport:
+        self.attach(source)
+        if self.profile_first_batch and self.feed:
+            measure_query_profile(
+                self.plan, self.feed[0], self.params.memory_fraction
+            )
         profiler = Profiler()
         outputs = [] if collect_outputs else None
-        iterator = iter(source)
-        lookahead: Deque[Batch] = deque()
-
-        def refill() -> None:
-            while len(lookahead) < self.client.lookahead:
-                try:
-                    lookahead.append(next(iterator))
-                except StopIteration:
-                    break
-
-        refill()
-        if self.profile_first_batch and lookahead:
-            measure_query_profile(
-                self.plan, lookahead[0], self.params.memory_fraction
-            )
-
-        # an unreliable channel engages the reliable transport: batches
-        # travel as sequence-numbered binary frames with retransmission
-        transport: Optional[ReliableTransport] = None
-        if isinstance(self.channel, FaultyChannel):
-            transport = ReliableTransport(
-                self.channel, self.plan.schema, self.reliability
-            )
-
-        processed = 0
-        arrived_tuples = 0
-        timed_link = (
-            self.channel.inner
-            if isinstance(self.channel, FaultyChannel)
-            else self.channel
-        )
-        use_arrivals = (
-            self.params.arrival_rate_tps is not None
-            and isinstance(timed_link, QueuedChannel)
-        )
-        while lookahead and (max_batches is None or processed < max_batches):
-            batch = lookahead.popleft()
-            refill()
-            outcome = self.client.compress_batch(batch, upcoming=tuple(lookahead))
-            ready: Optional[float] = None
-            if use_arrivals:
-                arrived_tuples += batch.n
-                ready = arrived_tuples / self.params.arrival_rate_tps + outcome.seconds
-            any_lazy = any(
-                not name_is_eager(codec_name)
-                for codec_name in outcome.choices.values()
-            )
-            wait_seconds = self.params.t_wait if any_lazy else 0.0
-            if transport is not None:
-                shipped = transport.send_batch(outcome.batch, ready_time=ready)
-                bytes_sent = shipped.bytes_on_wire
-                trans_seconds = shipped.seconds
-                if shipped.delivered is None:
-                    # quarantined: the time and bytes were spent, but the
-                    # batch never reached the query — account and move on
-                    profiler.record_batch(
-                        BatchTiming(
-                            wait=wait_seconds,
-                            compress=outcome.seconds,
-                            trans=trans_seconds,
-                        ),
-                        tuples=batch.n,
-                        bytes_sent=bytes_sent,
-                        bytes_uncompressed=batch.uncompressed_nbytes,
-                    )
-                    processed += 1
-                    continue
-                report = self.server.process(shipped.delivered)
-            elif use_arrivals:
-                trans_seconds, _ = self.channel.send(outcome.batch.nbytes, ready)
-                bytes_sent = outcome.batch.nbytes
-                report = self.server.process(outcome.batch)
-            else:
-                trans_seconds = self.channel.transmit(outcome.batch.nbytes)
-                bytes_sent = outcome.batch.nbytes
-                report = self.server.process(outcome.batch)
-            timing = BatchTiming(
-                wait=wait_seconds,
-                compress=outcome.seconds,
-                trans=trans_seconds,
-                decompress=report.decompress_seconds,
-                query=report.query_seconds,
-            )
+        while self.feed and (max_batches is None or self.cursor < max_batches):
+            record = self.step()
             profiler.record_batch(
-                timing,
-                tuples=batch.n,
-                bytes_sent=bytes_sent,
-                bytes_uncompressed=batch.uncompressed_nbytes,
+                record.timing,
+                tuples=record.tuples,
+                bytes_sent=record.bytes_on_wire,
+                bytes_uncompressed=record.bytes_uncompressed,
             )
-            if outputs is not None:
-                outputs.append(report.result)
-            processed += 1
+            if outputs is not None and record.report is not None:
+                outputs.append(record.report.result)
 
         faults: Optional[FaultReport] = None
-        if transport is not None:
-            faults = transport.report
+        if self.transport is not None:
+            faults = self.transport.report
             faults.injected = self.channel.injected_counts
             faults.codec_demotions = list(self.client.demotions)
         elif self.client.demotions:
@@ -196,6 +262,4 @@ class Pipeline:
 
 def name_is_eager(codec_name: str) -> bool:
     """Whether a codec (by registry name) compresses without batch wait."""
-    from ..compression.registry import get_codec
-
     return not get_codec(codec_name).is_lazy

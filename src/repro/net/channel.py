@@ -68,6 +68,11 @@ class Channel:
         self.seconds_spent += seconds
         return seconds
 
+    def ship(self, nbytes: int, ready_time: Optional[float] = None) -> float:
+        """Transmit a payload that became ready at ``ready_time``; a plain
+        link has no queue and ignores it (:class:`QueuedChannel` queues)."""
+        return self.transmit(nbytes)
+
     def reset(self) -> None:
         self.bytes_sent = 0
         self.batches_sent = 0
@@ -110,6 +115,11 @@ class QueuedChannel(Channel):
         self.seconds_spent += queue_delay + wire
         self.queue_seconds += queue_delay
         return queue_delay + wire, depart
+
+    def ship(self, nbytes: int, ready_time: Optional[float] = None) -> float:
+        if ready_time is None:
+            return self.transmit(nbytes)
+        return self.send(nbytes, ready_time)[0]
 
     def reset(self) -> None:
         super().reset()

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ChannelError
-from .channel import Channel, QueuedChannel
+from .channel import Channel
 from .topology import MultiHopChannel
 
 #: The injectable fault kinds, in the order the injector draws them.
@@ -204,13 +204,10 @@ class FaultyChannel(Channel):
         self._sync_counters()
         return seconds
 
-    def send(self, nbytes: int, ready_time: float) -> Tuple[float, float]:
-        """Queued-link send; only valid around a :class:`QueuedChannel`."""
-        if not isinstance(self.inner, QueuedChannel):
-            raise ChannelError("send() requires a QueuedChannel inside")
-        result = self.inner.send(nbytes, ready_time)
+    def ship(self, nbytes: int, ready_time: Optional[float] = None) -> float:
+        seconds = self.inner.ship(nbytes, ready_time)
         self._sync_counters()
-        return result
+        return seconds
 
     def reset(self) -> None:
         self.inner.reset()

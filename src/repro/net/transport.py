@@ -36,7 +36,6 @@ from ..errors import TransportError
 from ..stream.batch import CompressedBatch
 from ..stream.schema import Schema
 from ..wire.format import WireFormatError, deserialize_batch, serialize_batch
-from .channel import QueuedChannel
 from .faults import DeadLetter, FaultReport, FaultyChannel
 
 ENVELOPE_MAGIC = b"CSTX"
@@ -138,12 +137,6 @@ class ReliableTransport:
 
     # ----- sender ----------------------------------------------------------
 
-    def _transmit(self, nbytes: int, ready_time: Optional[float]) -> float:
-        if ready_time is not None and isinstance(self.channel.inner, QueuedChannel):
-            seconds, _ = self.channel.send(nbytes, ready_time)
-            return seconds
-        return self.channel.transmit(nbytes)
-
     def send_batch(
         self,
         compressed: CompressedBatch,
@@ -164,7 +157,7 @@ class ReliableTransport:
         while attempts <= cfg.max_retries:
             attempts += 1
             is_retry = attempts > 1
-            wire = self._transmit(
+            wire = self.channel.ship(
                 len(envelope),
                 None if ready_time is None else ready_time + seconds,
             )

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..errors import ServeError
 
 #: bump when the checkpoint payload layout changes incompatibly
-CHECKPOINT_VERSION = 1
+#: (2: the payload is the session's attribute dict around one Pipeline)
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,14 @@ class TenantCheckpoint:
     def nbytes(self) -> int:
         return len(self.payload)
 
+    def require_current_version(self) -> None:
+        """Refuse a payload laid out by another version of this code."""
+        if self.version != CHECKPOINT_VERSION:
+            raise ServeError(
+                f"checkpoint for tenant {self.tenant!r} has version "
+                f"{self.version}, this build reads {CHECKPOINT_VERSION}"
+            )
+
 
 class CheckpointStore:
     """In-memory latest-checkpoint-per-tenant store."""
@@ -65,10 +74,7 @@ class CheckpointStore:
         self.saves = 0
 
     def save(self, checkpoint: TenantCheckpoint) -> None:
-        if checkpoint.version != CHECKPOINT_VERSION:
-            raise ServeError(
-                f"checkpoint version {checkpoint.version} != {CHECKPOINT_VERSION}"
-            )
+        checkpoint.require_current_version()
         self._latest[checkpoint.tenant] = checkpoint
         self.saves += 1
 
@@ -122,6 +128,7 @@ class FileCheckpointStore(CheckpointStore):
             ckpt = pickle.loads(path.read_bytes())
             if not isinstance(ckpt, TenantCheckpoint):
                 raise ServeError(f"{path} does not hold a TenantCheckpoint")
+            ckpt.require_current_version()
             self._latest[ckpt.tenant] = ckpt
 
     def _path(self, tenant: str) -> Path:

@@ -25,6 +25,14 @@ QUARANTINED = "QUARANTINED"
 HEALTH_STATES = (HEALTHY, DEGRADED, QUARANTINED)
 
 
+def p95(latencies_s: List[float]) -> float:
+    """Nearest-rank 95th percentile (0.0 for no samples)."""
+    if not latencies_s:
+        return 0.0
+    ordered = sorted(latencies_s)
+    return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
+
+
 @dataclass
 class TenantReport:
     """Terminal per-tenant health and delivery counters."""
@@ -55,11 +63,7 @@ class TenantReport:
         return self.batches_delivered / self.batches_total
 
     def p95_latency_s(self) -> float:
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        idx = min(len(ordered) - 1, int(0.95 * len(ordered)))
-        return ordered[idx]
+        return p95(self.latencies_s)
 
 
 @dataclass
@@ -110,14 +114,7 @@ class ServeReport:
         return self.tuples_delivered / self.virtual_makespan_s
 
     def p95_latency_s(self) -> float:
-        merged: List[float] = []
-        for t in self.tenants:
-            merged.extend(t.latencies_s)
-        if not merged:
-            return 0.0
-        ordered = sorted(merged)
-        idx = min(len(ordered) - 1, int(0.95 * len(ordered)))
-        return ordered[idx]
+        return p95([s for tenant in self.tenants for s in tenant.latencies_s])
 
     def worst_health(self) -> str:
         order = {HEALTHY: 0, DEGRADED: 1, QUARANTINED: 2}

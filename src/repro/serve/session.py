@@ -1,52 +1,60 @@
-"""One tenant's engine+transport session, stepped by the supervisor.
+"""One tenant's engine pipeline plus serving policy, stepped by the supervisor.
 
-A :class:`TenantSession` owns everything the engine's
-:class:`~repro.core.pipeline.Pipeline` would own for a single run —
-client, server, channel, reliable transport, lookahead buffer — but
-exposes it one batch at a time (:meth:`step`) so the supervisor can
-interleave tenants, contain crashes and checkpoint between batches.
+A :class:`TenantSession` composes the engine's steppable
+:class:`~repro.core.pipeline.Pipeline` — client, server, channel,
+reliable transport and lookahead feed stay inside it, and
+``Pipeline.step`` is the only batch path — and adds what is
+serving-layer policy: draining shed batches, injected poison batches,
+index-keyed exactly-once outputs, degraded mode and checkpoint/restore.
+The supervisor interleaves tenants one :meth:`TenantSession.step` at a
+time, contains crashes and checkpoints between batches.
 
 Determinism is the load-bearing property: sessions always run with
 ``profile_query=False`` (codec selection depends only on the calibration
 table, never on measured wall time) and all virtual-time inputs to the
 scheduler come from the transport/channel simulation plus a fixed
-per-batch service quantum.  Two sessions built from the same
+per-batch service quantum, passed to ``Pipeline.step`` in place of the
+measured compression time.  Two sessions built from the same
 :class:`TenantSpec` therefore produce byte-identical outputs — the
 property the kill-and-recover differential test and the chaos oracle
 lean on.
 
-Checkpointing pickles the session's mutable object graph in one piece
-(client, server minus the shared decode cache, channel, transport,
-lookahead, outputs) so shared references — the cost model's channel
-handle, the fault injector's RNG position — survive intact.  The source
+Checkpointing pickles the session's attributes (the pipeline and the
+delivery bookkeeping) as one object graph, so shared references — the
+cost model's channel handle, the fault injector's RNG position — survive
+intact.  The shared decode cache is detached first, and the source
 iterator is *not* pickled: it is rebuilt from the spec's seeded factory
-and fast-forwarded to the pulled-batch cursor, the virtual-time
-equivalent of a log offset seek.
+and fast-forwarded to the pulled-batch cursor by ``Pipeline.attach``,
+the virtual-time equivalent of a log offset seek.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..core.client import Client
 from ..core.cost_model import SystemParams
 from ..core.decode_cache import DecodeCache
 from ..core.engine import CompressStreamDB, EngineConfig
+from ..core.pipeline import Pipeline
 from ..core.server import Server
 from ..errors import CodecError, ServeError
-from ..net.channel import Channel, QueuedChannel
-from ..net.faults import FaultProfile, FaultyChannel
-from ..net.transport import ReliabilityConfig, ReliableTransport
+from ..net.channel import Channel
+from ..net.faults import FaultProfile
+from ..net.transport import ReliabilityConfig
 from ..sql.executor import QueryResult
+from ..sql.plan import Plan
 from ..stream.batch import Batch
 
 #: codec names a degraded tenant is confined to: cheap, always-applicable
 #: encodings with no dictionary state and no direct-path execution needs
 DEGRADED_POOL = ("identity", "ns")
+
+#: session attributes restore() takes as arguments instead of unpickling
+#: (CSD012's detach list names the same two)
+REBUILT_ON_RESTORE = ("spec", "disarmed")
 
 DELIVERED = "delivered"
 QUARANTINED = "quarantined"
@@ -185,27 +193,11 @@ class TenantSession:
             query=cfg.text(slide=cfg.window),
             config=spec.engine_config(),
         )
-        pipeline = engine.make_pipeline()
-        self.plan = pipeline.plan
-        # typed attributes double as the checkpoint-purity rule's map of
-        # the pickled object graph (CSD012 walks these annotations)
-        self.client: Client = pipeline.client
-        self.server: Server = pipeline.server
+        # annotated: CSD012 walks it into the pickled object graph
+        self.pipeline: Pipeline = engine.make_pipeline()
         if cache is not None:
             self.server.cache = cache
         self.server.tenant = spec.tenant
-        self.channel: Channel = pipeline.channel
-        self.transport: Optional[ReliableTransport] = None
-        if isinstance(self.channel, FaultyChannel):
-            self.transport = ReliableTransport(
-                self.channel, self.plan.schema, spec.reliability
-            )
-        self._iterator = iter(spec.make_source())
-        self._lookahead: Deque[Batch] = deque()
-        self._pulled = 0
-        #: index of the next batch to be processed (or shed)
-        self.cursor = 0
-        self.arrived_tuples = 0
         #: batch index -> that batch's query output; keyed storage makes
         #: post-restore reprocessing exactly-once (replays overwrite with
         #: identical results instead of duplicating rows)
@@ -216,26 +208,36 @@ class TenantSession:
         self.shed_indices: Set[int] = set()
         self.disarmed: Set[int] = set(disarmed or ())
         self.degraded = False
-        self._refill()
+        self.pipeline.attach(spec.make_source())
 
-    # ----- stream plumbing -------------------------------------------------
+    # ----- the composed pipeline -------------------------------------------
 
-    def _refill(self) -> None:
-        while len(self._lookahead) < self.client.lookahead:
-            try:
-                self._lookahead.append(next(self._iterator))
-            except StopIteration:
-                break
-            self._pulled += 1
+    @property
+    def plan(self) -> Plan:
+        return self.pipeline.plan
+
+    @property
+    def client(self) -> Client:
+        return self.pipeline.client
+
+    @property
+    def server(self) -> Server:
+        return self.pipeline.server
+
+    @property
+    def channel(self) -> Channel:
+        return self.pipeline.channel
+
+    @property
+    def cursor(self) -> int:
+        """Index of the next batch to be processed (or shed)."""
+        return self.pipeline.cursor
 
     @property
     def done(self) -> bool:
-        return not self._lookahead
+        return not self.pipeline.feed
 
-    @property
-    def pending(self) -> int:
-        """Batches pulled into the session but not yet processed/shed."""
-        return self._pulled - self.cursor
+    # ----- load shedding, backpressure -------------------------------------
 
     def mark_shed(self, indices: Iterable[int]) -> int:
         """Reject-newest load shedding: drop these not-yet-served batches."""
@@ -247,6 +249,15 @@ class TenantSession:
                 self.shed_indices.add(index)
                 added += 1
         return added
+
+    def _drain_shed(self) -> int:
+        shed = 0
+        while not self.done and self.cursor in self.shed_indices:
+            self.shed_indices.discard(self.cursor)
+            self.pipeline.take()
+            self.batches_shed += 1
+            shed += 1
+        return shed
 
     def charge_control_frame(self, frame: bytes) -> float:
         """Charge a backpressure frame's bytes to this tenant's link."""
@@ -273,106 +284,41 @@ class TenantSession:
     def step(self, now: float) -> StepOutcome:
         """Serve one batch; raises engine errors for the supervisor to contain."""
         shed_now = self._drain_shed()
-        if not self._lookahead:
-            return StepOutcome(kind=DONE, batch_index=self.cursor, shed=shed_now)
         index = self.cursor
+        if self.done:
+            return StepOutcome(kind=DONE, batch_index=index, shed=shed_now)
         if index in self.spec.crash_batches and index not in self.disarmed:
             raise CodecError(
                 f"injected poison batch {index} for tenant {self.spec.tenant!r}"
             )
-        batch = self._lookahead.popleft()
-        self._refill()
-        self.cursor += 1
-        outcome = self.client.compress_batch(batch, upcoming=tuple(self._lookahead))
         quantum = self.spec.service_quantum_s
-        ready: Optional[float] = None
-        rate = self.spec.arrival_rate_tps
-        if self._use_arrivals and rate is not None:
-            self.arrived_tuples += batch.n
-            ready = self.arrived_tuples / rate + quantum
-        if self.transport is not None:
-            shipped = self.transport.send_batch(outcome.batch, ready_time=ready)
-            if shipped.delivered is None:
-                # dead-lettered: time and bytes were spent, no result came out
-                return StepOutcome(
-                    kind=QUARANTINED,
-                    batch_index=index,
-                    tuples=batch.n,
-                    virtual_seconds=shipped.seconds + quantum,
-                    attempts=shipped.attempts,
-                    shed=shed_now,
-                    choices=outcome.choices,
-                )
-            trans_seconds = shipped.seconds
-            attempts = shipped.attempts
-            report = self.server.process(shipped.delivered)
-        elif self._use_arrivals:
-            trans_seconds, _ = self.channel.send(outcome.batch.nbytes, ready)
-            attempts = 1
-            report = self.server.process(outcome.batch)
-        else:
-            trans_seconds = self.channel.transmit(outcome.batch.nbytes)
-            attempts = 1
-            report = self.server.process(outcome.batch)
-        if index not in self.outputs:
-            self.tuples_delivered += batch.n
-        self.outputs[index] = report.result
+        record = self.pipeline.step(compute_seconds=quantum)
+        kind = QUARANTINED  # dead-lettered: time and bytes spent, no result
+        if record.report is not None:
+            kind = DELIVERED
+            if index not in self.outputs:
+                self.tuples_delivered += record.tuples
+            self.outputs[index] = record.report.result
         return StepOutcome(
-            kind=DELIVERED,
+            kind=kind,
             batch_index=index,
-            tuples=batch.n,
-            virtual_seconds=trans_seconds + quantum,
-            attempts=attempts,
+            tuples=record.tuples,
+            virtual_seconds=record.timing.trans + quantum,
+            attempts=record.attempts,
             shed=shed_now,
-            choices=outcome.choices,
-        )
-
-    def _drain_shed(self) -> int:
-        shed = 0
-        while self._lookahead and self.cursor in self.shed_indices:
-            self._lookahead.popleft()
-            self._refill()
-            self.shed_indices.discard(self.cursor)
-            self.cursor += 1
-            self.batches_shed += 1
-            shed += 1
-        return shed
-
-    @property
-    def _use_arrivals(self) -> bool:
-        link = (
-            self.channel.inner
-            if isinstance(self.channel, FaultyChannel)
-            else self.channel
-        )
-        return self.spec.arrival_rate_tps is not None and isinstance(
-            link, QueuedChannel
+            choices=record.choices,
         )
 
     # ----- checkpoint / restore -------------------------------------------
 
     def state_bytes(self) -> bytes:
         """The session's mutable state, pickled as one object graph."""
+        state = {k: v for k, v in vars(self).items() if k not in REBUILT_ON_RESTORE}
         cache = self.server.cache
         # the decode cache is shared across tenants and rebuilt on restore;
         # detach it so a checkpoint holds only this tenant's state
         self.server.cache = None
         try:
-            state = {
-                "client": self.client,
-                "server": self.server,
-                "channel": self.channel,
-                "transport": self.transport,
-                "lookahead": list(self._lookahead),
-                "pulled": self._pulled,
-                "cursor": self.cursor,
-                "arrived_tuples": self.arrived_tuples,
-                "outputs": self.outputs,
-                "tuples_delivered": self.tuples_delivered,
-                "batches_shed": self.batches_shed,
-                "shed_indices": set(self.shed_indices),
-                "degraded": self.degraded,
-            }
             return pickle.dumps(state, protocol=4)
         finally:
             self.server.cache = cache
@@ -386,34 +332,13 @@ class TenantSession:
         disarmed: Optional[Iterable[int]] = None,
     ) -> "TenantSession":
         """Resume a session from :meth:`state_bytes` output."""
-        state = pickle.loads(payload)
         session = cls.__new__(cls)
+        vars(session).update(pickle.loads(payload))
         session.spec = spec
-        session.client = state["client"]
-        session.server = state["server"]
+        session.disarmed = set(disarmed or ())
         session.server.cache = cache if cache is not None else DecodeCache()
         session.server.tenant = spec.tenant
-        session.plan = session.server.plan
-        session.channel = state["channel"]
-        session.transport = state["transport"]
-        session._lookahead = deque(state["lookahead"])
-        session._pulled = state["pulled"]
-        session.cursor = state["cursor"]
-        session.arrived_tuples = state["arrived_tuples"]
-        session.outputs = dict(state["outputs"])
-        session.tuples_delivered = state["tuples_delivered"]
-        session.batches_shed = state["batches_shed"]
-        session.shed_indices = set(state["shed_indices"])
-        session.disarmed = set(disarmed or ())
-        session.degraded = state["degraded"]
         # log-offset seek: rebuild the seeded source and skip everything
-        # the checkpointed session had already pulled
-        session._iterator = iter(spec.make_source())
-        consumed = sum(1 for _ in islice(session._iterator, session._pulled))
-        if consumed < session._pulled:
-            raise ServeError(
-                f"source for tenant {spec.tenant!r} ended at batch {consumed}, "
-                f"cannot seek to checkpointed cursor {session._pulled}"
-            )
-        session._refill()
+        # the checkpointed pipeline had already pulled
+        session.pipeline.attach(spec.make_source())
         return session

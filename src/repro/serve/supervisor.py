@@ -157,11 +157,7 @@ class ServeSupervisor:
         self._last_round_at = self.clock.now
 
     def _resume_runner(self, runner: TenantRunner, ckpt: TenantCheckpoint) -> None:
-        runner.disarmed = set(ckpt.disarmed_crashes)
-        runner.session = TenantSession.restore(
-            runner.spec, ckpt.payload, cache=self.cache, disarmed=runner.disarmed
-        )
-        runner.report.resumed_from_batch = ckpt.batches_processed
+        self._restore_session(runner, ckpt)
         # already-delivered outputs must not be re-counted when batches
         # between the checkpoint and the kill point are replayed
         runner.delivered_indices = set(runner.session.outputs)
@@ -242,17 +238,21 @@ class ServeSupervisor:
     def _restart(self, runner: TenantRunner) -> None:
         ckpt = self.store.latest(runner.spec.tenant)
         if ckpt is not None:
-            runner.disarmed |= set(ckpt.disarmed_crashes)
-            runner.session = TenantSession.restore(
-                runner.spec, ckpt.payload, cache=self.cache, disarmed=runner.disarmed
-            )
-            runner.report.resumed_from_batch = ckpt.batches_processed
+            self._restore_session(runner, ckpt)
         else:
             runner.session = TenantSession(
                 runner.spec, cache=self.cache, disarmed=runner.disarmed
             )
         # degraded mode is breaker-derived; re-apply it to the new session
         runner.session.set_degraded(runner.breaker.degraded)
+
+    def _restore_session(self, runner: TenantRunner, ckpt: TenantCheckpoint) -> None:
+        ckpt.require_current_version()
+        runner.disarmed |= set(ckpt.disarmed_crashes)
+        runner.session = TenantSession.restore(
+            runner.spec, ckpt.payload, cache=self.cache, disarmed=runner.disarmed
+        )
+        runner.report.resumed_from_batch = ckpt.batches_processed
 
     def _park(self, runner: TenantRunner) -> None:
         """Quarantine a tenant whose restart budget is exhausted."""
@@ -410,9 +410,10 @@ class ServeSupervisor:
                 report.batches_shed = session.batches_shed + len(
                     session.shed_indices
                 )
-                if session.transport is not None:
-                    report.dead_letters = session.transport.report.quarantined
-                    report.retries = session.transport.report.retried
+                transport = session.pipeline.transport
+                if transport is not None:
+                    report.dead_letters = transport.report.quarantined
+                    report.retries = transport.report.retried
             report.breaker_trips = runner.breaker.trips
             report.breaker_recoveries = runner.breaker.recoveries
             if runner.parked:

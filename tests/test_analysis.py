@@ -1173,28 +1173,60 @@ class TestCheckpointPurity:
         assert len(findings) == 1
         assert "lock" in findings[0].message
 
-    def test_nested_wall_clock_attribute_flagged(self, tmp_path):
-        report = run(
-            tmp_path,
-            {
-                "src/repro/serve/session2.py": (
-                    "from repro.core.gadget import Gadget\n\n\n"
-                    "class TenantSession:\n"
-                    "    def __init__(self):\n"
-                    "        self.gadget: Gadget = Gadget()\n"
-                ),
-                "src/repro/core/gadget.py": (
-                    "import time\n\n\n"
-                    "class Gadget:\n"
-                    "    def __init__(self):\n"
-                    "        self.born = time.time()\n"
-                ),
-            },
-            rule_ids=["CSD012"],
+    #: the composed graph: TenantSession -> Pipeline -> {server, feed, ...}
+    COMPOSED = {
+        "src/repro/serve/session2.py": (
+            "from repro.core.pipeline2 import Pipeline\n\n\n"
+            "class TenantSession:\n"
+            "    def __init__(self, spec, engine):\n"
+            "        self.spec = lambda: spec\n"
+            "        self.pipeline: Pipeline = engine.make_pipeline()\n"
+            "        self.outputs: dict = {}\n"
+        ),
+        "src/repro/core/pipeline2.py": (
+            "from collections import deque\n"
+            "from repro.core.server2 import Server\n\n\n"
+            "class Pipeline:\n"
+            "    def __init__(self, server: Server):\n"
+            "        self.server = server\n"
+            "        self._source = None\n"
+            "        self.feed = deque()\n\n"
+            "    def attach(self, source):\n"
+            "        self._source = iter(source)\n"
+        ),
+        "src/repro/core/server2.py": (
+            "import threading\n\n\n"
+            "class Server:\n"
+            "    def __init__(self):\n"
+            "        self.cache = threading.Lock()\n"
+        ),
+    }
+
+    def test_detached_attributes_of_the_composed_graph_pass(self, tmp_path):
+        """spec, the source iterator and the shared cache are hostile to
+        pickle on purpose here; the detach list is what clears them."""
+        report = run(tmp_path, self.COMPOSED, rule_ids=["CSD012"])
+        assert report.clean, report.format_lines()
+
+    def test_wall_clock_attribute_behind_the_pipeline_flagged(self, tmp_path):
+        files = dict(self.COMPOSED)
+        files["src/repro/core/pipeline2.py"] = "import time\n" + files[
+            "src/repro/core/pipeline2.py"
+        ].replace(
+            "        self.feed = deque()\n",
+            "        self.feed = deque()\n        self.started = time.time()\n",
         )
+        report = run(tmp_path, files, rule_ids=["CSD012"])
         findings = [f for f in report.findings if f.rule == "CSD012"]
-        assert findings, "nested wall-clock attribute must be reached"
-        assert any("gadget" in f.message for f in findings)
+        assert [f.path for f in findings] == ["src/repro/core/pipeline2.py"]
+        assert "pipeline.started" in findings[0].message
+
+    def test_detach_list_names_what_restore_rebuilds(self):
+        from repro.analysis.rules.checkpoint_purity import DETACHED_ATTRS
+        from repro.serve.session import REBUILT_ON_RESTORE
+
+        session_attrs = {a for cls, a in DETACHED_ATTRS if cls == "TenantSession"}
+        assert session_attrs == set(REBUILT_ON_RESTORE)
 
     def test_plain_state_passes(self, tmp_path):
         report = run(

@@ -541,6 +541,39 @@ class TestRepositoryGraph:
         # the --graph acceptance bar: >= 95% of src/repro definitions
         assert cov["ratio"] >= 0.95, cov
 
+    def test_one_function_sequences_compress_link_process(self):
+        """The batch path lives in ``Pipeline.step`` and nowhere else.
+
+        The engine loop and the tenant session both loop over it; a
+        second sequencing of compress -> link -> query (as
+        ``TenantSession.step`` once was) fails here, whatever layer it
+        is in.
+        """
+        graph = build_callgraph(load_project(default_root(REPO_ROOT)))
+        step = "repro.core.pipeline.<module>.Pipeline.step"
+        allowed = {
+            "repro.core.client.<module>.Client.compress_batch": {
+                step,
+                # the standalone wire encoder (no link, no server)
+                "repro.wire.serializer.<module>.StreamSerializer.serialize",
+            },
+            "repro.core.server.<module>.Server.process": {
+                step,
+                "repro.core.server.<module>.Server.process_frame",
+                # the oracle's reference runner, pinned codecs, no client
+                "repro.oracle.differential.<module>.run_path",
+            },
+            "repro.net.transport.<module>.ReliableTransport.send_batch": {step},
+        }
+        for callee, expected in allowed.items():
+            assert callee in graph.functions, callee
+            callers = {
+                edge.caller
+                for edge in graph.callers(callee)
+                if edge.caller.startswith("repro.")
+            }
+            assert callers == expected, (callee, sorted(callers ^ expected))
+
     def test_known_dynamic_edge_is_documented_imprecise(self):
         """TenantSpec.query_config dispatches through importlib; the
         graph must mark it dynamic rather than fake a call edge."""

@@ -130,17 +130,23 @@ class TestFaultyChannel:
         faulty.reset()
         assert faulty.bytes_sent == faulty.inner.bytes_sent == 0
 
-    def test_send_requires_queued_channel(self):
-        faulty = FaultyChannel(Channel(bandwidth_mbps=100.0))
-        with pytest.raises(ChannelError):
-            faulty.send(100, ready_time=0.0)
+    def test_ship_over_a_plain_link_ignores_ready_time(self):
+        inner = Channel(bandwidth_mbps=100.0)
+        faulty = FaultyChannel(inner)
+        assert faulty.ship(100, ready_time=5.0) == inner.transmit_seconds(100)
+        assert faulty.bytes_sent == inner.bytes_sent == 100
 
-    def test_send_delegates_to_queued_inner(self):
+    def test_ship_queues_on_a_queued_inner(self):
         inner = QueuedChannel(bandwidth_mbps=100.0)
         faulty = FaultyChannel(inner)
-        seconds, done = faulty.send(1000, ready_time=0.0)
-        assert seconds > 0
-        assert faulty.bytes_sent == inner.bytes_sent == 1000
+        wire = inner.transmit_seconds(1000)
+        assert faulty.ship(1000, ready_time=0.0) == wire
+        # the link is busy until ``wire``: the second batch queues behind it
+        assert faulty.ship(1000, ready_time=0.0) == 2 * wire
+        assert inner.queue_seconds == wire
+        assert faulty.bytes_sent == inner.bytes_sent == 2000
+        # no ready time: not an arrival-modelled batch, nothing queues
+        assert faulty.ship(1000) == wire
 
     def test_cannot_nest(self):
         faulty = FaultyChannel(Channel(bandwidth_mbps=10.0))

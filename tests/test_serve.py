@@ -122,6 +122,65 @@ class TestKillAndRecover:
         assert tenant.tuples_delivered == 8 * 256
 
 
+# ----- one batch path: the fleet step is the engine step -----------------
+
+
+class TestFleetPathIsEnginePath:
+    """``TenantSession.step`` and ``Pipeline.run`` loop over one
+    ``Pipeline.step``: same batches, same codecs, same frames."""
+
+    @pytest.mark.parametrize(
+        "link",
+        [
+            dict(),
+            dict(arrival_rate_tps=2e5, bandwidth_mbps=5.0),
+            dict(
+                # seeded to both recover (3) and quarantine (2) batches
+                fault_profile=FaultProfile.lossy(0.3, seed=5),
+                reliability=ReliabilityConfig(max_retries=1),
+            ),
+        ],
+        ids=["lossless", "queued", "lossy"],
+    )
+    def test_session_steps_equal_engine_run(self, link):
+        from repro import CompressStreamDB
+        from repro.sql.executor import QueryResult
+
+        tenant = spec("t", query="q2", batches=8, **link)
+        session = TenantSession(tenant)
+        while not session.done:
+            session.step(0.0)
+
+        cfg = tenant.query_config()
+        pipeline = CompressStreamDB(
+            cfg.catalog, cfg.text(slide=cfg.window), tenant.engine_config()
+        ).make_pipeline()
+        report = pipeline.run(tenant.make_source(), collect_outputs=True)
+
+        fleet = QueryResult.merge(
+            [session.outputs[i] for i in sorted(session.outputs)]
+        )
+        assert fleet.columns.keys() == report.outputs.columns.keys()
+        for name, column in report.outputs.columns.items():
+            assert np.array_equal(fleet.columns[name], column), name
+        assert session.client.decision_log == report.decision_log
+        assert session.channel.bytes_sent == pipeline.channel.bytes_sent
+        if tenant.arrival_rate_tps is not None:
+            # both drivers queued on the link; the waits differ because the
+            # engine charges measured compression time, the fleet its quantum
+            assert session.channel.queue_seconds > 0
+            assert pipeline.channel.queue_seconds > 0
+        transport = session.pipeline.transport
+        assert (transport is None) == (report.faults is None)
+        if transport is not None:
+            assert transport.report.retried == report.faults.retried > 0
+            assert transport.report.recovered == report.faults.recovered
+            assert transport.report.quarantined == report.faults.quarantined > 0
+            assert len(session.outputs) == 8 - report.faults.quarantined
+            # quarantined batches still get their profiler entry
+            assert report.profiler.batches == len(report.profiler.per_batch) == 8
+
+
 # ----- crash containment and supervision ---------------------------------
 
 
@@ -410,6 +469,26 @@ class TestCheckpointStores:
         )
         with pytest.raises(ServeError):
             store.save(bad)
+
+    def test_version_1_file_rejected_on_load_and_restore(self, tmp_path):
+        # a checkpoint written before the payload became the session's
+        # attribute dict: the 13-key state dict of version 1
+        import pickle
+
+        old = TenantCheckpoint(
+            tenant="t",
+            batches_processed=2,
+            payload=pickle.dumps({"cursor": 2, "pulled": 6, "lookahead": []}),
+            version=1,
+        )
+        (tmp_path / "t.ckpt").write_bytes(pickle.dumps(old, protocol=4))
+        with pytest.raises(ServeError, match="version 1"):
+            FileCheckpointStore(tmp_path)
+        # a store that let it through must still not reach pickle.loads
+        store = CheckpointStore()
+        store._latest["t"] = old
+        with pytest.raises(ServeError, match="version 1"):
+            ServeSupervisor([spec("t")], store=store, resume=True)
 
     def test_dump_writes_index_and_payloads(self, tmp_path):
         store = CheckpointStore()
