@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..stats import ColumnStats, value_domain
+from ..stats import ColumnStats
+from ..types import bytes_for_range
 from .base import AffineCodec, CompressedColumn
 from .kernels import pack_ints, unpack_ints
 
@@ -24,8 +25,10 @@ class NullSuppressionCodec(AffineCodec):
 
     def compress(self, values: np.ndarray) -> CompressedColumn:
         values = self._as_int64(values)
-        signed = bool((values < 0).any())
-        width = int(value_domain(values, signed=signed).max())
+        lo, hi = int(values.min()), int(values.max())
+        # the widest element is an extreme one: ValueDomain_MAX from the range
+        signed = lo < 0
+        width = bytes_for_range(lo, hi)
         payload = pack_ints(values, width, signed=signed)
         return CompressedColumn(
             codec=self.name,

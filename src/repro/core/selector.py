@@ -28,18 +28,30 @@ from .query_profile import QueryProfile
 def column_stats_from_batches(
     batches: Sequence[Batch], schema: Schema, max_sample: int = 65536
 ) -> Dict[str, ColumnStats]:
-    """Per-column statistics over a lookahead sample of batches.
+    """Per-column statistics over the trailing ``max_sample`` values of the
+    lookahead.
 
-    ``max_sample`` caps the per-column sample so a long lookahead cannot
-    make re-decisions expensive; batches are concatenated most-recent last.
+    The batches are read most-recent last, and the sample of each column is
+    its last ``max_sample`` values across them — exactly
+    ``np.concatenate(columns)[-max_sample:]`` — so a long lookahead cannot
+    make re-decisions expensive.  Only that tail is copied: batches are
+    walked from the end, and a tail inside one batch is a view of it.
     """
     if not batches:
         raise CodecError("need at least one batch to compute statistics")
+    if max_sample < 1:
+        raise CodecError("max_sample must be positive")
     stats: Dict[str, ColumnStats] = {}
     for f in schema:
-        values = np.concatenate([b.column(f.name) for b in batches])
-        if values.size > max_sample:
-            values = values[-max_sample:]
+        tail: List[np.ndarray] = []
+        need = max_sample
+        for batch in reversed(batches):
+            column = batch.column(f.name)
+            tail.append(column[max(column.size - need, 0) :])
+            need -= tail[-1].size
+            if need == 0:
+                break
+        values = tail[0] if len(tail) == 1 else np.concatenate(tail[::-1])
         stats[f.name] = ColumnStats.from_values(values, size_c=f.size)
     return stats
 

@@ -5,18 +5,31 @@ small set of dataset properties: the Elias code domains ``EGDomain`` /
 ``EDDomain``, the per-element significant-byte array ``ValueDomain``, the
 Base-Delta domain ``BDDomain``, the average run length and the number of
 distinct values ``Kindnum``.  :class:`ColumnStats` computes all of them in
-one pass over a (sample of a) column.
+one fused pass over a (sample of a) column: no sort unless the value span
+is wide, and no floating-point logarithm anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import CodecError
 from .types import bytes_for_signed, bytes_for_unsigned
+
+#: Dense-vs-sort rule shared by ``Kindnum`` and dictionary coding: a column
+#: whose value span ``max - min`` is below this many times its length is
+#: counted with a presence array over ``[min, max]`` (at most this many
+#: bytes per element); a wider span is sorted instead.
+DENSE_SPAN_FACTOR = 8
+
+#: Smallest magnitude that needs ``k + 1`` bytes, for k = 1..7: ``2^(8k)``
+#: unsigned, ``2^(8k-1)`` in two's complement (a negative v is measured as
+#: ``~v``, so ``-2^(8k-1)`` still fits k bytes).
+_UNSIGNED_STEPS = np.array([1 << (8 * k) for k in range(1, 8)], dtype=np.int64)
+_SIGNED_STEPS = np.array([1 << (8 * k - 1) for k in range(1, 8)], dtype=np.int64)
 
 
 def elias_gamma_bits(value: int) -> int:
@@ -44,47 +57,90 @@ def average_run_length(values: np.ndarray) -> float:
     return n / (changes + 1)
 
 
-def _significant_bits(magnitude: np.ndarray) -> np.ndarray:
-    """Unsigned significant bits of non-negative int64 values (0 -> 1)."""
-    bits = np.ones(magnitude.shape, dtype=np.int64)
-    nonzero = magnitude > 0
-    bits[nonzero] = (
-        np.floor(np.log2(magnitude[nonzero].astype(np.float64))).astype(np.int64) + 1
-    )
-    return bits
-
-
 def value_domain(values: np.ndarray, *, signed: Optional[bool] = None) -> np.ndarray:
     """Per-element significant byte widths (the paper's ``ValueDomain``).
 
     If ``signed`` is None it is inferred from the column: a column with any
     negative value is stored in two's complement, so *every* element
     (including positives) pays one sign bit; an all-non-negative column uses
-    plain leading-zero suppression.
+    plain leading-zero suppression (``signed=False`` assumes no negatives).
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size == 0:
         return np.zeros(0, dtype=np.int64)
+    lo, hi = int(values.min()), int(values.max())
     if signed is None:
-        signed = bool((values < 0).any())
-    magnitude = np.abs(values)
-    bits = _significant_bits(magnitude)
+        signed = lo < 0
     if signed:
-        # Two's complement: +1 sign bit, except v == -2^k fits in k+1 bits.
-        negative = values < 0
-        neg_pow2 = negative & ((magnitude & (magnitude - 1)) == 0)
-        bits = bits + 1
-        bits[neg_pow2] -= 1
-    widths = (bits + 7) // 8
-    np.minimum(widths, 8, out=widths)
-    # Guard against float log imprecision near 2^53+ boundaries.
-    big = magnitude >= (1 << 52)
-    if big.any():
-        widths[big] = [
-            bytes_for_signed(int(v), int(v)) if signed else bytes_for_unsigned(int(v))
-            for v in values[big]
-        ]
-    return widths
+        # v ^ (v >> 63) is ~v for negatives and v otherwise
+        magnitude, top, steps = values ^ (values >> 63), max(hi, ~lo), _SIGNED_STEPS
+    else:
+        magnitude, top, steps = values, hi, _UNSIGNED_STEPS
+    widths = np.ones(values.size, dtype=np.uint8)
+    for step in steps.tolist():
+        if top < step:
+            break
+        widths += magnitude >= step
+    return widths.astype(np.int64)
+
+
+def _count_at_least(values: np.ndarray, lo: int, hi: int, bound: int) -> int:
+    """``count(values >= bound)``, without a pass when [lo, hi] decides it."""
+    if hi < bound:
+        return 0
+    if lo >= bound:
+        return int(values.size)
+    return int(np.count_nonzero(values >= bound))
+
+
+def _width_histogram(values: np.ndarray, lo: int, hi: int) -> Tuple[int, ...]:
+    """Counts of per-element byte widths, indexed 0..8 (index 0 is unused).
+
+    ``wider[k]`` counts the elements needing more than k bytes; each is one
+    threshold count (two for a signed column), and byte steps that the
+    column range [lo, hi] already decides cost no pass at all.
+    """
+    n = int(values.size)
+    signed = lo < 0
+    wider = [n]
+    for step in (_SIGNED_STEPS if signed else _UNSIGNED_STEPS).tolist():
+        count = _count_at_least(values, lo, hi, step)
+        if signed:
+            # ~v >= step  <=>  v < -step  <=>  not v >= -step
+            count += n - _count_at_least(values, lo, hi, -step)
+        wider.append(count)
+        if count == 0:
+            break
+    wider += [0] * (9 - len(wider))
+    return (0,) + tuple(wider[w - 1] - wider[w] for w in range(1, 9))
+
+
+def value_presence(
+    values: np.ndarray, lo: int, hi: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(values - lo, present)`` when the span of ``values`` is dense, else None.
+
+    ``present[k]`` tells whether ``lo + k`` occurs; ``lo``/``hi`` are the
+    column's min and max.  Dense means ``hi - lo < DENSE_SPAN_FACTOR * n``,
+    decided on Python ints, so ``values - lo`` is only formed when it
+    cannot overflow int64.  Both ``Kindnum`` and dictionary coding
+    (:func:`repro.compression.kernels.dict_encode`) go through here.
+    """
+    if hi - lo >= DENSE_SPAN_FACTOR * values.size:
+        return None
+    offsets = values - np.int64(lo)
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    present[offsets] = True
+    return offsets, present
+
+
+def _distinct_count(values: np.ndarray, lo: int, hi: int) -> int:
+    """``Kindnum``: presence count over a dense span, a sort otherwise."""
+    dense = value_presence(values, lo, hi)
+    if dense is not None:
+        return int(np.count_nonzero(dense[1]))
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 @dataclass(frozen=True)
@@ -111,24 +167,30 @@ class ColumnStats:
         cls, values: np.ndarray, size_c: Optional[int] = None
     ) -> "ColumnStats":
         values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
+        n = int(values.size)
+        if n == 0:
             raise CodecError("cannot compute statistics of an empty column")
-        size_c = int(size_c) if size_c is not None else 8
-        widths = value_domain(values)
-        hist = np.bincount(widths, minlength=9)
-        diffs = np.diff(values) if values.size > 1 else np.zeros(1, dtype=np.int64)
+        lo, hi = int(values.min()), int(values.max())
+        # one diff feeds both the run count and the delta range (a zero
+        # wrapped difference is an equal pair)
+        changes = delta_min = delta_max = 0
+        if n > 1:
+            diffs = np.diff(values)
+            changes = int(np.count_nonzero(diffs))
+            delta_min, delta_max = int(diffs.min()), int(diffs.max())
+        hist = _width_histogram(values, lo, hi)
         return cls(
-            n=int(values.size),
-            size_c=size_c,
-            min_value=int(values.min()),
-            max_value=int(values.max()),
-            kindnum=int(np.unique(values).size),
-            avg_run_length=average_run_length(values),
-            value_domain_max=int(widths.max()),
-            value_domain_sum=int(widths.sum()),
-            width_histogram=tuple(int(x) for x in hist),
-            delta_min=int(diffs.min()),
-            delta_max=int(diffs.max()),
+            n=n,
+            size_c=int(size_c) if size_c is not None else 8,
+            min_value=lo,
+            max_value=hi,
+            kindnum=_distinct_count(values, lo, hi),
+            avg_run_length=n / (changes + 1),
+            value_domain_max=max(w for w, count in enumerate(hist) if count),
+            value_domain_sum=sum(w * count for w, count in enumerate(hist)),
+            width_histogram=hist,
+            delta_min=delta_min,
+            delta_max=delta_max,
         )
 
     # ----- derived domains used by the ratio estimators -----------------

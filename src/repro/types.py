@@ -74,6 +74,11 @@ def bytes_for_range(min_value: int, max_value: int) -> int:
     return bytes_for_signed(min_value, max_value)
 
 
+def _little_endian(width: int, signed: bool) -> np.dtype:
+    """Explicit little-endian integer dtype of a NumPy width (``<u2``, ``<i4``...)."""
+    return np.dtype(f"<{'i' if signed else 'u'}{width}")
+
+
 def pack_int_array(
     values: np.ndarray, width: int, *, signed: bool = False
 ) -> np.ndarray:
@@ -93,6 +98,9 @@ def pack_int_array(
         bad = (values < 0) | (values >= (np.int64(1) << np.int64(8 * width)))
     if bad.any():
         raise CodecError(f"value out of range for {width}-byte packing")
+    if width in NUMPY_WIDTHS:
+        # in range, so the narrowing cast is exact
+        return values.astype(_little_endian(width, signed)).view(np.uint8)
     as_bytes = values.view(np.uint8).reshape(-1, 8)
     return np.ascontiguousarray(as_bytes[:, :width]).reshape(-1)
 
@@ -109,6 +117,8 @@ def unpack_int_array(
         )
     if width == 8:
         return payload.view(np.int64).copy()
+    if width in NUMPY_WIDTHS:
+        return payload.view(_little_endian(width, signed)).astype(np.int64)
     wide = np.zeros((count, 8), dtype=np.uint8)
     wide[:, :width] = payload.reshape(count, width)
     if signed:

@@ -120,6 +120,44 @@ class TestColumnStatsFromBatches:
         assert stats["x"].n == 5
         assert stats["x"].min_value == 15  # most recent values kept
 
+        # unequal batches: the sample is the trailing max_sample values of
+        # the concatenated lookahead, whichever batches they fall in
+        rng = np.random.default_rng(3)
+        schema = Schema([Field("x", "int", 4), Field("y", "int", 8)])
+        sizes = [7, 3, 12, 1, 5]
+        batches = [
+            Batch(
+                schema,
+                {
+                    "x": rng.integers(-50, 50, n).astype(np.int64),
+                    "y": np.repeat(rng.integers(0, 1 << 40, 3), n)[:n],
+                },
+            )
+            for n in sizes
+        ]
+        for max_sample in (
+            1,  # inside the last batch
+            5,  # exactly the last batch
+            6,  # exactly on the boundary of the last two batches
+            8,  # straddles a boundary
+            10,  # ends inside the 12-value batch, larger than max_sample
+            28,  # exactly everything
+            40,  # more than everything
+        ):
+            stats = column_stats_from_batches(batches, schema, max_sample=max_sample)
+            for f in schema:
+                whole = np.concatenate([b.column(f.name) for b in batches])
+                expected = ColumnStats.from_values(whole[-max_sample:], size_c=f.size)
+                assert stats[f.name] == expected, (max_sample, f.name)
+        one_large = [Batch(schema, {"x": np.arange(20), "y": np.arange(20)})]
+        stats = column_stats_from_batches(one_large, schema, max_sample=6)
+        assert stats["x"] == ColumnStats.from_values(np.arange(14, 20), size_c=4)
+
+    def test_sample_size_must_be_positive(self):
+        schema, batches = self._batches()
+        with pytest.raises(CodecError):
+            column_stats_from_batches(batches, schema, max_sample=0)
+
     def test_requires_batches(self):
         schema, _ = self._batches()
         with pytest.raises(CodecError):

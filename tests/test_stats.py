@@ -1,16 +1,117 @@
-"""Unit tests for column statistics (the Eq. 10-17 inputs)."""
+"""Unit tests for column statistics (the Eq. 10-17 inputs).
+
+``ColumnStats.from_values`` is a fused pass (threshold counts, a presence
+array or a sort, one diff); the reference below keeps the multi-pass
+formulas it replaced, with exact Python-int byte widths, and every field
+must match it.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.compression import get_codec
+from repro.compression.kernels import scalar_reference_mode
+from repro.datasets import cluster_monitoring, linear_road, smart_grid
 from repro.errors import CodecError
 from repro.stats import (
+    DENSE_SPAN_FACTOR,
     ColumnStats,
     average_run_length,
     elias_delta_bits,
     elias_gamma_bits,
     value_domain,
 )
+from repro.types import bytes_for_signed, bytes_for_unsigned
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+#: the values on either side of every unsigned and two's-complement byte step
+BYTE_BOUNDARIES = sorted(
+    {
+        v
+        for k in range(1, 9)
+        for edge in (1 << (8 * k - 1), 1 << (8 * k))
+        for v in (edge - 1, edge, -edge - 1, -edge, 0, 1, -1)
+        if INT64_MIN <= v <= INT64_MAX
+    }
+)
+
+
+def reference_value_domain(values, signed=None):
+    """Per-element widths from exact Python-int byte counts."""
+    values = np.asarray(values, dtype=np.int64)
+    if signed is None:
+        signed = bool((values < 0).any())
+    return np.asarray(
+        [
+            bytes_for_signed(v, v) if signed else bytes_for_unsigned(v)
+            for v in values.tolist()
+        ],
+        dtype=np.int64,
+    )
+
+
+def reference_stats(values, size_c=8):
+    """The multi-pass statistics the fused ``from_values`` replaced."""
+    values = np.asarray(values, dtype=np.int64)
+    widths = reference_value_domain(values)
+    hist = np.bincount(widths, minlength=9)
+    diffs = np.diff(values) if values.size > 1 else np.zeros(1, dtype=np.int64)
+    return ColumnStats(
+        n=int(values.size),
+        size_c=size_c,
+        min_value=int(values.min()),
+        max_value=int(values.max()),
+        kindnum=int(np.unique(values).size),
+        avg_run_length=average_run_length(values),
+        value_domain_max=int(widths.max()),
+        value_domain_sum=int(widths.sum()),
+        width_histogram=tuple(int(x) for x in hist),
+        delta_min=int(diffs.min()),
+        delta_max=int(diffs.max()),
+    )
+
+
+@st.composite
+def int64_columns(draw):
+    """int64 columns: extremes, constant, all-negative, and spans just
+    below, at and just above the dense-presence cutoff."""
+    n = draw(st.integers(min_value=2, max_value=300))
+    kind = draw(st.sampled_from(["extremes", "constant", "negative", "cutoff"]))
+    if kind == "extremes":
+        element = st.one_of(
+            st.sampled_from(BYTE_BOUNDARIES),
+            st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+        )
+        values = draw(st.lists(element, min_size=n, max_size=n))
+        return np.asarray(values, dtype=np.int64)
+    if kind == "constant":
+        value = draw(st.sampled_from(BYTE_BOUNDARIES))
+        return np.full(draw(st.integers(1, 300)), value, dtype=np.int64)
+    if kind == "negative":
+        element = st.one_of(
+            st.sampled_from([v for v in BYTE_BOUNDARIES if v < 0]),
+            st.integers(min_value=INT64_MIN, max_value=-1),
+        )
+        values = draw(st.lists(element, min_size=n, max_size=n))
+        return np.asarray(values, dtype=np.int64)
+    span = DENSE_SPAN_FACTOR * n + draw(st.integers(min_value=-1, max_value=1))
+    lo = draw(
+        st.one_of(
+            st.sampled_from([INT64_MIN, -span // 2, 0, INT64_MAX - span]),
+            st.integers(min_value=INT64_MIN, max_value=INT64_MAX - span),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    pool = rng.integers(0, span + 1, draw(st.integers(min_value=1, max_value=n)))
+    offsets = rng.choice(pool, n)
+    if draw(st.booleans()):
+        offsets.sort()  # long runs
+    first, last = rng.choice(n, 2, replace=False)
+    offsets[first], offsets[last] = 0, span  # the span is exactly `span`
+    return np.int64(lo) + offsets.astype(np.int64)
 
 
 class TestEliasBits:
@@ -83,6 +184,75 @@ class TestValueDomain:
 
     def test_empty(self):
         assert value_domain(np.zeros(0, dtype=np.int64)).size == 0
+
+    def test_int64_min(self):
+        # |INT64_MIN| overflows int64; it needs all 8 bytes
+        widths = value_domain(np.array([INT64_MIN, 5], dtype=np.int64))
+        np.testing.assert_array_equal(widths, [8, 1])
+
+    @given(int64_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_byte_counts(self, values):
+        np.testing.assert_array_equal(
+            value_domain(values), reference_value_domain(values)
+        )
+        np.testing.assert_array_equal(
+            value_domain(values, signed=True),
+            reference_value_domain(values, signed=True),
+        )
+        if values.min() >= 0:
+            np.testing.assert_array_equal(
+                value_domain(values, signed=False),
+                reference_value_domain(values, signed=False),
+            )
+
+
+class TestFusedStatsParity:
+    """``from_values`` equals the multi-pass reference on every field."""
+
+    @given(int64_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_columns(self, values):
+        assert ColumnStats.from_values(values) == reference_stats(values)
+
+    def test_int64_min_column(self):
+        values = np.array([INT64_MIN, 0], dtype=np.int64)
+        st = ColumnStats.from_values(values)
+        assert st.value_domain_max == 8
+        assert st.ns_width == 8
+        assert st == reference_stats(values)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("name", ["ns", "nsv"])
+    def test_int64_min_roundtrip(self, name, scalar):
+        values = np.array([INT64_MIN, 0, 5, INT64_MIN], dtype=np.int64)
+        codec = get_codec(name)
+        with scalar_reference_mode(enabled=scalar):
+            compressed = codec.compress(values)
+            np.testing.assert_array_equal(codec.decompress(compressed), values)
+        if name == "ns":
+            assert compressed.meta["width"] == 8
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: [smart_grid.generate(20_000, seed=4)],
+            lambda: [linear_road.generate(20_000, seed=4)],
+            lambda: [cluster_monitoring.generate(20_000, seed=4)],
+            lambda: [
+                {f.name: b.column(f.name) for f in b.schema}
+                for b in smart_grid.dynamic_workload(
+                    batch_size=4096, batches=12, batches_per_phase=4, seed=4
+                )
+            ],
+        ],
+        ids=["smart_grid", "linear_road", "cluster_monitoring", "dynamic_workload"],
+    )
+    def test_dataset_batches(self, source):
+        for columns in source():
+            for name, values in columns.items():
+                got = ColumnStats.from_values(values, size_c=4)
+                assert got == reference_stats(values, size_c=4), name
 
 
 class TestColumnStats:

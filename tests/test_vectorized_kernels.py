@@ -23,6 +23,7 @@ from repro.compression import kernels
 from repro.compression.kernels import scalar_reference_mode, using_scalar_reference
 from repro.compression.registry import PAPER_POOL
 from repro.errors import CodecError, CodecNotApplicable
+from repro.stats import DENSE_SPAN_FACTOR
 
 ALL_CODECS = tuple(PAPER_POOL) + ("plwah", "deltachain")
 
@@ -46,6 +47,13 @@ column_strategy = st.tuples(
     st.integers(min_value=1, max_value=300),
     st.sampled_from(["uniform", "runs", "signed", "wide", "allequal"]),
 )
+
+
+def _pack_range(width: int, signed: bool):
+    """Inclusive value range of ``width``-byte packing (int64-clamped)."""
+    if signed:
+        return -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
+    return 0, min((1 << (8 * width)) - 1, 2**63 - 1)
 
 
 def _both_modes(fn):
@@ -272,16 +280,16 @@ class TestStructureKernels:
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=300),
-        st.sampled_from([1, 2, 4, 8]),
+        st.integers(min_value=1, max_value=8),
         st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_pack_ints_identical(self, seed, n, width, signed):
         rng = np.random.default_rng(seed)
-        bits = min(8 * width - (1 if signed else 0), 63)
-        hi = 1 << bits
-        lo = -hi if signed else 0
-        values = rng.integers(lo, hi, n).astype(np.int64)
+        lo, hi = _pack_range(width, signed)
+        values = rng.integers(lo, hi, n, endpoint=True).astype(np.int64)
+        if n >= 2:
+            values[:2] = lo, hi  # both ends of the representable range
         vec, ref = _both_modes(lambda: kernels.pack_ints(values, width, signed=signed))
         _assert_identical(vec, ref, "pack_ints")
         vec_out, ref_out = _both_modes(
@@ -289,6 +297,41 @@ class TestStructureKernels:
         )
         _assert_identical(vec_out, ref_out, "unpack_ints")
         np.testing.assert_array_equal(vec_out, values)
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_pack_ints_out_of_range_raises_in_both_modes(self, width, signed):
+        lo, hi = _pack_range(width, signed)
+        for outside in (lo - 1, hi + 1):
+            values = np.array([0, outside, 1], dtype=np.int64)
+            for mode in (False, True):
+                with scalar_reference_mode(enabled=mode):
+                    with pytest.raises(CodecError, match="out of range"):
+                        kernels.pack_ints(values, width, signed=signed)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=-1, max_value=1),
+        st.sampled_from([-(2**63), -5000, 0, 2**40, 2**63 - 1]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dict_encode_both_sides_of_dense_cutoff(self, seed, n, nudge, anchor, few):
+        # span = DENSE_SPAN_FACTOR * n + {-1, 0, +1}: presence table below
+        # the cutoff, sort at and above it; both must code identically
+        rng = np.random.default_rng(seed)
+        span = DENSE_SPAN_FACTOR * n + nudge
+        lo = min(max(anchor, -(2**63)), 2**63 - 1 - span)
+        pool = rng.integers(0, span + 1, 3 if few else n)
+        offsets = rng.choice(pool, n)
+        offsets[0], offsets[-1] = 0, span
+        values = np.int64(lo) + offsets.astype(np.int64)
+        vec, ref = _both_modes(lambda: kernels.dict_encode(values))
+        _assert_identical(vec, ref, "dict_encode")
+        _assert_identical(vec, scalar_ref.dict_encode(values), "scalar_ref")
+        dictionary, inverse = np.unique(values, return_inverse=True)
+        _assert_identical(vec, (dictionary, inverse.astype(np.int64)), "np.unique")
 
     def test_empty_batches(self):
         empty = np.zeros(0, dtype=np.int64)
