@@ -36,7 +36,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from ..errors import CodecError
-from ..stats import value_domain, value_presence
+from ..stats import factorize, value_domain
 from ..types import pack_int_array, unpack_int_array
 from . import scalar_ref
 from .bitstream import (
@@ -122,24 +122,12 @@ def rle_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def dict_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(sorted dictionary, per-element codes).
 
-    A dense span (:func:`~repro.stats.value_presence`) is coded through a
-    lookup table indexed by ``value - min``; only a wide span sorts.
+    :func:`~repro.stats.factorize`: a dense span is coded through a lookup
+    table indexed by ``value - min``; only a wide span sorts.
     """
     if using_scalar_reference():
         return scalar_ref.dict_encode(values)
-    values = np.asarray(values, dtype=np.int64)
-    if values.size:
-        lo = int(values.min())
-        dense = value_presence(values, lo, int(values.max()))
-        if dense is not None:
-            offsets, present = dense
-            slots = np.flatnonzero(present)
-            # only the slots of present values are ever read back
-            lut = np.empty(present.size, dtype=np.int64)
-            lut[slots] = np.arange(slots.size, dtype=np.int64)
-            return slots + lo, lut[offsets]
-    dictionary, codes = np.unique(values, return_inverse=True)
-    return dictionary, codes.astype(np.int64)
+    return factorize(values)
 
 
 def bd_deltas(values: np.ndarray) -> Tuple[int, np.ndarray]:

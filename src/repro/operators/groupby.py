@@ -1,10 +1,10 @@
 """Group-by aggregation inside windows, running on compressed codes.
 
 Group keys only need *equality* of codes (bijective encodings), so
-grouping never decodes whole columns: keys are factorized batch-wide once,
-combined into a single int64 group id, and each window aggregates by group
-with bincount/segment reductions.  Key values are decoded only for the few
-distinct groups that reach the output.
+grouping never decodes whole columns: keys are factorized batch-wide once
+into a dense group id, the window id leads it, and every aggregate is one
+bincount or segment reduction over all windows of the batch.  Key values
+are decoded only for the few distinct groups that reach the output.
 """
 
 from __future__ import annotations
@@ -15,25 +15,37 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import PlanningError
-from .aggregation import AGG_FUNCS, Window
+from ..stats import factorize, factorize_rows
+from ..stream.window import expand_ranges
+from .aggregation import AGG_FUNCS, Window, _window_arrays
 from .base import ExecColumn
+
+#: (window, row) pairs one pass expands at most: overlapping windows
+#: repeat rows, so a batch is aggregated a run of windows at a time (a
+#: window that starts inside a chunk finishes in it)
+CHUNK_PAIRS = 1 << 18
 
 
 @dataclass
 class GroupedWindowResult:
-    """Aggregates of one window, one row per group."""
+    """Aggregates of all windows, one row per (window, group).
 
-    #: indices into the batch: one representative row per group, used to
-    #: decode key (and other projected) columns for output.
+    Rows run window by window, groups in key order within a window.
+    """
+
+    #: window index of each row
+    window_ids: np.ndarray
+    #: indices into the batch: the group's first row in its window, used
+    #: to decode key (and other projected) columns for output.
     representatives: np.ndarray
     #: group sizes within the window
     counts: np.ndarray
-    #: per-aggregate arrays aligned with representatives
+    #: per-aggregate arrays aligned with the rows
     aggregates: List[np.ndarray]
 
 
 def combine_keys(key_columns: Sequence[ExecColumn]) -> np.ndarray:
-    """Factorize key columns batch-wide into a dense combined id array."""
+    """Factorize key columns batch-wide into dense, lexicographic group ids."""
     if not key_columns:
         raise PlanningError("group-by needs at least one key column")
     for col in key_columns:
@@ -41,15 +53,7 @@ def combine_keys(key_columns: Sequence[ExecColumn]) -> np.ndarray:
             raise PlanningError(
                 f"group-by key {col.name!r} needs equality-capable codes"
             )
-    combined = None
-    for col in key_columns:
-        _, dense = np.unique(col.codes, return_inverse=True)
-        cardinality = int(dense.max()) + 1 if dense.size else 1
-        if combined is None:
-            combined = dense.astype(np.int64)
-        else:
-            combined = combined * cardinality + dense
-    return combined
+    return factorize_rows([col.codes for col in key_columns])[0]
 
 
 def window_group_aggregate(
@@ -57,9 +61,10 @@ def window_group_aggregate(
     agg_columns: Sequence[Optional[ExecColumn]],
     agg_funcs: Sequence[str],
     windows: Sequence[Window],
-) -> List[GroupedWindowResult]:
-    """Aggregate each window by group.
+) -> GroupedWindowResult:
+    """Aggregate every window by group.
 
+    ``combined_keys`` are dense group ids (:func:`combine_keys`).
     ``agg_columns[i]`` may be None for ``count``.  sum/avg columns must be
     affine, max/min columns order-preserving (enforced like in
     :func:`~repro.operators.aggregation.window_aggregate`).
@@ -67,39 +72,45 @@ def window_group_aggregate(
     for func in agg_funcs:
         if func not in AGG_FUNCS:
             raise PlanningError(f"unknown aggregate {func!r}")
-    results: List[GroupedWindowResult] = []
-    for start, end in windows:
-        keys = combined_keys[start:end]
-        uniques, inverse, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
+    starts, ends = _window_arrays(windows)
+    sizes = ends - starts
+    chunk = (np.cumsum(sizes) - sizes) // CHUNK_PAIRS
+    cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), starts.size]
+    groups = int(combined_keys.max()) + 1 if combined_keys.size else 1
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        # windows a..b-1 as (window, row) pairs, grouped by (window, key)
+        rows = expand_ranges(starts[a:b], sizes[a:b])
+        pair_window = np.repeat(np.arange(b - a, dtype=np.int64), sizes[a:b])
+        slots, slot = factorize(pair_window * groups + combined_keys[rows])
+        counts = np.bincount(slot, minlength=slots.size).astype(np.int64)
+        # pairs run window by window in row order: a slot's first pair is
+        # the group's first row in its window
+        first = np.full(slots.size, rows.size, dtype=np.int64)
+        np.minimum.at(first, slot, np.arange(rows.size, dtype=np.int64))
+        parts.append(
+            [slots // groups + a, rows[first], counts]
+            + [
+                _grouped_aggregate(col, func, rows, slot, counts)
+                for col, func in zip(agg_columns, agg_funcs)
+            ]
         )
-        # representative row (first occurrence) per group, as batch indices
-        first_local = np.full(uniques.size, end - start, dtype=np.int64)
-        np.minimum.at(first_local, inverse, np.arange(end - start, dtype=np.int64))
-        representatives = first_local + start
-        aggregates: List[np.ndarray] = []
-        for col, func in zip(agg_columns, agg_funcs):
-            aggregates.append(
-                _grouped_aggregate(col, func, start, end, inverse, counts, uniques.size)
-            )
-        results.append(GroupedWindowResult(representatives, counts, aggregates))
-    return results
+    merged = [np.concatenate(arrays) for arrays in zip(*parts)]
+    return GroupedWindowResult(merged[0], merged[1], merged[2], merged[3:])
 
 
 def _grouped_aggregate(
     column: Optional[ExecColumn],
     func: str,
-    start: int,
-    end: int,
-    inverse: np.ndarray,
+    rows: np.ndarray,
+    slot: np.ndarray,
     counts: np.ndarray,
-    n_groups: int,
 ) -> np.ndarray:
     if func == "count":
-        return counts.astype(np.int64)
+        return counts
     if column is None:
         raise PlanningError(f"aggregate {func!r} needs a column")
-    codes = column.codes[start:end]
+    codes = column.codes[rows]
     if func in ("sum", "avg"):
         affine = column.affine
         if affine is None:
@@ -108,7 +119,7 @@ def _grouped_aggregate(
             )
         scale, offset = affine
         code_sums = np.bincount(
-            inverse, weights=codes.astype(np.float64), minlength=n_groups
+            slot, weights=codes.astype(np.float64), minlength=counts.size
         )
         # bincount works in float64; exact for |sum| < 2^53, which the
         # fixed-point domains guarantee in practice.
@@ -121,9 +132,9 @@ def _grouped_aggregate(
             f"max/min on group-by column {column.name!r} requires ordered codes"
         )
     fill = np.iinfo(np.int64).min if func == "max" else np.iinfo(np.int64).max
-    extreme = np.full(n_groups, fill, dtype=np.int64)
+    extreme = np.full(counts.size, fill, dtype=np.int64)
     if func == "max":
-        np.maximum.at(extreme, inverse, codes)
+        np.maximum.at(extreme, slot, codes)
     else:
-        np.minimum.at(extreme, inverse, codes)
+        np.minimum.at(extreme, slot, codes)
     return column.decode(extreme)  # lint: force-decode (one value per group)

@@ -27,8 +27,9 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..errors import ServeError
 
 #: bump when the checkpoint payload layout changes incompatibly
-#: (2: the payload is the session's attribute dict around one Pipeline)
-CHECKPOINT_VERSION = 2
+#: (2: the payload is the session's attribute dict around one Pipeline;
+#: 3: join partition state is columnar, sorted keys plus column arrays)
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import PlanningError
 from ..operators.aggregation import window_aggregate
 from ..operators.base import ExecColumn, decoded_column
-from ..operators.distinct import distinct_indices
+from ..operators.distinct import distinct_indices, window_distinct
 from ..operators.groupby import combine_keys, window_group_aggregate
 from ..operators.join import semi_join_latest
 from ..operators.selection import compare_to_literal
-from ..stream.batch import Batch
 from ..stream.quantize import dequantize
-from ..stream.schema import KIND_FLOAT, Schema
+from ..stream.schema import KIND_FLOAT
 from ..stream.window import (
     MODE_TIME,
     PartitionWindowState,
@@ -295,9 +294,56 @@ class WindowAggExecutor:
     def _run_windows(
         self, work: Dict[str, ExecColumn], windows: List[Tuple[int, int]]
     ) -> QueryResult:
-        if self.plan.group_keys:
-            return self._run_grouped(work, windows)
-        return self._run_global(work, windows)
+        plan = self.plan
+        aggs = [o for o in plan.outputs + plan.hidden_outputs if o.kind == OUT_AGG]
+        last_rows = np.asarray([e for _, e in windows], dtype=np.int64) - 1
+        if not plan.group_keys:
+            aggregates = (
+                np.asarray([e - s for s, e in windows], dtype=np.int64)  # count(*)
+                if o.source_column is None
+                else window_aggregate(work[o.source_column], windows, o.agg_func)
+                for o in aggs
+            )
+            window_ids = np.arange(len(windows), dtype=np.int64)
+            return self._assemble(work, aggregates, last_rows, last_rows, window_ids)
+        grouped = window_group_aggregate(
+            combine_keys([work[k] for k in plan.group_keys]),
+            [None if o.source_column is None else work[o.source_column] for o in aggs],
+            [o.agg_func for o in aggs],
+            windows,
+        )
+        return self._assemble(
+            work,
+            iter(grouped.aggregates),
+            grouped.representatives,
+            last_rows[grouped.window_ids],
+            grouped.window_ids,
+        )
+
+    def _assemble(
+        self,
+        work: Dict[str, ExecColumn],
+        aggregates: Iterator[np.ndarray],
+        key_rows: np.ndarray,
+        last_rows: np.ndarray,
+        window_ids: np.ndarray,
+    ) -> QueryResult:
+        """One result row per (window, group): aggregates in output order,
+        keys from the group's first row, other columns from the window's
+        last row."""
+        out: Dict[str, np.ndarray] = {}
+        for o in self.plan.outputs + self.plan.hidden_outputs:
+            if o.kind == OUT_AGG:
+                stored = next(aggregates)
+            elif o.kind in (OUT_LAST, OUT_KEY):
+                col = work[o.source_column]
+                rows = key_rows if o.kind == OUT_KEY else last_rows
+                # lint: force-decode bounded, one value per group and window
+                stored = col.decode(col.codes[rows])
+            else:
+                raise PlanningError(f"unsupported output kind {o.kind!r} here")
+            out[o.name] = _convert_output(o, stored)
+        return self._finalize(out, window_ids)
 
     def _finalize(
         self, out: Dict[str, np.ndarray], window_ids: np.ndarray
@@ -357,81 +403,6 @@ class WindowAggExecutor:
             order = order[rank < plan.limit]
         return {name: arr[order] for name, arr in out.items()}, int(order.size)
 
-    def _run_global(
-        self, work: Dict[str, ExecColumn], windows: List[Tuple[int, int]]
-    ) -> QueryResult:
-        ends = np.asarray([e for _, e in windows], dtype=np.int64)
-        last_rows = ends - 1
-        out: Dict[str, np.ndarray] = {}
-        for o in self.plan.outputs + self.plan.hidden_outputs:
-            if o.kind == OUT_AGG:
-                if o.source_column is None:  # count(*)
-                    stored = np.asarray([e - s for s, e in windows], dtype=np.int64)
-                else:
-                    stored = window_aggregate(
-                        work[o.source_column], windows, o.agg_func
-                    )
-            elif o.kind in (OUT_LAST, OUT_KEY):
-                col = work[o.source_column]
-                # the result materialization step itself:
-                # lint: force-decode bounded, one value per window
-                stored = col.decode(col.codes[last_rows])
-            else:
-                raise PlanningError(f"unsupported output kind {o.kind!r} here")
-            out[o.name] = _convert_output(o, stored)
-        return self._finalize(out, np.arange(len(windows), dtype=np.int64))
-
-    def _run_grouped(
-        self, work: Dict[str, ExecColumn], windows: List[Tuple[int, int]]
-    ) -> QueryResult:
-        plan = self.plan
-        combined = combine_keys([work[k] for k in plan.group_keys])
-        all_outputs = plan.outputs + plan.hidden_outputs
-        agg_outputs = [o for o in all_outputs if o.kind == OUT_AGG]
-        agg_cols = [
-            work[o.source_column] if o.source_column else None for o in agg_outputs
-        ]
-        agg_funcs = [o.agg_func for o in agg_outputs]
-        grouped = window_group_aggregate(combined, agg_cols, agg_funcs, windows)
-
-        reps = (
-            np.concatenate([g.representatives for g in grouped])
-            if grouped
-            else np.zeros(0, dtype=np.int64)
-        )
-        group_counts = [g.representatives.size for g in grouped]
-        last_rows = np.repeat(
-            np.asarray([e - 1 for _, e in windows], dtype=np.int64),
-            group_counts,
-        )
-        out: Dict[str, np.ndarray] = {}
-        agg_idx = 0
-        for o in all_outputs:
-            if o.kind == OUT_AGG:
-                pos = agg_idx
-                stored = (
-                    np.concatenate([g.aggregates[pos] for g in grouped])
-                    if grouped
-                    else np.zeros(0, dtype=np.int64)
-                )
-                agg_idx += 1
-            elif o.kind == OUT_KEY:
-                col = work[o.source_column]
-                # lint: force-decode bounded: one value per group key
-                stored = col.decode(col.codes[reps])
-            elif o.kind == OUT_LAST:
-                col = work[o.source_column]
-                # lint: force-decode bounded: one value per group/window
-                stored = col.decode(col.codes[last_rows])
-            else:
-                raise PlanningError(f"unsupported output kind {o.kind!r} here")
-            out[o.name] = _convert_output(o, stored)
-        window_ids = np.repeat(
-            np.arange(len(windows), dtype=np.int64),
-            np.asarray(group_counts, dtype=np.int64),
-        )
-        return self._finalize(out, window_ids)
-
 
 class PassthroughExecutor:
     """Executes ``[range unbounded]`` plans (per-tuple projection)."""
@@ -490,11 +461,11 @@ class PassthroughExecutor:
 class JoinExecutor:
     """Executes join shapes: derived stream -> window ⋈ partition state(s).
 
-    The legacy comma form (single inner side probing its own key) keeps
-    the :func:`semi_join_latest` kernel with arbitrary per-key depth; the
-    explicit ``JOIN ... ON`` form runs the general path: distinct probe
-    combinations per window, one aligned latest-row lookup per side, and
-    NaN/probe-value fills for LEFT OUTER misses.
+    One pass per batch, for the comma form (one inner side probing its
+    own key, any per-key depth) and the explicit ``JOIN ... ON`` form
+    alike: the distinct probe tuples of every window, one latest-row
+    lookup per side over its state plus the batch, and NaN/probe-value
+    fills for LEFT OUTER misses.
     """
 
     def __init__(self, plan: JoinPlan):
@@ -506,12 +477,6 @@ class JoinExecutor:
             self.scheduler = WindowScheduler(plan.window)
         self.sides = plan.sides
         self.states = [PartitionWindowState(side.window) for side in self.sides]
-        only = self.sides[0]
-        self._semi = (
-            len(self.sides) == 1
-            and not only.outer
-            and only.probe_column == only.key_column
-        )
         self._tail: Dict[str, np.ndarray] = {}
         self._absorbed = 0       # global count of rows absorbed into state
         self._merged_start = 0   # global index of merged[0]
@@ -523,7 +488,6 @@ class JoinExecutor:
         if plan.window.mode == MODE_TIME:
             needed.add(plan.window.time_column)
         self._needed = sorted(needed)
-        self._state_schema = Schema([plan.join_schema[name] for name in self._needed])
 
     def execute(self, columns: Dict[str, ExecColumn], n: int) -> QueryResult:
         plan = self.plan
@@ -544,24 +508,11 @@ class JoinExecutor:
             layout = self.scheduler.feed(merged[plan.window.time_column])
         else:
             layout = self.scheduler.feed(n_rows)
-        results: List[QueryResult] = []
-        for (s, e) in layout.windows:
-            global_end = self._merged_start + e
-            if global_end > self._absorbed:
-                # a sampling window (slide > size) can discard rows between
-                # windows; those are dropped before ever being absorbed, so
-                # resume from the earliest retained row rather than indexing
-                # before merged[0] with a negative offset
-                lo = max(self._absorbed - self._merged_start, 0)
-                self._absorb(merged, lo, e)
-                self._absorbed = global_end
-            result = (
-                self._probe_semi(merged, s, e)
-                if self._semi
-                else self._probe_general(merged, s, e)
-            )
-            if result is not None:
-                results.append(result)
+        result = (
+            self._join(merged, layout.windows)
+            if layout.windows
+            else QueryResult.empty(plan.outputs)
+        )
         total = layout.carry + n_rows
         if layout.retain_start < total:
             self._tail = {
@@ -570,74 +521,51 @@ class JoinExecutor:
         else:
             self._tail = {}
         self._merged_start += layout.retain_start
-        if not results:
-            return QueryResult.empty(plan.outputs)
-        return QueryResult.merge(results)
+        return result
 
-    def _probe_semi(
-        self, merged: Dict[str, np.ndarray], s: int, e: int
-    ) -> Optional[QueryResult]:
-        key = self.sides[0].key_column
-        rows = semi_join_latest(merged[key][s:e], self.states[0])
-        if not rows:
-            return None
-        out = {
-            o.name: _convert_output(o, rows[o.source_column])
-            for o in self.plan.outputs
-        }
-        return QueryResult(columns=out, n_rows=len(rows[key]))
-
-    def _probe_general(
-        self, merged: Dict[str, np.ndarray], s: int, e: int
-    ) -> Optional[QueryResult]:
-        """Multi-way/outer probe: one row per distinct probe combination."""
+    def _join(
+        self, merged: Dict[str, np.ndarray], windows: Sequence[Tuple[int, int]]
+    ) -> QueryResult:
+        """Every window of the batch against the state as of its end."""
         plan = self.plan
-        probes = np.stack(
-            [
-                np.asarray(merged[side.probe_column][s:e], dtype=np.int64)
-                for side in self.sides
-            ],
-            axis=1,
+        starts, ends = (np.asarray(w, dtype=np.int64) for w in zip(*windows))
+        # the state absorbs [lo, last end) once; a sampling window (slide >
+        # size) discards rows between batches before they are ever
+        # absorbed, so resume from the earliest retained row
+        lo = max(self._absorbed - self._merged_start, 0)
+        hi = int(ends[-1])
+        self._absorbed = max(self._absorbed, self._merged_start + hi)
+        pending = {name: merged[name][lo:hi] for name in self._needed}
+        parts = [state.merge(pending) for state in self.states]
+        probe_columns = [merged[side.probe_column][:hi] for side in self.sides]
+        pair_window, pair_row = window_distinct(probe_columns, starts, ends)
+        probes = [col[pair_row] for col in probe_columns]
+        probe_of, rows = semi_join_latest(
+            parts,
+            probes,
+            np.maximum(ends[pair_window] - lo, 0),
+            [side.window.rows for side in self.sides],
+            [side.outer for side in self.sides],
         )
-        if probes.shape[0] == 0:
-            return None
-        combos = np.unique(probes, axis=0)  # sorted: deterministic order
-        n_combos = combos.shape[0]
-        lookups = []
-        founds = []
-        for i, (side, state) in enumerate(zip(self.sides, self.states)):
-            cols, found = state.latest_aligned(combos[:, i], self._needed)
-            lookups.append(cols)
-            founds.append(found)
-        keep = np.ones(n_combos, dtype=bool)
-        for side, found in zip(self.sides, founds):
-            if not side.outer:
-                keep &= found
-        if not keep.any():
-            return None
+        for state, part in zip(self.states, parts):
+            state.retain(part)
+        if not probe_of.size:
+            return QueryResult.empty(plan.outputs)
         out: Dict[str, np.ndarray] = {}
         for o, i in zip(plan.outputs, plan.output_sides):
-            side = self.sides[i]
-            vals = lookups[i][o.source_column]
-            missing = ~founds[i]
+            side, row = self.sides[i], rows[i]
+            missing = row < 0
+            vals = np.zeros(row.size, dtype=np.int64)
+            vals[~missing] = parts[i].columns[o.source_column][row[~missing]]
             if side.outer and o.source_column == side.key_column:
                 # the ON equality pins the key of a missed side to the
                 # probe value, so the key column never goes NULL
-                vals = vals.copy()
-                vals[missing] = combos[missing, i]
-            converted = _convert_output(o, vals)[keep]
+                vals[missing] = probes[i][probe_of[missing]]
+            converted = _convert_output(o, vals)
             if side.outer and o.source_column != side.key_column:
-                converted[missing[keep]] = np.nan
+                converted[missing] = np.nan
             out[o.name] = converted
-        return QueryResult(columns=out, n_rows=int(keep.sum()))
-
-    def _absorb(self, merged: Dict[str, np.ndarray], lo: int, hi: int) -> None:
-        batch = Batch(
-            self._state_schema,
-            {name: merged[name][lo:hi] for name in self._needed},
-        )
-        for state in self.states:
-            state.update(batch)
+        return QueryResult(columns=out, n_rows=int(probe_of.size))
 
 
 def make_executor(plan: Plan):

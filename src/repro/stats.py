@@ -12,7 +12,7 @@ is wide, and no floating-point logarithm anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,8 +123,8 @@ def value_presence(
     ``present[k]`` tells whether ``lo + k`` occurs; ``lo``/``hi`` are the
     column's min and max.  Dense means ``hi - lo < DENSE_SPAN_FACTOR * n``,
     decided on Python ints, so ``values - lo`` is only formed when it
-    cannot overflow int64.  Both ``Kindnum`` and dictionary coding
-    (:func:`repro.compression.kernels.dict_encode`) go through here.
+    cannot overflow int64.  Both ``Kindnum`` and :func:`factorize`
+    (dictionary coding, group-by keys, distinct) go through here.
     """
     if hi - lo >= DENSE_SPAN_FACTOR * values.size:
         return None
@@ -132,6 +132,53 @@ def value_presence(
     present = np.zeros(hi - lo + 1, dtype=bool)
     present[offsets] = True
     return offsets, present
+
+
+def factorize(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct values, dense id per element), ids in value order.
+
+    A dense span (:func:`value_presence`) is numbered through a lookup
+    table indexed by ``value - min``; only a wide span sorts.  Dictionary
+    codes are dense by construction, so factorizing them never sorts.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if values.size:
+        lo = int(values.min())
+        dense = value_presence(values, lo, int(values.max()))
+        if dense is not None:
+            offsets, present = dense
+            slots = np.flatnonzero(present)
+            # only the slots of present values are ever read back
+            lut = np.empty(present.size, dtype=np.int64)
+            lut[slots] = np.arange(slots.size, dtype=np.int64)
+            return slots + lo, lut[offsets]
+    uniques, ids = np.unique(values, return_inverse=True)
+    return uniques, ids.astype(np.int64).reshape(-1)
+
+
+def factorize_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """Dense ids of the row tuples of equal-length columns, and their count.
+
+    Ids number the tuples in lexicographic order.  Each column is
+    factorized on its own and the ids are combined in mixed radix.  Before
+    the running cardinality product (a Python int) would reach
+    ``DENSE_SPAN_FACTOR`` ids per row, the partial ids are re-densified,
+    which costs no sort while they still span a dense range.  The product
+    so stays below ``8 n^2``: the ids cannot wrap at 2^63.
+    """
+    uniques, ids = factorize(columns[0])
+    count = uniques.size
+    for values in columns[1:]:
+        uniques, dense = factorize(values)
+        if count * uniques.size >= DENSE_SPAN_FACTOR * ids.size:
+            partial, ids = factorize(ids)
+            count = partial.size
+        ids = ids * uniques.size + dense
+        count *= uniques.size
+    if len(columns) > 1:
+        uniques, ids = factorize(ids)
+        count = uniques.size
+    return ids, count
 
 
 def _distinct_count(values: np.ndarray, lo: int, hi: int) -> int:

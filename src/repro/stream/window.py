@@ -17,7 +17,7 @@ batch so cross-batch windows are computed without re-transmission.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -258,90 +258,98 @@ class TimeWindowScheduler:
         return self._pending
 
 
+def expand_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(first[q], first[q] + counts[q])`` over q."""
+    offsets = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return offsets + np.arange(offsets.size, dtype=np.int64)
+
+
+class PartitionRows:
+    """A partition state followed by pending rows, ordered by (key, arrival).
+
+    ``order[k]`` is the row of ``columns`` (state rows, then pending rows)
+    at sorted position k.  ``arrival[k]`` packs (key rank, 1 + index among
+    the pending rows, 0 for a state row) into one ascending int64.
+    """
+
+    def __init__(self, columns: Dict[str, np.ndarray], key: str, n_state: int):
+        self.columns = columns
+        self.order = np.argsort(columns[key], kind="stable")
+        self.keys = columns[key][self.order]
+        change = np.ones(self.keys.size, dtype=bool)
+        change[1:] = self.keys[1:] != self.keys[:-1]
+        self.rank = np.cumsum(change) - 1
+        self.span = self.keys.size + 2
+        self.arrival = self.rank * self.span + np.maximum(self.order - n_state + 1, 0)
+
+    def latest(
+        self, keys: np.ndarray, ends: np.ndarray, depth: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(first, count): the last ``depth`` rows of ``keys[q]`` at pending
+        positions before ``ends[q]`` are sorted rows ``first .. first+count-1``.
+        """
+        if not self.keys.size:
+            none = np.zeros(keys.size, dtype=np.int64)
+            return none, none
+        start = np.searchsorted(self.keys, keys)
+        at = np.minimum(start, self.keys.size - 1)
+        stop = np.searchsorted(self.arrival, self.rank[at] * self.span + ends + 1)
+        count = np.where(self.keys[at] == keys, np.minimum(stop - start, depth), 0)
+        return stop - count, count
+
+
 class PartitionWindowState:
-    """Most-recent-K-rows-per-key state for ``[partition by c rows K]``."""
+    """Most-recent-K-rows-per-key state for ``[partition by c rows K]``.
+
+    Columnar: ``keys`` ascending with at most K entries per key, and one
+    array per column aligned with it, each key's rows oldest first.  A
+    batch is absorbed in one pass: :meth:`merge` orders the state and the
+    batch's rows behind it by (key, arrival) — the rows a probe reads —
+    and :meth:`retain` keeps the last K of each key as the next state.
+    """
 
     def __init__(self, spec: WindowSpec):
         if spec.mode != MODE_PARTITION:
             raise PlanningError("PartitionWindowState requires a partition window")
         self.spec = spec
-        # key -> per-column arrays of the last `rows` tuples (oldest first)
-        self._state: Dict[int, Dict[str, np.ndarray]] = {}
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.columns: Dict[str, np.ndarray] = {}
+
+    def merge(self, pending: Dict[str, np.ndarray]) -> PartitionRows:
+        """The retained rows followed by ``pending`` (arrival order)."""
+        n_state = self.keys.size
+        columns = {
+            name: np.concatenate([self.columns[name], arr]) if n_state else arr
+            for name, arr in pending.items()
+        }
+        return PartitionRows(columns, self.spec.partition_by, n_state)
+
+    def retain(self, rows: PartitionRows) -> None:
+        """Keep the last ``rows`` tuples per key of ``rows`` as the state."""
+        depth = self.spec.rows
+        # a row stays unless its key recurs ``depth`` sorted rows later
+        keep = np.ones(rows.keys.size, dtype=bool)
+        keep[:-depth] = rows.keys[depth:] != rows.keys[:-depth]
+        self.keys = rows.keys[keep]
+        kept = rows.order[keep]
+        self.columns = {name: arr[kept] for name, arr in rows.columns.items()}
 
     def update(self, batch: Batch) -> None:
         """Absorb a batch, retaining the latest ``rows`` tuples per key."""
-        keys = batch.column(self.spec.partition_by)
-        if keys.size == 0:
-            return
-        rows = self.spec.rows
-        # Process per distinct key; take the last `rows` occurrences.
-        uniques, inverse = np.unique(keys, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
-        boundaries = np.nonzero(sorted_inverse[1:] != sorted_inverse[:-1])[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [keys.size]])
-        for ui, (s, e) in enumerate(zip(starts, ends)):
-            idx = order[s:e]  # positions of this key, in arrival order
-            take = idx[-rows:]
-            key = int(uniques[ui])
-            fresh = {
-                name: batch.column(name)[take] for name in batch.schema.names
-            }
-            prior = self._state.get(key)
-            if prior is not None and take.size < rows:
-                fresh = {
-                    name: np.concatenate([prior[name], fresh[name]])[-rows:]
-                    for name in fresh
-                }
-            self._state[key] = fresh
-
-    def latest_aligned(
-        self, keys: np.ndarray, names: Sequence[str]
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        """Latest row per requested key, aligned with ``keys``.
-
-        Unlike :meth:`lookup`, missing keys are *not* skipped: the result
-        has exactly ``len(keys)`` rows per column (zeros where the key has
-        no state) plus a boolean ``found`` mask, which is what the outer
-        join needs to fill misses.  Requires a ``rows 1`` window — deeper
-        retention has no single aligned row per key.
-        """
-        if self.spec.rows != 1:
-            raise PlanningError(
-                "latest_aligned requires a [partition by <key> rows 1] window"
-            )
-        keys = np.asarray(keys, dtype=np.int64)
-        found = np.zeros(keys.size, dtype=bool)
-        columns = {
-            name: np.zeros(keys.size, dtype=np.int64) for name in names
-        }
-        for i, key in enumerate(keys):
-            rows = self._state.get(int(key))
-            if rows is None:
-                continue
-            found[i] = True
-            for name in names:
-                columns[name][i] = rows[name][-1]
-        return columns, found
+        pending = {name: batch.column(name) for name in batch.schema.names}
+        self.retain(self.merge(pending))
 
     def lookup(self, keys: np.ndarray) -> Dict[str, np.ndarray]:
-        """Latest rows for the given keys, flattened in key order.
+        """Retained rows of the given keys, key by key, oldest first.
 
         Keys with no state are skipped (no tuple has arrived for them yet).
         """
-        if not self._state:
+        first = np.searchsorted(self.keys, keys, side="left")
+        counts = np.searchsorted(self.keys, keys, side="right") - first
+        if not counts.any():
             return {}
-        collected: Dict[str, List[np.ndarray]] = {}
-        for key in np.asarray(keys, dtype=np.int64):
-            rows = self._state.get(int(key))
-            if rows is None:
-                continue
-            for name, arr in rows.items():
-                collected.setdefault(name, []).append(arr)
-        return {
-            name: np.concatenate(parts) for name, parts in collected.items()
-        }
+        taken = expand_ranges(first, counts)
+        return {name: arr[taken] for name, arr in self.columns.items()}
 
     def __len__(self) -> int:
-        return len(self._state)
+        return int(np.unique(self.keys).size)

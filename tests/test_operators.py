@@ -132,8 +132,7 @@ class TestGroupBy:
     def test_group_aggregate_sum_and_count(self):
         keys = np.array([0, 0, 1, 1, 0], dtype=np.int64)
         vals = decoded_column("v", np.array([1, 2, 10, 20, 4]))
-        results = window_group_aggregate(keys, [vals, None], ["sum", "count"], [(0, 5)])
-        (res,) = results
+        res = window_group_aggregate(keys, [vals, None], ["sum", "count"], [(0, 5)])
         np.testing.assert_array_equal(res.aggregates[0], [7, 30])
         np.testing.assert_array_equal(res.aggregates[1], [3, 2])
         np.testing.assert_array_equal(res.counts, [3, 2])
@@ -141,20 +140,20 @@ class TestGroupBy:
     def test_group_aggregate_max_through_codes(self):
         keys = np.array([0, 1, 0, 1], dtype=np.int64)
         col = direct("v", [5, 50, 9, 40], "dict")
-        results = window_group_aggregate(keys, [col], ["max"], [(0, 4)])
-        np.testing.assert_array_equal(results[0].aggregates[0], [9, 50])
+        res = window_group_aggregate(keys, [col], ["max"], [(0, 4)])
+        np.testing.assert_array_equal(res.aggregates[0], [9, 50])
 
     def test_representatives_are_first_occurrences(self):
         keys = np.array([7, 8, 7, 9], dtype=np.int64)
-        results = window_group_aggregate(keys, [None], ["count"], [(0, 4)])
-        np.testing.assert_array_equal(results[0].representatives, [0, 1, 3])
+        res = window_group_aggregate(keys, [None], ["count"], [(0, 4)])
+        np.testing.assert_array_equal(res.representatives, [0, 1, 3])
 
     def test_windows_isolated(self):
         keys = np.array([0, 0, 1, 1], dtype=np.int64)
         vals = decoded_column("v", np.array([1, 2, 3, 4]))
-        results = window_group_aggregate(keys, [vals], ["sum"], [(0, 2), (2, 4)])
-        np.testing.assert_array_equal(results[0].aggregates[0], [3])
-        np.testing.assert_array_equal(results[1].aggregates[0], [7])
+        res = window_group_aggregate(keys, [vals], ["sum"], [(0, 2), (2, 4)])
+        np.testing.assert_array_equal(res.window_ids, [0, 1])
+        np.testing.assert_array_equal(res.aggregates[0], [3, 7])
 
     def test_group_by_requires_equality_codes(self):
         # aligned ED columns support equality, but a hypothetical column
@@ -245,12 +244,19 @@ class TestSemiJoin:
     def test_latest_rows_for_window_keys(self):
         schema = Schema([Field("k"), Field("v")])
         state = PartitionWindowState(WindowSpec.partition("k", 1))
-        state.update(
-            Batch(schema, {"k": np.array([1, 2, 1]), "v": np.array([10, 20, 11])})
+        state.update(Batch(schema, {"k": np.array([1, 2]), "v": np.array([10, 20])}))
+        part = state.merge({"k": np.array([1, 1]), "v": np.array([11, 12])})
+        # probe key 1 before pending row 1, and keys 1 and 3 after both
+        probe_of, (rows,) = semi_join_latest(
+            [part], [np.array([1, 1, 3])], np.array([1, 2, 2]), [1], [False]
         )
-        rows = semi_join_latest(np.array([1, 1, 3]), state)
-        np.testing.assert_array_equal(rows["v"], [11])
+        np.testing.assert_array_equal(probe_of, [0, 1])
+        np.testing.assert_array_equal(part.columns["v"][rows], [11, 12])
 
     def test_no_match_returns_empty(self):
         state = PartitionWindowState(WindowSpec.partition("k", 1))
-        assert semi_join_latest(np.array([5]), state) == {}
+        part = state.merge({"k": np.zeros(0, dtype=np.int64)})
+        probe_of, (rows,) = semi_join_latest(
+            [part], [np.array([5])], np.array([0]), [1], [False]
+        )
+        assert probe_of.size == 0 and rows.size == 0

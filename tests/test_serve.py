@@ -471,24 +471,34 @@ class TestCheckpointStores:
             store.save(bad)
 
     def test_version_1_file_rejected_on_load_and_restore(self, tmp_path):
-        # a checkpoint written before the payload became the session's
-        # attribute dict: the 13-key state dict of version 1
         import pickle
 
-        old = TenantCheckpoint(
-            tenant="t",
-            batches_processed=2,
-            payload=pickle.dumps({"cursor": 2, "pulled": 6, "lookahead": []}),
-            version=1,
+        from repro.stream import PartitionWindowState, WindowSpec
+
+        # version 1: the 13-key state dict, before the payload became the
+        # session's attribute dict
+        v1 = pickle.dumps({"cursor": 2, "pulled": 6, "lookahead": []})
+        # version 2: join partition state as a dict of per-key arrays,
+        # before it became columnar
+        dict_state = PartitionWindowState.__new__(PartitionWindowState)
+        dict_state.__dict__.update(
+            spec=WindowSpec.partition("k", 1), _state={7: {"k": np.array([7])}}
         )
-        (tmp_path / "t.ckpt").write_bytes(pickle.dumps(old, protocol=4))
-        with pytest.raises(ServeError, match="version 1"):
-            FileCheckpointStore(tmp_path)
-        # a store that let it through must still not reach pickle.loads
-        store = CheckpointStore()
-        store._latest["t"] = old
-        with pytest.raises(ServeError, match="version 1"):
-            ServeSupervisor([spec("t")], store=store, resume=True)
+        v2 = pickle.dumps({"cursor": 2, "states": [dict_state]})
+        for version, payload in ((1, v1), (2, v2)):
+            old = TenantCheckpoint(
+                tenant="t", batches_processed=2, payload=payload, version=version
+            )
+            directory = tmp_path / f"v{version}"
+            directory.mkdir()
+            (directory / "t.ckpt").write_bytes(pickle.dumps(old, protocol=4))
+            with pytest.raises(ServeError, match=f"version {version}"):
+                FileCheckpointStore(directory)
+            # a store that let it through must still not reach pickle.loads
+            store = CheckpointStore()
+            store._latest["t"] = old
+            with pytest.raises(ServeError, match=f"version {version}"):
+                ServeSupervisor([spec("t")], store=store, resume=True)
 
     def test_dump_writes_index_and_payloads(self, tmp_path):
         store = CheckpointStore()
