@@ -33,7 +33,8 @@ def collect(n=400_000, run_length=50, kindnum=64, repeats=3):
         rng.integers(0, 40, max(n // run_length, 1)).astype(np.int64), run_length
     )[:n]
     cat_col = rng.integers(0, kindnum, n).astype(np.int64)
-    windows = [(s, s + 4096) for s in range(0, n - 4096, 2048)]
+    starts = np.arange(0, n - 4096, 2048, dtype=np.int64)
+    ends = starts + 4096
 
     rle = get_codec("rle")
     rle_cc = rle.compress(runs_col)
@@ -41,14 +42,14 @@ def collect(n=400_000, run_length=50, kindnum=64, repeats=3):
     def rle_direct():
         col = ExecColumn("v", runs=rle.run_view(rle_cc))
         compare_to_literal(col, ">=", 20)
-        window_aggregate(col, windows, "sum")
-        window_aggregate(col, windows, "max")
+        window_aggregate(col, starts, ends, "sum")
+        window_aggregate(col, starts, ends, "max")
 
     def rle_decode():
         col = decoded_column("v", rle.decompress(rle_cc))
         compare_to_literal(col, ">=", 20)
-        window_aggregate(col, windows, "sum")
-        window_aggregate(col, windows, "max")
+        window_aggregate(col, starts, ends, "sum")
+        window_aggregate(col, starts, ends, "max")
 
     rows = {
         "rle_filter_agg": {

@@ -6,9 +6,10 @@ Kernels run on *codes*.  For affine codecs the correction
 payload — this is the direct-processing speedup of Sec. IV-B.  min/max run
 on order-preserving codes and decode one result per window.
 
-Sliding sums use prefix sums (O(n) for any number of windows); sliding
-extrema use block prefix/suffix scans for overlapping windows, segment
-reduction (``reduceat``) for tumbling and ragged ones.
+Windows arrive as two int64 arrays, window w spanning
+``[starts[w], ends[w])``.  Sliding sums use prefix sums (O(n) for any
+number of windows); sliding extrema use block prefix/suffix scans for
+overlapping windows, segment reduction (``reduceat``) for all others.
 
 Run-structured columns (RLE served without expansion) aggregate at run
 granularity: prefix sums weighted by run lengths answer sum/avg, and
@@ -18,8 +19,6 @@ partially covered runs because a run's value is constant.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from ..errors import PlanningError
@@ -27,19 +26,11 @@ from .base import ExecColumn
 
 AGG_FUNCS = ("avg", "sum", "count", "max", "min")
 
-Window = Tuple[int, int]
 
-
-def _window_arrays(windows: Sequence[Window]) -> Tuple[np.ndarray, np.ndarray]:
-    if not windows:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.asarray(windows, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
-
-
-def sliding_code_sums(codes: np.ndarray, windows: Sequence[Window]) -> np.ndarray:
+def sliding_code_sums(
+    codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
     """Sum of codes per window via prefix sums."""
-    starts, ends = _window_arrays(windows)
     prefix = np.zeros(codes.size + 1, dtype=np.int64)
     np.cumsum(codes, out=prefix[1:])
     return prefix[ends] - prefix[starts]
@@ -63,35 +54,25 @@ def _run_prefix_sums(
 
 
 def sliding_extreme(
-    codes: np.ndarray, windows: Sequence[Window], *, take_max: bool
+    codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, *, take_max: bool
 ) -> np.ndarray:
     """Max (or min) of codes per window.
 
-    Count windows share one size and a constant stride: overlapping
-    strides use block prefix/suffix scans, disjoint strides ``reduceat``.
-    Ragged windows (time windows have data-dependent extents) use an
-    interleaved ``reduceat``.
+    Overlapping count windows (one size, a constant stride below it) use
+    block prefix/suffix scans, O(n) where a reduction per window would be
+    O(n·size).  Every other layout — tumbling, sampling, ragged time
+    windows — is one interleaved ``reduceat``, O(n) whenever the windows
+    do not overlap.
     """
-    starts, ends = _window_arrays(windows)
-    if starts.size == 0:
-        return np.zeros(0, dtype=np.int64)
     if (ends <= starts).any():
         raise PlanningError("sliding_extreme requires non-empty windows")
-    sizes = ends - starts
-    size = int(sizes[0])
-    regular = bool((sizes == size).all())
-    if regular and starts.size == 1:
-        seg = codes[starts[0] : ends[0]]
-        return np.asarray([seg.max() if take_max else seg.min()], dtype=np.int64)
-    if regular:
-        stride = int(starts[1] - starts[0])
-        if (np.diff(starts) == stride).all():
-            if stride >= size:
-                flat = np.concatenate([codes[s:e] for s, e in zip(starts, ends)])
-                bounds = np.arange(starts.size, dtype=np.int64) * size
-                if take_max:
-                    return np.maximum.reduceat(flat, bounds)
-                return np.minimum.reduceat(flat, bounds)
+    if starts.size > 1:
+        size, stride = int(ends[0] - starts[0]), int(starts[1] - starts[0])
+        if (
+            stride < size
+            and (ends - starts == size).all()
+            and (np.diff(starts) == stride).all()
+        ):
             return _block_extreme(codes, starts, size, take_max=take_max)
     return _ragged_extreme(codes, starts, ends, take_max=take_max)
 
@@ -141,10 +122,11 @@ def _block_extreme(
 
 
 def window_aggregate(
-    column: ExecColumn, windows: Sequence[Window], func: str
+    column: ExecColumn, starts: np.ndarray, ends: np.ndarray, func: str
 ) -> np.ndarray:
     """Aggregate one column over each window; returns per-window results.
 
+    Window w spans rows ``[starts[w], ends[w])`` (int64 arrays).
     ``sum``/``avg`` require an affine column (the server decodes
     non-affine codecs before calling); ``max``/``min`` require order;
     ``count`` needs nothing.  Results are in the *stored* integer domain
@@ -153,8 +135,7 @@ def window_aggregate(
     """
     if func not in AGG_FUNCS:
         raise PlanningError(f"unknown aggregate {func!r}")
-    starts, ends = _window_arrays(windows)
-    counts = (ends - starts).astype(np.int64)
+    counts = ends - starts
     if func == "count":
         return counts
     runs = column.pending_runs
@@ -169,7 +150,7 @@ def window_aggregate(
         if runs is not None:
             code_sums = _run_prefix_sums(*runs, ends) - _run_prefix_sums(*runs, starts)
         else:
-            code_sums = sliding_code_sums(column.codes, windows)
+            code_sums = sliding_code_sums(column.codes, starts, ends)
         sums = scale * code_sums + offset * counts
         if func == "sum":
             return sums
@@ -181,7 +162,7 @@ def window_aggregate(
             "codes; the server should have decoded it"
         )
     if runs is not None:
-        if starts.size and (ends <= starts).any():
+        if (ends <= starts).any():
             raise PlanningError("sliding_extreme requires non-empty windows")
         # A window's extreme is the extreme of the runs it overlaps — the
         # run value is constant, so partial coverage does not matter.
@@ -194,5 +175,7 @@ def window_aggregate(
         )
         # lint: force-decode (one extreme per window, never the column)
         return column.decode(extreme_codes)
-    extreme_codes = sliding_extreme(column.codes, windows, take_max=(func == "max"))
+    extreme_codes = sliding_extreme(
+        column.codes, starts, ends, take_max=(func == "max")
+    )
     return column.decode(extreme_codes)  # lint: force-decode (one per window)

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import PlanningError
 from ..stats import factorize, factorize_rows
 from ..stream.window import expand_ranges
-from .aggregation import AGG_FUNCS, Window, _window_arrays
+from .aggregation import AGG_FUNCS
 from .base import ExecColumn
 
 #: (window, row) pairs one pass expands at most: overlapping windows
@@ -60,9 +60,10 @@ def window_group_aggregate(
     combined_keys: np.ndarray,
     agg_columns: Sequence[Optional[ExecColumn]],
     agg_funcs: Sequence[str],
-    windows: Sequence[Window],
+    starts: np.ndarray,
+    ends: np.ndarray,
 ) -> GroupedWindowResult:
-    """Aggregate every window by group.
+    """Aggregate every window ``[starts[w], ends[w])`` by group.
 
     ``combined_keys`` are dense group ids (:func:`combine_keys`).
     ``agg_columns[i]`` may be None for ``count``.  sum/avg columns must be
@@ -72,7 +73,6 @@ def window_group_aggregate(
     for func in agg_funcs:
         if func not in AGG_FUNCS:
             raise PlanningError(f"unknown aggregate {func!r}")
-    starts, ends = _window_arrays(windows)
     sizes = ends - starts
     chunk = (np.cumsum(sizes) - sizes) // CHUNK_PAIRS
     cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), starts.size]

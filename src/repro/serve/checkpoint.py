@@ -28,8 +28,9 @@ from ..errors import ServeError
 
 #: bump when the checkpoint payload layout changes incompatibly
 #: (2: the payload is the session's attribute dict around one Pipeline;
-#: 3: join partition state is columnar, sorted keys plus column arrays)
-CHECKPOINT_VERSION = 3
+#: 3: join partition state is columnar, sorted keys plus column arrays;
+#: 4: executors hold one BatchBuffer owning the scheduler and decoded tail)
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)

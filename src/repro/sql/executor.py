@@ -5,7 +5,7 @@ direct (compressed codes) when the codec serves every use of the column,
 decoded otherwise — and the executor produces a :class:`QueryResult`.
 Batches whose windows never cross a batch boundary execute entirely on the
 direct representation; cross-boundary windows fall back to the decoded
-batch-buffer tail (DESIGN.md §2, Sec. VI of the paper).
+tail a :class:`BatchBuffer` carries (DESIGN.md §2, Sec. VI of the paper).
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from ..stream.window import (
     MODE_TIME,
     PartitionWindowState,
     TimeWindowScheduler,
+    WindowLayout,
     WindowScheduler,
+    WindowSpec,
 )
 from .ast import BinaryOp, ColumnRef, Expr, Literal, expr_columns
 from .plan import (
@@ -222,31 +224,60 @@ def _apply_where_fused(
     return out, int(row_idx.size)
 
 
+class BatchBuffer:
+    """The batch buffer of Sec. VI: a window scheduler plus the decoded
+    tail its cross-batch windows need.
+
+    :meth:`feed` returns the columns the batch's windows index, with their
+    layout.  When nothing is carried these are the batch's own (direct)
+    columns; otherwise the decoded tail followed by the batch's values,
+    since code spaces of different batches are not comparable.
+    """
+
+    def __init__(self, window: WindowSpec):
+        self.window = window
+        if window.mode == MODE_TIME:
+            self.scheduler = TimeWindowScheduler(window)
+        else:
+            self.scheduler = WindowScheduler(window)
+        self._tail: Dict[str, np.ndarray] = {}
+
+    def feed(
+        self, columns: Dict[str, ExecColumn], n: int
+    ) -> Tuple[Dict[str, ExecColumn], WindowLayout]:
+        work = columns
+        if self.scheduler.pending:
+            work = {
+                name: decoded_column(
+                    name, np.concatenate([self._tail[name], col.values()])
+                )
+                for name, col in columns.items()
+            }
+        if self.window.mode == MODE_TIME:
+            # time windows assign tuples by timestamp value: the scheduler
+            # translates time bounds into index extents
+            layout = self.scheduler.feed(work[self.window.time_column].values())
+        else:
+            layout = self.scheduler.feed(n)
+        total = layout.carry + n
+        self._tail = (
+            {
+                name: col.slice(layout.retain_start, total).values()
+                for name, col in work.items()
+            }
+            if layout.retain_start < total
+            else {}
+        )
+        return work, layout
+
+
 class WindowAggExecutor:
     """Executes Q1/Q2/Q4/Q5/Q6-shaped plans (count or time windows)."""
 
     def __init__(self, plan: WindowAggPlan):
         self.plan = plan
-        if plan.window.mode == MODE_TIME:
-            self.scheduler = TimeWindowScheduler(plan.window)
-        else:
-            self.scheduler = WindowScheduler(plan.window)
-        self._tail: Dict[str, np.ndarray] = {}
+        self.buffer = BatchBuffer(plan.window)
         self._referenced = sorted(plan.profile.referenced)
-
-    def _feed_scheduler(self, columns: Dict[str, ExecColumn], n: int):
-        if self.plan.window.mode != MODE_TIME:
-            return self.scheduler.feed(n)
-        # time windows assign tuples by timestamp value: merge the carried
-        # tail's timestamps with the new batch's and let the scheduler
-        # translate time bounds into index extents
-        tc = self.plan.window.time_column
-        new_ts = columns[tc].values() if n else np.zeros(0, dtype=np.int64)
-        tail_ts = self._tail.get(tc)
-        merged_ts = (
-            np.concatenate([tail_ts, new_ts]) if tail_ts is not None else new_ts
-        )
-        return self.scheduler.feed(merged_ts)
 
     def execute(self, columns: Dict[str, ExecColumn], n: int) -> QueryResult:
         plan = self.plan
@@ -257,60 +288,34 @@ class WindowAggExecutor:
             )
         else:
             columns, n = _apply_where(columns, plan.where, n)
-        layout = self._feed_scheduler(columns, n)
-        if layout.carry:
-            merged = {
-                name: np.concatenate([self._tail[name], col.values()])
-                for name, col in columns.items()
-            }
-            work: Dict[str, ExecColumn] = {
-                name: decoded_column(name, arr) for name, arr in merged.items()
-            }
-        else:
-            work = columns
-        result = (
-            self._run_windows(work, list(layout.windows))
-            if layout.windows
-            else QueryResult.empty(plan.outputs)
-        )
-        # retain the decoded tail for cross-batch windows of the next feed
-        total = layout.carry + n
-        if layout.retain_start < total:
-            if layout.carry:
-                self._tail = {
-                    name: merged[name][layout.retain_start:] for name in merged
-                }
-            else:
-                self._tail = {
-                    name: col.slice(layout.retain_start, n).values()
-                    for name, col in columns.items()
-                }
-        else:
-            self._tail = {}
-        return result
+        work, layout = self.buffer.feed(columns, n)
+        if not layout.starts.size:
+            return QueryResult.empty(plan.outputs)
+        return self._run_windows(work, layout.starts, layout.ends)
 
     # ----- window execution ------------------------------------------------
 
     def _run_windows(
-        self, work: Dict[str, ExecColumn], windows: List[Tuple[int, int]]
+        self, work: Dict[str, ExecColumn], starts: np.ndarray, ends: np.ndarray
     ) -> QueryResult:
         plan = self.plan
         aggs = [o for o in plan.outputs + plan.hidden_outputs if o.kind == OUT_AGG]
-        last_rows = np.asarray([e for _, e in windows], dtype=np.int64) - 1
+        last_rows = ends - 1
         if not plan.group_keys:
             aggregates = (
-                np.asarray([e - s for s, e in windows], dtype=np.int64)  # count(*)
+                ends - starts  # count(*)
                 if o.source_column is None
-                else window_aggregate(work[o.source_column], windows, o.agg_func)
+                else window_aggregate(work[o.source_column], starts, ends, o.agg_func)
                 for o in aggs
             )
-            window_ids = np.arange(len(windows), dtype=np.int64)
+            window_ids = np.arange(starts.size, dtype=np.int64)
             return self._assemble(work, aggregates, last_rows, last_rows, window_ids)
         grouped = window_group_aggregate(
             combine_keys([work[k] for k in plan.group_keys]),
             [None if o.source_column is None else work[o.source_column] for o in aggs],
             [o.agg_func for o in aggs],
-            windows,
+            starts,
+            ends,
         )
         return self._assemble(
             work,
@@ -389,7 +394,11 @@ class WindowAggExecutor:
         ]
         for key in reversed(plan.order_by):
             arr = out[key.output]
-            lex_keys.append(-arr if key.desc else arr)
+            if key.desc:
+                # ~x = -x - 1 reverses integer order without wrapping at
+                # the dtype minimum, where -x would overflow
+                arr = ~arr if arr.dtype.kind in "iu" else -arr
+            lex_keys.append(arr)
         lex_keys.append(window_ids)
         order = np.lexsort(tuple(lex_keys))
         if plan.limit is not None:
@@ -471,13 +480,9 @@ class JoinExecutor:
     def __init__(self, plan: JoinPlan):
         self.plan = plan
         self.derived = PassthroughExecutor(plan.derived) if plan.derived else None
-        if plan.window.mode == MODE_TIME:
-            self.scheduler = TimeWindowScheduler(plan.window)
-        else:
-            self.scheduler = WindowScheduler(plan.window)
+        self.buffer = BatchBuffer(plan.window)
         self.sides = plan.sides
         self.states = [PartitionWindowState(side.window) for side in self.sides]
-        self._tail: Dict[str, np.ndarray] = {}
         self._absorbed = 0       # global count of rows absorbed into state
         self._merged_start = 0   # global index of merged[0]
         # columns the join consumes from the (derived) stream
@@ -496,39 +501,24 @@ class JoinExecutor:
         else:
             stored = {name: columns[name].values() for name in self._needed}
         n_rows = len(next(iter(stored.values()))) if stored else 0
-        merged = {
-            name: (
-                np.concatenate([self._tail[name], stored[name]])
-                if self._tail
-                else stored[name]
-            )
-            for name in self._needed
-        }
-        if plan.window.mode == MODE_TIME:
-            layout = self.scheduler.feed(merged[plan.window.time_column])
-        else:
-            layout = self.scheduler.feed(n_rows)
+        work, layout = self.buffer.feed(
+            {name: decoded_column(name, stored[name]) for name in self._needed},
+            n_rows,
+        )
+        merged = {name: col.codes for name, col in work.items()}
         result = (
-            self._join(merged, layout.windows)
-            if layout.windows
+            self._join(merged, layout.starts, layout.ends)
+            if layout.starts.size
             else QueryResult.empty(plan.outputs)
         )
-        total = layout.carry + n_rows
-        if layout.retain_start < total:
-            self._tail = {
-                name: merged[name][layout.retain_start:] for name in self._needed
-            }
-        else:
-            self._tail = {}
         self._merged_start += layout.retain_start
         return result
 
     def _join(
-        self, merged: Dict[str, np.ndarray], windows: Sequence[Tuple[int, int]]
+        self, merged: Dict[str, np.ndarray], starts: np.ndarray, ends: np.ndarray
     ) -> QueryResult:
         """Every window of the batch against the state as of its end."""
         plan = self.plan
-        starts, ends = (np.asarray(w, dtype=np.int64) for w in zip(*windows))
         # the state absorbs [lo, last end) once; a sampling window (slide >
         # size) discards rows between batches before they are ever
         # absorbed, so resume from the earliest retained row

@@ -12,7 +12,6 @@ from .window import (
     MODE_TIME,
     MODE_UNBOUNDED,
     PartitionWindowState,
-    SlidingWindowBuffer,
     TimeWindowScheduler,
     WindowLayout,
     WindowScheduler,
@@ -40,7 +39,6 @@ __all__ = [
     "MODE_TIME",
     "MODE_UNBOUNDED",
     "PartitionWindowState",
-    "SlidingWindowBuffer",
     "TimeWindowScheduler",
     "WindowLayout",
     "WindowScheduler",

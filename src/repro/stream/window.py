@@ -1,23 +1,29 @@
-"""Window semantics: count-based sliding windows and partition windows.
+"""Window semantics: count and time sliding windows, partition windows.
 
-The dialect of Table III uses three window forms:
+The dialect of Table III uses three window forms, plus time windows:
 
 * ``[range N slide M]`` — count-based sliding window of N tuples advancing
-  by M tuples;
+  by M tuples (``[range N seconds slide M]`` measures a timestamp column
+  instead);
 * ``[range unbounded]`` — per-tuple pass-through (used by Q3's derived
   stream);
 * ``[partition by col rows K]`` — the most recent K tuples per partition
   key (Q3's "latest position per vehicle").
 
-Sliding windows may span batches; :class:`SlidingWindowBuffer` implements
-the paper's *batch buffer* (Sec. VI): it retains the tail of the previous
-batch so cross-batch windows are computed without re-transmission.
+Sliding windows may span batches.  The paper's *batch buffer* (Sec. VI)
+is two pieces: a scheduler here (:class:`WindowScheduler` for count
+windows, :class:`TimeWindowScheduler` for time windows) does the extent
+arithmetic, and :class:`~repro.sql.executor.BatchBuffer` owns the decoded
+tail of the previous batch, so cross-batch windows are computed without
+re-transmission.  Extents are columns like any other: a
+:class:`WindowLayout` carries ``starts`` and ``ends`` as int64 arrays that
+every window kernel reads unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -81,67 +87,27 @@ class WindowSpec:
         return cls(mode=MODE_PARTITION, partition_by=key, rows=rows)
 
 
-class SlidingWindowBuffer:
-    """Cross-batch count-window bookkeeping (the paper's batch buffer).
-
-    Feed batches in arrival order; each call returns the merged working
-    batch (buffered tail + new tuples) and the list of complete window
-    extents ``(start, end)`` as offsets into that merged batch.  Incomplete
-    trailing windows stay buffered for the next feed.
-    """
-
-    def __init__(self, spec: WindowSpec):
-        if spec.mode != MODE_COUNT:
-            raise PlanningError("SlidingWindowBuffer requires a count window")
-        self.spec = spec
-        self._pending: Optional[Batch] = None
-        self._skip = 0  # tuples to drop before the next window start
-
-    def feed(self, batch: Batch) -> Tuple[Batch, List[Tuple[int, int]]]:
-        merged = Batch.concat([self._pending, batch]) if self._pending else batch
-        size, slide = self.spec.size, self.spec.slide
-        start = self._skip
-        windows: List[Tuple[int, int]] = []
-        while start + size <= merged.n:
-            windows.append((start, start + size))
-            start += slide
-        if start >= merged.n:
-            self._pending = None
-            self._skip = start - merged.n
-        else:
-            self._pending = merged.slice(start, merged.n)
-            self._skip = 0
-        return merged, windows
-
-    @property
-    def buffered(self) -> int:
-        """Tuples currently held for cross-batch windows."""
-        return self._pending.n if self._pending is not None else 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowLayout:
     """Window extents for one fed batch, in merged coordinates.
 
     ``carry`` tuples from the previous batch precede the new batch in the
-    merged coordinate system (merged length = carry + n).  ``retain_start``
-    is where the tail that must be buffered for the next batch begins; when
-    it equals the merged length nothing is retained.
+    merged coordinate system (merged length = carry + n).  Window w spans
+    ``[starts[w], ends[w])``; both are non-decreasing int64 arrays.
+    ``retain_start`` is where the tail that must be buffered for the next
+    batch begins; when it equals the merged length nothing is retained.
     """
 
     carry: int
-    windows: Tuple[Tuple[int, int], ...]
+    starts: np.ndarray
+    ends: np.ndarray
     retain_start: int
-
-    @property
-    def crosses_batches(self) -> bool:
-        return self.carry > 0
 
 
 class WindowScheduler:
     """Counts-only cross-batch window bookkeeping.
 
-    The executor pairs this with its own (decoded) tail buffers: windows of
+    The batch buffer pairs this with the decoded tail: windows of
     batches that need no carried tuples run *directly on compressed codes*;
     batches with cross-boundary windows fall back to buffered values, since
     code spaces of different batches (dictionary, base...) are not
@@ -163,11 +129,10 @@ class WindowScheduler:
         carry = self._pending
         total = carry + n
         size, slide = self.spec.size, self.spec.slide
-        start = self._skip
-        windows: List[Tuple[int, int]] = []
-        while start + size <= total:
-            windows.append((start, start + size))
-            start += slide
+        # window k starts at skip + k*slide; emit every k whose end fits
+        count = max((total - size - self._skip) // slide + 1, 0)
+        starts = self._skip + slide * np.arange(count, dtype=np.int64)
+        start = self._skip + slide * count  # first window still incomplete
         if start >= total:
             self._pending = 0
             self._skip = start - total
@@ -176,9 +141,7 @@ class WindowScheduler:
             self._pending = total - start
             self._skip = 0
             retain_start = start
-        return WindowLayout(
-            carry=carry, windows=tuple(windows), retain_start=retain_start
-        )
+        return WindowLayout(carry, starts, starts + size, retain_start)
 
     @property
     def pending(self) -> int:
@@ -211,10 +174,6 @@ class TimeWindowScheduler:
         self._pending = 0         # carried tuples (tail of previous feed)
         self._last_ts: Optional[int] = None
 
-    def _window_bounds(self, k: int) -> Tuple[int, int]:
-        start = self._t0 + k * self.spec.slide
-        return start, start + self.spec.size
-
     def feed(self, timestamps: np.ndarray) -> WindowLayout:
         ts = np.asarray(timestamps, dtype=np.int64)
         carry = self._pending
@@ -229,29 +188,28 @@ class TimeWindowScheduler:
             if self._t0 is None:
                 self._t0 = int(ts[0])
             self._last_ts = int(ts[-1])
-        windows: List[Tuple[int, int]] = []
         if ts.size == 0 or self._t0 is None:
-            return WindowLayout(carry=carry, windows=(), retain_start=ts.size)
-        stream_time = int(ts[-1])
-        k = self._next_window
-        while True:
-            w_start, w_end = self._window_bounds(k)
-            if stream_time < w_end:
-                break  # still open: needs future tuples to close
-            lo = int(np.searchsorted(ts, w_start, side="left"))
-            hi = int(np.searchsorted(ts, w_end, side="left"))
-            if hi > lo:
-                windows.append((lo, hi))
-            # empty windows (no tuples in span) emit nothing, like the
-            # count path where windows always have tuples by construction
-            k += 1
-        self._next_window = k
-        next_start, _ = self._window_bounds(k)
-        retain_start = int(np.searchsorted(ts, next_start, side="left"))
+            none = np.zeros(0, dtype=np.int64)
+            return WindowLayout(carry, none, none, ts.size)
+        t0, size, slide = self._t0, self.spec.size, self.spec.slide
+        # windows k < k_end have closed: the stream's time reached their end
+        k_end = max(self._next_window, (int(ts[-1]) - t0 - size) // slide + 1)
+        # the tuple at rel = ts - t0 lies in windows ceil((rel - size + 1) /
+        # slide) .. rel // slide; both bounds rise with rel, so each tuple
+        # adds the windows past its predecessor's last one.  Their union
+        # is every closed window holding a tuple: empty windows emit
+        # nothing, like the count path where windows always have tuples
+        rel = ts - t0
+        last = np.minimum(rel // slide, k_end - 1)
+        first = np.maximum(-((size - 1 - rel) // slide), self._next_window)
+        first[1:] = np.maximum(first[1:], last[:-1] + 1)
+        bounds = t0 + slide * expand_ranges(first, np.maximum(last - first + 1, 0))
+        starts = np.searchsorted(ts, bounds, side="left")
+        ends = np.searchsorted(ts, bounds + size, side="left")
+        self._next_window = k_end
+        retain_start = int(np.searchsorted(ts, t0 + k_end * slide, side="left"))
         self._pending = ts.size - retain_start
-        return WindowLayout(
-            carry=carry, windows=tuple(windows), retain_start=retain_start
-        )
+        return WindowLayout(carry, starts, ends, retain_start)
 
     @property
     def pending(self) -> int:

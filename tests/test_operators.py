@@ -21,6 +21,10 @@ from repro.operators import (
 from repro.stream import Batch, Field, PartitionWindowState, Schema, WindowSpec
 
 
+def extents(starts, ends):
+    return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+
+
 def direct(name, values, codec_name="bd"):
     codec = get_codec(codec_name)
     cc = codec.compress(np.asarray(values, dtype=np.int64))
@@ -30,87 +34,94 @@ def direct(name, values, codec_name="bd"):
 class TestSlidingKernels:
     def test_code_sums(self):
         codes = np.array([1, 2, 3, 4, 5], dtype=np.int64)
-        sums = sliding_code_sums(codes, [(0, 3), (2, 5)])
+        sums = sliding_code_sums(codes, *extents([0, 2], [3, 5]))
         np.testing.assert_array_equal(sums, [6, 12])
 
     def test_code_sums_empty_windows(self):
-        assert sliding_code_sums(np.arange(5), []).size == 0
+        assert sliding_code_sums(np.arange(5), *extents([], [])).size == 0
 
     def test_extreme_overlapping_uses_deque(self, rng):
         values = rng.integers(0, 1000, 200)
-        windows = [(s, s + 16) for s in range(0, 180, 1)]
-        maxes = sliding_extreme(values, windows, take_max=True)
-        expected = [values[s:e].max() for s, e in windows]
+        starts = np.arange(0, 180, 1)
+        ends = starts + 16
+        maxes = sliding_extreme(values, starts, ends, take_max=True)
+        expected = [values[s:e].max() for s, e in zip(starts, ends)]
         np.testing.assert_array_equal(maxes, expected)
 
     def test_extreme_tumbling_uses_reduceat(self, rng):
         values = rng.integers(-500, 500, 96)
-        windows = [(s, s + 16) for s in range(0, 96, 16)]
-        mins = sliding_extreme(values, windows, take_max=False)
-        expected = [values[s:e].min() for s, e in windows]
+        starts = np.arange(0, 96, 16)
+        ends = starts + 16
+        mins = sliding_extreme(values, starts, ends, take_max=False)
+        expected = [values[s:e].min() for s, e in zip(starts, ends)]
         np.testing.assert_array_equal(mins, expected)
 
     def test_extreme_single_window(self):
-        out = sliding_extreme(np.array([3, 1, 2]), [(0, 3)], take_max=True)
+        out = sliding_extreme(np.array([3, 1, 2]), *extents([0], [3]), take_max=True)
         np.testing.assert_array_equal(out, [3])
 
     def test_extreme_gap_stride(self, rng):
         values = rng.integers(0, 100, 50)
-        windows = [(0, 5), (20, 25), (40, 45)]
-        out = sliding_extreme(values, windows, take_max=True)
-        expected = [values[s:e].max() for s, e in windows]
+        starts, ends = extents([0, 20, 40], [5, 25, 45])
+        out = sliding_extreme(values, starts, ends, take_max=True)
+        expected = [values[s:e].max() for s, e in zip(starts, ends)]
         np.testing.assert_array_equal(out, expected)
 
     def test_extreme_ragged_windows(self, rng):
         values = rng.integers(-100, 100, 30)
-        windows = [(0, 3), (3, 7), (5, 20), (20, 21)]
-        out = sliding_extreme(values, windows, take_max=True)
-        expected = [values[s:e].max() for s, e in windows]
+        starts, ends = extents([0, 3, 5, 20], [3, 7, 20, 21])
+        out = sliding_extreme(values, starts, ends, take_max=True)
+        expected = [values[s:e].max() for s, e in zip(starts, ends)]
         np.testing.assert_array_equal(out, expected)
 
     def test_extreme_irregular_stride_falls_back(self, rng):
         values = rng.integers(0, 50, 20)
-        windows = [(0, 4), (1, 5), (3, 7)]
-        out = sliding_extreme(values, windows, take_max=False)
-        expected = [values[s:e].min() for s, e in windows]
+        starts, ends = extents([0, 1, 3], [4, 5, 7])
+        out = sliding_extreme(values, starts, ends, take_max=False)
+        expected = [values[s:e].min() for s, e in zip(starts, ends)]
         np.testing.assert_array_equal(out, expected)
 
     def test_extreme_rejects_empty_window(self):
         with pytest.raises(PlanningError):
-            sliding_extreme(np.arange(10), [(3, 3)], take_max=True)
+            sliding_extreme(np.arange(10), *extents([3], [3]), take_max=True)
 
 
 class TestWindowAggregate:
     def test_avg_on_affine_codes(self):
         values = np.array([100, 102, 104, 106], dtype=np.int64)
         col = direct("v", values, "bd")  # codes are deltas from 100
-        out = window_aggregate(col, [(0, 2), (2, 4)], "avg")
+        out = window_aggregate(col, *extents([0, 2], [2, 4]), "avg")
         np.testing.assert_array_equal(out, [101.0, 105.0])
 
     def test_sum_on_affine_codes(self):
         col = direct("v", [10, 20, 30], "ns")
-        np.testing.assert_array_equal(window_aggregate(col, [(0, 3)], "sum"), [60])
+        np.testing.assert_array_equal(
+            window_aggregate(col, *extents([0], [3]), "sum"), [60]
+        )
 
     def test_min_max_decode_through_order_codes(self):
         values = np.array([5, 1, 9, 3], dtype=np.int64)
         col = direct("v", values, "ed")  # order-preserving, non-affine
-        np.testing.assert_array_equal(window_aggregate(col, [(0, 4)], "max"), [9])
-        np.testing.assert_array_equal(window_aggregate(col, [(0, 4)], "min"), [1])
+        whole = extents([0], [4])
+        np.testing.assert_array_equal(window_aggregate(col, *whole, "max"), [9])
+        np.testing.assert_array_equal(window_aggregate(col, *whole, "min"), [1])
 
     def test_count(self):
         col = decoded_column("v", np.arange(6))
         np.testing.assert_array_equal(
-            window_aggregate(col, [(0, 4), (4, 6)], "count"), [4, 2]
+            window_aggregate(col, *extents([0, 4], [4, 6]), "count"), [4, 2]
         )
 
     def test_sum_requires_affine(self):
         col = direct("v", [1, 2, 3], "ed")
         with pytest.raises(PlanningError):
-            window_aggregate(col, [(0, 3)], "sum")
+            window_aggregate(col, *extents([0], [3]), "sum")
 
     def test_unknown_func(self):
         with pytest.raises(PlanningError):
-            window_aggregate(decoded_column("v", np.arange(3)), [(0, 3)], "median")
+            window_aggregate(
+                decoded_column("v", np.arange(3)), *extents([0], [3]), "median"
+            )
 
 
 class TestGroupBy:
@@ -132,7 +143,9 @@ class TestGroupBy:
     def test_group_aggregate_sum_and_count(self):
         keys = np.array([0, 0, 1, 1, 0], dtype=np.int64)
         vals = decoded_column("v", np.array([1, 2, 10, 20, 4]))
-        res = window_group_aggregate(keys, [vals, None], ["sum", "count"], [(0, 5)])
+        res = window_group_aggregate(
+            keys, [vals, None], ["sum", "count"], *extents([0], [5])
+        )
         np.testing.assert_array_equal(res.aggregates[0], [7, 30])
         np.testing.assert_array_equal(res.aggregates[1], [3, 2])
         np.testing.assert_array_equal(res.counts, [3, 2])
@@ -140,18 +153,20 @@ class TestGroupBy:
     def test_group_aggregate_max_through_codes(self):
         keys = np.array([0, 1, 0, 1], dtype=np.int64)
         col = direct("v", [5, 50, 9, 40], "dict")
-        res = window_group_aggregate(keys, [col], ["max"], [(0, 4)])
+        res = window_group_aggregate(keys, [col], ["max"], *extents([0], [4]))
         np.testing.assert_array_equal(res.aggregates[0], [9, 50])
 
     def test_representatives_are_first_occurrences(self):
         keys = np.array([7, 8, 7, 9], dtype=np.int64)
-        res = window_group_aggregate(keys, [None], ["count"], [(0, 4)])
+        res = window_group_aggregate(keys, [None], ["count"], *extents([0], [4]))
         np.testing.assert_array_equal(res.representatives, [0, 1, 3])
 
     def test_windows_isolated(self):
         keys = np.array([0, 0, 1, 1], dtype=np.int64)
         vals = decoded_column("v", np.array([1, 2, 3, 4]))
-        res = window_group_aggregate(keys, [vals], ["sum"], [(0, 2), (2, 4)])
+        res = window_group_aggregate(
+            keys, [vals], ["sum"], *extents([0, 2], [2, 4])
+        )
         np.testing.assert_array_equal(res.window_ids, [0, 1])
         np.testing.assert_array_equal(res.aggregates[0], [3, 7])
 

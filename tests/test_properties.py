@@ -5,6 +5,8 @@ preservation of direct codes, packing, window scheduling conservation, and
 quantization losslessness.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from repro.compression import get_codec
 from repro.compression.bitstream import delta_codeword_ints, delta_codeword_invert
 from repro.errors import CodecNotApplicable
 from repro.stream.quantize import dequantize, quantize
-from repro.stream.window import WindowScheduler, WindowSpec
+from repro.stream.window import TimeWindowScheduler, WindowScheduler, WindowSpec
 from repro.types import pack_int_array, unpack_int_array
 
 # columns of arbitrary int64 values (bounded to keep codecs applicable)
@@ -107,19 +109,74 @@ def test_window_scheduler_matches_oracle(size, slide, batch_sizes):
     whole-stream pass would, with consistent merged coordinates."""
     scheduler = WindowScheduler(WindowSpec.count(size, slide))
     total = sum(batch_sizes)
-    expected = [(s, s + size) for s in range(0, max(total - size + 1, 0), slide)]
+    expected = np.arange(0, max(total - size + 1, 0), slide)
 
-    produced = []
-    consumed = 0  # global index of merged[0] for the current feed
+    starts, ends = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    consumed = 0  # global index of the end of the merged batch
     for n in batch_sizes:
         layout = scheduler.feed(n)
         merged_origin = consumed - layout.carry
-        for (s, e) in layout.windows:
-            produced.append((merged_origin + s, merged_origin + e))
+        assert layout.starts.dtype == layout.ends.dtype == np.int64
+        starts.append(merged_origin + layout.starts)
+        ends.append(merged_origin + layout.ends)
         consumed += n
         # retained tail + skip bookkeeping must never lose tuples
         assert 0 <= layout.retain_start <= layout.carry + n
-    assert produced == expected
+    np.testing.assert_array_equal(np.concatenate(starts), expected)
+    np.testing.assert_array_equal(np.concatenate(ends), expected + size)
+
+
+def _closed_time_windows(ts, size, slide):
+    """Whole-stream reference: the (lo, hi) index extents of every
+    non-empty window ``[t0 + k*slide, t0 + k*slide + size)`` that the
+    stream's last timestamp closes."""
+    extents = []
+    if not ts:
+        return extents
+    k = 0
+    while ts[0] + k * slide + size <= ts[-1]:
+        start = ts[0] + k * slide
+        lo = bisect.bisect_left(ts, start)
+        hi = bisect.bisect_left(ts, start + size)
+        if hi > lo:
+            extents.append((lo, hi))
+        k += 1
+    return extents
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=30),
+    slide=st.integers(min_value=1, max_value=40),
+    # 0 repeats a timestamp; up to 120 jumps past size + slide
+    gaps=st.lists(
+        st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=120),
+        max_size=120,
+    ),
+    cuts=st.lists(st.integers(min_value=0, max_value=120), max_size=8),
+)
+def test_time_window_scheduler_matches_oracle(size, slide, gaps, cuts):
+    """Time-window twin: feeding tail + new timestamps batch by batch
+    yields exactly the whole-stream windows; repeated cuts feed no new
+    tuples."""
+    ts = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    scheduler = TimeWindowScheduler(WindowSpec.time(size, slide))
+    produced = []
+    fed = 0  # global index of the end of the merged batch
+    for cut in sorted(min(c, ts.size) for c in cuts) + [ts.size]:
+        merged_origin = fed - scheduler.pending
+        layout = scheduler.feed(ts[merged_origin:cut])
+        assert layout.carry == fed - merged_origin
+        assert layout.starts.dtype == layout.ends.dtype == np.int64
+        assert (np.diff(layout.starts) >= 0).all()
+        assert (np.diff(layout.ends) >= 0).all()
+        produced += zip(
+            (merged_origin + layout.starts).tolist(),
+            (merged_origin + layout.ends).tolist(),
+        )
+        assert 0 <= layout.retain_start <= cut - merged_origin
+        fed = cut
+    assert produced == _closed_time_windows(ts.tolist(), size, slide)
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,9 +84,9 @@ class ReferenceJoin(JoinExecutor):
             and only.probe_column == only.key_column
         )
 
-    def _join(self, merged, windows):
+    def _join(self, merged, starts, ends):
         results = []
-        for s, e in windows:
+        for s, e in zip(starts.tolist(), ends.tolist()):
             global_end = self._merged_start + e
             if global_end > self._absorbed:
                 lo = max(self._absorbed - self._merged_start, 0)
@@ -158,10 +158,10 @@ class ReferenceJoin(JoinExecutor):
 class ReferenceGroupBy(WindowAggExecutor):
     """One ``np.unique`` per key column, then one per window."""
 
-    def _run_windows(self, work, windows):
+    def _run_windows(self, work, starts, ends):
         plan = self.plan
         if not plan.group_keys:
-            return super()._run_windows(work, windows)
+            return super()._run_windows(work, starts, ends)
         combined = None
         for key in plan.group_keys:
             _, dense = np.unique(work[key].codes, return_inverse=True)
@@ -170,7 +170,7 @@ class ReferenceGroupBy(WindowAggExecutor):
         outputs = plan.outputs + plan.hidden_outputs
         parts: Dict[str, List[np.ndarray]] = {o.name: [] for o in outputs}
         window_ids = []
-        for w, (s, e) in enumerate(windows):
+        for w, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
             uniques, inverse, counts = np.unique(
                 combined[s:e], return_inverse=True, return_counts=True
             )

@@ -473,7 +473,8 @@ class TestCheckpointStores:
     def test_version_1_file_rejected_on_load_and_restore(self, tmp_path):
         import pickle
 
-        from repro.stream import PartitionWindowState, WindowSpec
+        from repro.sql.executor import WindowAggExecutor
+        from repro.stream import PartitionWindowState, WindowScheduler, WindowSpec
 
         # version 1: the 13-key state dict, before the payload became the
         # session's attribute dict
@@ -485,7 +486,15 @@ class TestCheckpointStores:
             spec=WindowSpec.partition("k", 1), _state={7: {"k": np.array([7])}}
         )
         v2 = pickle.dumps({"cursor": 2, "states": [dict_state]})
-        for version, payload in ((1, v1), (2, v2)):
+        # version 3: the scheduler and decoded tail on the executor itself,
+        # before one BatchBuffer owned both
+        executor = WindowAggExecutor.__new__(WindowAggExecutor)
+        executor.__dict__.update(
+            scheduler=WindowScheduler(WindowSpec.count(4, 4)),
+            _tail={"v": np.array([7])},
+        )
+        v3 = pickle.dumps({"cursor": 2, "executor": executor})
+        for version, payload in ((1, v1), (2, v2), (3, v3)):
             old = TenantCheckpoint(
                 tenant="t", batches_processed=2, payload=payload, version=version
             )

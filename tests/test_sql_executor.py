@@ -128,6 +128,31 @@ class TestWindowAggExecutor:
         ks = res.columns["k"]
         assert counts.sum() == 10
 
+    def test_order_by_desc_sorts_int64_min_last(self):
+        # -x wraps at INT64_MIN, which used to sort the minimum first
+        low = np.iinfo(np.int64).min
+        schema = Schema([Field("k", "int", 8), Field("v", "int", 8)])
+        batch = Batch.from_values(
+            schema,
+            {
+                "k": np.array([1, 2, 3, 1, 2, 3, 1, 2]),
+                "v": np.array([5, low, 7, 5, low, 7, 9, low]),
+            },
+        )
+        text = (
+            "select k, min(v) as m from S [range 8 slide 8] "
+            "group by k order by m desc"
+        )
+        for limit, want_k, want_m in (
+            ("", [3, 1, 2], [7, 5, low]),
+            (" limit 1", [3], [7]),
+        ):
+            plan = plan_query(text + limit, {"S": schema})
+            for columns in (decoded_cols(batch), direct_cols(batch, "dict")):
+                res = make_executor(plan).execute(columns, batch.n)
+                np.testing.assert_array_equal(res.columns["k"], want_k)
+                np.testing.assert_array_equal(res.columns["m"], want_m)
+
 
 class TestPassthroughExecutor:
     def test_projection_with_expression(self):

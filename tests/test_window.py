@@ -1,4 +1,4 @@
-"""Unit tests for window specs, buffers, schedulers, partition state."""
+"""Unit tests for window specs, schedulers, partition state."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,15 @@ from repro.stream import (
     Field,
     PartitionWindowState,
     Schema,
-    SlidingWindowBuffer,
+    WindowScheduler,
     WindowSpec,
 )
-from repro.stream.window import WindowScheduler
 
 
-def _batch(values):
-    schema = Schema([Field("x")])
-    return Batch(schema, {"x": np.asarray(values, dtype=np.int64)})
+def assert_extents(layout, starts, ends):
+    assert layout.starts.dtype == layout.ends.dtype == np.int64
+    np.testing.assert_array_equal(layout.starts, starts)
+    np.testing.assert_array_equal(layout.ends, ends)
 
 
 class TestWindowSpec:
@@ -44,62 +44,47 @@ class TestWindowSpec:
             WindowSpec(**kwargs)
 
 
-class TestSlidingWindowBuffer:
-    def test_windows_within_batch(self):
-        buf = SlidingWindowBuffer(WindowSpec.count(3, 1))
-        merged, windows = buf.feed(_batch(range(5)))
-        assert windows == [(0, 3), (1, 4), (2, 5)]
-        assert buf.buffered == 2  # tuples 3,4 wait for the next batch
-
-    def test_cross_batch_window(self):
-        buf = SlidingWindowBuffer(WindowSpec.count(4, 4))
-        _, w1 = buf.feed(_batch(range(6)))
-        assert w1 == [(0, 4)]
-        merged, w2 = buf.feed(_batch(range(6, 10)))
-        assert w2 == [(0, 4)]  # coordinates within merged (buffer tail first)
-        np.testing.assert_array_equal(merged.column("x")[:2], [4, 5])
-
-    def test_slide_larger_than_size_skips(self):
-        buf = SlidingWindowBuffer(WindowSpec.count(2, 5))
-        _, w1 = buf.feed(_batch(range(6)))
-        assert w1 == [(0, 2), (5, 7)] or w1 == [(0, 2)]
-        # window (5,7) needs tuple 6: not yet available
-        assert w1 == [(0, 2)]
-        _, w2 = buf.feed(_batch(range(6, 12)))
-        assert w2 == [(0, 2), (5, 7)]  # merged starts at global tuple 5
-
-    def test_requires_count_window(self):
-        with pytest.raises(PlanningError):
-            SlidingWindowBuffer(WindowSpec.unbounded())
-
-
 class TestWindowScheduler:
     def test_exact_tumbling_never_carries(self):
         sched = WindowScheduler(WindowSpec.count(4, 4))
         for _ in range(5):
             layout = sched.feed(8)
             assert layout.carry == 0
-            assert layout.windows == ((0, 4), (4, 8))
+            assert_extents(layout, [0, 4], [4, 8])
             assert layout.retain_start == 8
 
     def test_carry_accumulates_until_window_fits(self):
         sched = WindowScheduler(WindowSpec.count(10, 10))
-        assert sched.feed(4).windows == ()
+        assert_extents(sched.feed(4), [], [])
         assert sched.pending == 4
         layout = sched.feed(4)
         assert layout.carry == 4
-        assert layout.windows == ()
+        assert_extents(layout, [], [])
         layout = sched.feed(4)
         assert layout.carry == 8
-        assert layout.windows == ((0, 10),)
+        assert_extents(layout, [0], [10])
         assert layout.retain_start == 10
         assert sched.pending == 2
 
     def test_overlapping_retention(self):
         sched = WindowScheduler(WindowSpec.count(4, 1))
         layout = sched.feed(6)
-        assert layout.windows == ((0, 4), (1, 5), (2, 6))
+        assert_extents(layout, [0, 1, 2], [4, 5, 6])
         assert layout.retain_start == 3  # tuples 3,4,5 feed future windows
+
+    def test_sampling_carries_and_skips(self):
+        sched = WindowScheduler(WindowSpec.count(2, 5))
+        layout = sched.feed(6)
+        assert_extents(layout, [0], [2])  # window [5,7) needs tuple 6
+        assert layout.retain_start == 5
+        layout = sched.feed(6)
+        assert layout.carry == 1
+        assert_extents(layout, [0, 5], [2, 7])  # merged starts at tuple 5
+        # a slide past the batch end skips tuples instead of carrying them
+        sched = WindowScheduler(WindowSpec.count(2, 10))
+        assert_extents(sched.feed(6), [0], [2])
+        assert sched.pending == 0
+        assert_extents(sched.feed(6), [4], [6])
 
     def test_rejects_negative_feed(self):
         sched = WindowScheduler(WindowSpec.count(4, 4))
