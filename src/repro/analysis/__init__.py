@@ -7,15 +7,17 @@ codec layers raise only their own error taxonomy, every random draw is
 seeded, and the virtual-time network stack never touches wall clocks.
 None of these are enforceable by the type system, so this package
 enforces them mechanically: a rule-driven analyzer over Python ``ast``
-(one :class:`Rule` subclass per contract, ids ``CSD001``..), run as
+(one :class:`Rule` subclass per contract, ids ``CSD0xx``), run as
 ``python -m repro lint`` and gated in CI.
 
-Syntactic rules (CSD001–CSD008) walk one file at a time; flow-sensitive
+Syntactic rules (CSD002–CSD008) walk one file at a time; flow-sensitive
 rules (CSD009–CSD012) run over a project-wide call graph linked from
 digest-cached per-file summaries (:mod:`.summaries` →
 :mod:`.callgraph`) with a small forward taint engine on top
-(:mod:`.dataflow`).  ``python -m repro lint --graph dot|json`` exports
-the linked graph with per-edge taint annotations.
+(:mod:`.dataflow`).  Each contract has exactly one rule: the graph
+rules also check the sites written inside their entry packages, so no
+per-file rule repeats them.  ``python -m repro lint --graph dot|json``
+exports the linked graph with per-edge taint annotations.
 
 See ``docs/static-analysis.md`` for the rule catalog, the waiver-comment
 policy (``# lint: <tag>``) and the committed baseline format.

@@ -8,7 +8,6 @@ from ...errors import AnalysisError
 from .base import GraphRule, Rule
 from .bench_registration import BenchRegistrationRule
 from .checkpoint_purity import CheckpointPurityRule
-from .decode_discipline import DecodeDisciplineRule
 from .decode_taint import DecodeTaintRule
 from .determinism import DeterminismRule
 from .exception_flow import ExceptionFlowRule
@@ -16,16 +15,13 @@ from .exception_taxonomy import ExceptionTaxonomyRule
 from .optimizer_purity import OptimizerPurityRule
 from .scalar_parity import ScalarParityRule
 from .supervision import SupervisionRule
-from .virtual_time import VirtualTimeRule
 from .wall_clock_escape import WallClockEscapeRule
 
 #: every registered rule, in id order
 ALL_RULES: List[Type[Rule]] = [
-    DecodeDisciplineRule,
     ScalarParityRule,
     DeterminismRule,
     ExceptionTaxonomyRule,
-    VirtualTimeRule,
     BenchRegistrationRule,
     SupervisionRule,
     OptimizerPurityRule,

@@ -57,12 +57,13 @@ class Rule:
 class GraphRule(Rule):
     """A flow-sensitive rule over the linked call graph.
 
-    Graph rules run whole-project in :meth:`finish` (per-file visiting
-    is meaningless for interprocedural properties); the engine
+    Graph rules run whole-project in :meth:`finish`; the engine
     guarantees ``project.graph`` is a linked
     :class:`~repro.analysis.callgraph.CallGraph` and
     ``project.edge_taints`` an edge-tag accumulator before ``finish``
-    is called.
+    is called.  Per-file visiting is off by default; a rule that also
+    needs syntax the summaries do not keep (import statements) opts in
+    by overriding :meth:`applies`.
     """
 
     needs_graph: ClassVar[bool] = True

@@ -1,18 +1,29 @@
-"""CSD009: decode-discipline taint across helper-function hops.
+"""CSD009: operators and planning never decode outside the DecodeCache.
 
-CSD001 checks decode calls *textually inside* the direct-path files, so
-a one-line helper in a utility module (``def expand(col): return
-col.codec.decode(col.payload)``) called from an operator passes it
-silently.  This rule closes that hole interprocedurally: every function
-reachable over the call graph from a direct-path entry point is checked
-for eager materialization (``decode``/``decompress``/``decode_codes``/
-``force_decompress`` on a non-cache receiver), with propagation cut at
-the sanctioned decode layers — ``DecodeCache`` itself and the codec
-package, whose whole job is decoding.
+The paper's central claim is that operators execute *on compressed
+data*; any stray ``decode()``/``decompress()`` on a hot path silently
+reintroduces the decompress-then-query model the engine exists to
+avoid.  The only sanctioned full-column decode is
+``DecodeCache.decompress`` (content-addressed, accounted as decompress
+time); anything else needs a ``# lint: force-decode`` waiver stating
+why the decode is bounded (e.g. one value per window).
 
-Findings anchor at the offending call site in the helper and carry the
-witness call chain from the entry point, so the fix (route through the
-cache, or waive with ``# lint: force-decode`` at the site) is obvious.
+A decode site is a :data:`DECODE_METHODS` call on a non-cache receiver.
+The rule checks two scopes:
+
+* the direct path (``repro.operators``, ``repro.core.server``): its own
+  decode sites, and every site reachable from it over the call graph
+  through any number of helper hops, with propagation cut at the
+  sanctioned decode layers — ``DecodeCache`` itself and the codec
+  package, whose whole job is decoding;
+* ``repro.optimizer``: its own decode sites.  Planning is metadata-only
+  (rules price representations through the cost model), but its call
+  closure is not followed: it reaches the codec calibration
+  micro-benchmarks, which decode on purpose.
+
+Findings anchor at the offending call site and carry the witness call
+chain from the entry point, so the fix (route through the cache, or
+waive at the site) is obvious.
 """
 
 from __future__ import annotations
@@ -24,11 +35,26 @@ from ..dataflow import find_flows, mark_flow_edges
 from ..findings import Finding
 from ..project import Project
 from .base import GraphRule
-from .decode_discipline import CACHE_RECEIVERS, DECODE_METHODS, DIRECT_PATHS
+
+#: method names that materialize values from compressed representations
+DECODE_METHODS = frozenset(
+    {"decode", "decompress", "decode_codes", "decode_all", "force_decompress"}
+)
+
+#: receiver names through which a full decode is sanctioned
+CACHE_RECEIVERS = frozenset({"cache", "decode_cache"})
+
+#: files on the direct-on-compressed execution path (closure followed)
+DIRECT_PATHS: Tuple[str, ...] = (
+    "src/repro/operators/",
+    "src/repro/core/server.py",
+)
+
+#: planning code: checked site by site, closure not followed
+PLAN_PATHS: Tuple[str, ...] = ("src/repro/optimizer/",)
 
 #: paths where decoding is the sanctioned job (propagation stops here,
-#: and decode sites inside them are not sinks); direct-path files are
-#: excluded as sinks too — CSD001 already covers their call sites
+#: and decode sites inside them are not sinks)
 SANCTIONED_PATHS: Tuple[str, ...] = (
     "src/repro/compression/",
     "src/repro/core/decode_cache.py",
@@ -37,7 +63,7 @@ SANCTIONED_PATHS: Tuple[str, ...] = (
 
 def _decode_sites(node: FunctionNode) -> Iterator[Tuple[str, int]]:
     """Suspicious materialization call sites of one function summary."""
-    if any(node.relpath.startswith(p) for p in SANCTIONED_PATHS + DIRECT_PATHS):
+    if node.relpath.startswith(SANCTIONED_PATHS):
         return
     for site in node.summary.get("sites", []):
         line = site.get("line", node.line)
@@ -60,13 +86,14 @@ class DecodeTaintRule(GraphRule):
     title = "decode-taint"
     waiver_tag = "force-decode"
     rationale = (
-        "A helper function that decodes on behalf of an operator defeats "
-        "the direct-on-compressed contract just as surely as an inline "
-        "decode, but CSD001's per-file scan cannot see it.  This rule "
-        "follows the call graph from every direct-path function and "
-        "flags materialization reached through any number of helper "
-        "hops, unless the path passes through DecodeCache or the codec "
-        "package."
+        "Direct-on-compressed operators, the server hot loop and the "
+        "optimizer may only materialize values through "
+        "DecodeCache.decompress.  The rule flags every other decode "
+        "call in those packages and, from the direct path, follows the "
+        "call graph through any number of helper hops, unless the path "
+        "passes through DecodeCache or the codec package; each site "
+        "needs a '# lint: force-decode' waiver explaining why the decode "
+        "is bounded and intentional."
     )
 
     def finish(self, project: Project) -> Iterable[Finding]:
@@ -78,7 +105,16 @@ class DecodeTaintRule(GraphRule):
             n.qualname
             for n in graph.functions_in(SANCTIONED_PATHS)
         }
-        for flow in find_flows(graph, entries, _decode_sites, sanitizers):
+        planners = {n.qualname for n in graph.functions_in(PLAN_PATHS)}
+        flows = find_flows(graph, entries, _decode_sites, sanitizers)
+        reached = {flow.node for flow in flows}
+        # every planner is an entry and a stop: its own sites, no closure
+        flows += [
+            flow
+            for flow in find_flows(graph, planners, _decode_sites, planners)
+            if flow.node not in reached
+        ]
+        for flow in flows:
             mark_flow_edges(project.edge_taints, flow, self.title)
             node = graph.function(flow.node)
             assert node is not None
@@ -86,8 +122,8 @@ class DecodeTaintRule(GraphRule):
                 project,
                 node.relpath,
                 flow.line,
-                f"{flow.detail}() materializes compressed data and is "
-                f"reachable from the direct path: {flow.render_path()}; "
-                "route through DecodeCache or waive at this site with "
+                f"{flow.detail}() materializes compressed data on the "
+                f"direct or planning path: {flow.render_path()}; route "
+                "through DecodeCache or waive at this site with "
                 "'# lint: force-decode <why bounded>'",
             )

@@ -3,12 +3,14 @@
 The differential oracle, the fault injector and the golden-format
 digests are only reproducible because every random draw flows through a
 seeded ``np.random.Generator`` and no result depends on the wall clock.
-This rule forbids ``time.time``/``datetime.now``-style calls, the
+This rule forbids the wall-clock/entropy calls of :data:`WALL_CLOCK_CALLS`
+(``time.time``, ``datetime.now``, ``os.urandom``, ``secrets.*`` …), the
 stdlib ``random`` module, the legacy ``np.random.*`` global generator
-and *unseeded* ``np.random.default_rng()`` — everywhere except a small
-documented allowlist (CLI surface, bench-runner environment capture).
-``time.perf_counter`` is deliberately allowed: measuring elapsed time
-does not change any computed result.
+and *unseeded* ``np.random.default_rng()`` / ``default_rng(None)`` —
+everywhere except a small documented allowlist (CLI surface,
+bench-runner environment capture).  ``time.perf_counter`` is
+deliberately allowed: measuring elapsed time does not change any
+computed result.
 """
 
 from __future__ import annotations
@@ -20,17 +22,32 @@ from ..findings import Finding
 from ..project import Project, SourceFile
 from .base import Rule, canonical_call_path, import_aliases
 
-#: call targets that leak wall-clock time into computation
+#: call targets that read the wall clock or ambient entropy.  CSD003
+#: keeps them out of computed results, CSD010 out of the virtual-time
+#: call closure
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
         "time.time_ns",
+        "time.sleep",
         "datetime.datetime.now",
         "datetime.datetime.today",
         "datetime.datetime.utcnow",
         "datetime.date.today",
+        "os.urandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
     }
 )
+
+#: modules every call of which draws ambient entropy
+ENTROPY_MODULES = ("secrets.",)
+
+
+def is_wall_clock_call(path: str) -> bool:
+    """Whether a canonical call path is in the wall-clock/entropy table."""
+    return path in WALL_CLOCK_CALLS or path.startswith(ENTROPY_MODULES)
+
 
 #: files exempt from this rule, with the reason on record
 ALLOWLIST: Dict[str, str] = {
@@ -82,12 +99,13 @@ class DeterminismRule(Rule):
             path = canonical_call_path(node.func, aliases)
             if path is None:
                 continue
-            if path in WALL_CLOCK_CALLS:
+            if is_wall_clock_call(path):
                 yield self.flag(
                     sf,
                     node,
-                    f"{path}() reads the wall clock; results must be "
-                    "reproducible from seeds and virtual time",
+                    f"{path}() reads the wall clock or ambient entropy; "
+                    "results must be reproducible from seeds and virtual "
+                    "time",
                 )
             elif path.startswith("random."):
                 yield self.flag(
@@ -97,12 +115,19 @@ class DeterminismRule(Rule):
                     "np.random.Generator",
                 )
             elif path == "numpy.random.default_rng":
-                if not node.args and not node.keywords:
+                # its one parameter is the seed: positional, ``seed=`` or
+                # a ``**kwargs`` splat
+                seeds = node.args[:1] + [k.value for k in node.keywords]
+                if all(
+                    isinstance(s, ast.Constant) and s.value is None
+                    for s in seeds
+                ):
                     yield self.flag(
                         sf,
                         node,
-                        "np.random.default_rng() without a seed is "
-                        "entropy-seeded; pass an explicit seed",
+                        "np.random.default_rng() without a seed (or with "
+                        "seed None) is entropy-seeded; pass an explicit "
+                        "seed",
                     )
             elif path.startswith("numpy.random."):
                 yield self.flag(

@@ -1,35 +1,43 @@
-"""CSD011: exception-taxonomy flow with call-graph evidence.
+"""CSD011: the wire and codec paths raise only the typed taxonomy.
 
-CSD004 checks raise statements *textually inside* the wire and codec
-packages; a helper module that raises a bare ``Exception`` (or a
-``ValueError``) on behalf of a wire function escapes it, yet the
-recovery transport branches on exception type — an untyped raise from
-anywhere in the wire call closure breaks NACK/recovery decisions.  This
-rule walks the call graph from every ``repro.wire`` and
-``repro.compression`` function and checks each reachable raise resolves
-to the engine's *typed* taxonomy — the :class:`ReproError` tree, with
-:class:`WireFormatError` / :class:`CodecError` as the wire/codec roots —
-discovered project-wide through the linked class hierarchy, carrying
-the witness call chain as evidence.  (Other subsystems raising their
-own typed errors on a wire-reachable path is correct: the serializer
-drives the whole selector/cost-model stack, and callers branch on the
-ReproError tree.  CSD004 keeps the stricter per-package roots for code
-textually inside the wire/codec packages.)
+Callers distinguish failing subsystems by exception type alone: the
+recovery transport NACKs on :class:`WireFormatError`, the adaptive
+selector skips codecs on :class:`CodecError`, and the differential
+oracle treats anything else as an engine bug.  A stray ``ValueError``
+on a wire path therefore breaks fault recovery and fuzzing in ways no
+test pinpoints.  Class names resolve through the linked class hierarchy,
+project-wide.  Two checks:
 
-Control-flow raises (``StopIteration``, ``NotImplementedError`` on ABC
-stubs …) are not errors callers branch on and stay allowed.
+* raises written inside ``repro.wire`` / ``repro.compression`` must
+  derive from that package's own root (:data:`PACKAGE_TAXONOMY`);
+* every raise reachable over the call graph from those packages must
+  resolve to the engine's typed :class:`ReproError` tree, and findings
+  carry the witness call chain.  (Other subsystems raising their own
+  typed errors on a wire-reachable path is correct: the serializer
+  drives the whole selector/cost-model stack, and callers branch on the
+  ReproError tree.)  Control-flow raises (``StopIteration``,
+  ``NotImplementedError`` on ABC stubs …) are not errors callers branch
+  on and stay allowed there.
+
+Re-raising a caught variable (``raise exc``) is not a new type and is
+never flagged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
 from ..callgraph import CallGraph, FunctionNode
 from ..dataflow import find_flows, mark_flow_edges
 from ..findings import Finding
 from ..project import Project
 from .base import GraphRule
-from .exception_taxonomy import PACKAGE_TAXONOMY
+
+#: package prefix -> root exception classes its own raises must derive from
+PACKAGE_TAXONOMY: Dict[str, Tuple[str, ...]] = {
+    "src/repro/wire/": ("WireFormatError",),
+    "src/repro/compression/": ("CodecError",),
+}
 
 #: taxonomy roots a wire/codec call path may raise (union of the
 #: per-package roots: wire code legitimately surfaces codec failures)
@@ -41,10 +49,9 @@ TAXONOMY_ROOTS: Tuple[str, ...] = tuple(
 #: into the selector/cost-model/channel stack (StreamSerializer drives
 #: compress_batch), and those layers raising their *own* typed errors
 #: (ChannelError, CalibrationError …) is correct — callers branch on
-#: the ReproError tree.  The blind spot this rule closes is a helper
-#: raising an *untyped* exception (bare Exception, ValueError) that no
-#: caller can attribute to a subsystem; CSD004 keeps the stricter
-#: per-package roots for code textually inside wire/ and compression/.
+#: the ReproError tree.  The blind spot the closure check covers is a
+#: helper raising an *untyped* exception (bare Exception, ValueError)
+#: that no caller can attribute to a subsystem.
 ENGINE_TAXONOMY_ROOT = "ReproError"
 
 #: raises that are control flow or programming-error signals, not
@@ -62,40 +69,43 @@ CONTROL_FLOW_RAISES = frozenset(
 )
 
 
+def _package_of(node: FunctionNode) -> str:
+    """The taxonomy package prefix a function lives in ('' if none)."""
+    return next((p for p in PACKAGE_TAXONOMY if node.relpath.startswith(p)), "")
+
+
 class ExceptionFlowRule(GraphRule):
     rule_id = "CSD011"
     title = "taxonomy-flow"
     waiver_tag = "taxonomy-flow"
     rationale = (
-        "Callers distinguish failing subsystems by exception type alone; "
-        "CSD004 only sees raises written inside the wire/codec packages, "
-        "so a helper module re-raising Exception on a wire path corrupts "
-        "recovery decisions invisibly.  This rule proves every raise "
-        "reachable from wire/codec entry points resolves to the "
-        "WireFormatError/CodecError taxonomy, with the call chain as "
-        "evidence."
+        "The recovery transport, adaptive selector and differential "
+        "oracle all branch on exception type.  Raises inside the "
+        "wire/codec packages must stay in that package's taxonomy "
+        "(WireFormatError/CodecError), and every raise reachable from "
+        "them through helper modules must stay in the ReproError tree, "
+        "with the call chain as evidence."
     )
 
     def finish(self, project: Project) -> Iterable[Finding]:
         graph = project.graph
         if not isinstance(graph, CallGraph):
             return
-        allowed = graph.class_descendants(
+        allowed = {
+            prefix: graph.class_descendants(roots)
+            for prefix, roots in PACKAGE_TAXONOMY.items()
+        }
+        allowed[""] = graph.class_descendants(
             TAXONOMY_ROOTS + (ENGINE_TAXONOMY_ROOT,)
-        )
-        allowed |= CONTROL_FLOW_RAISES
-        entry_paths = tuple(PACKAGE_TAXONOMY)
+        ) | CONTROL_FLOW_RAISES
 
         def raise_facts(node: FunctionNode) -> Iterator[Tuple[str, int]]:
-            # raises textually inside the taxonomy packages are CSD004's
-            # job; this rule owns the cross-module blind spot
-            if any(node.relpath.startswith(p) for p in entry_paths):
-                return
+            ok = allowed[_package_of(node)]
             for raised in node.summary.get("raises", []):
-                if raised["name"] not in allowed:
+                if raised["name"] not in ok:
                     yield raised["name"], raised["line"]
 
-        entries = [n.qualname for n in graph.functions_in(entry_paths)]
+        entries = [n.qualname for n in graph.functions_in(tuple(PACKAGE_TAXONOMY))]
         seen: Set[Tuple[str, int, str]] = set()
         for flow in find_flows(graph, entries, raise_facts):
             node = graph.function(flow.node)
@@ -105,14 +115,25 @@ class ExceptionFlowRule(GraphRule):
                 continue
             seen.add(key)
             mark_flow_edges(project.edge_taints, flow, self.title)
+            package = _package_of(node)
+            if package:
+                message = (
+                    f"{package.split('/')[2]} package raises "
+                    f"{flow.detail}; its taxonomy allows only "
+                    f"{' / '.join(PACKAGE_TAXONOMY[package])} subclasses "
+                    "so callers can branch on subsystem"
+                )
+            else:
+                message = (
+                    f"raise {flow.detail} is reachable from a wire/codec "
+                    f"path: {flow.render_path()}; raise a typed "
+                    f"{ENGINE_TAXONOMY_ROOT}-taxonomy subclass "
+                    f"({'/'.join(TAXONOMY_ROOTS)} for wire/codec code) so "
+                    "the transport and selector can branch on subsystem"
+                )
             yield self.flag_at(
                 project,
                 node.relpath,
                 flow.line,
-                f"raise {flow.detail} is reachable from a wire/codec "
-                f"path: {flow.render_path()}; raise a typed "
-                f"{ENGINE_TAXONOMY_ROOT}-taxonomy subclass "
-                f"({'/'.join(TAXONOMY_ROOTS)} for wire/codec code) so "
-                "the transport and selector can branch on subsystem, or "
-                "waive with '# lint: taxonomy-flow <why>'",
+                f"{message}, or waive with '# lint: taxonomy-flow <why>'",
             )

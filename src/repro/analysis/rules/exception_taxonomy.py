@@ -1,61 +1,27 @@
-"""CSD004: subsystem error taxonomy and no silent exception swallows.
+"""CSD004: no silent exception swallows.
 
 Callers distinguish failing subsystems by exception type alone: the
 recovery transport NACKs on :class:`WireFormatError`, the adaptive
 selector skips codecs on :class:`CodecError`, and the differential
-oracle treats anything else as an engine bug.  A stray ``ValueError``
-in the wire layer or a swallowed ``except Exception`` therefore breaks
-fault recovery and fuzzing in ways no test pinpoints.  This rule checks
-that ``repro.wire`` raises only :class:`WireFormatError` (and
-subclasses), ``repro.compression`` only :class:`CodecError` subclasses,
-and that nothing anywhere uses a bare ``except:`` or an
-``except Exception:`` whose body is only ``pass``/``continue``.
+oracle treats anything else as an engine bug.  A bare ``except:`` or a
+swallowed ``except Exception`` therefore breaks fault recovery and
+fuzzing in ways no test pinpoints.  This rule checks that nothing
+anywhere uses a bare ``except:`` or an ``except Exception:`` whose body
+is only ``pass``/``continue``.  (Which types the wire and codec
+packages may *raise* is CSD011's contract.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List
 
 from ..findings import Finding
 from ..project import Project, SourceFile
 from .base import Rule, dotted_name
 
-ERRORS_PATH = "src/repro/errors.py"
-
-#: package prefix -> root exception classes its raises must derive from
-PACKAGE_TAXONOMY: Dict[str, Tuple[str, ...]] = {
-    "src/repro/wire/": ("WireFormatError",),
-    "src/repro/compression/": ("CodecError",),
-}
-
 _SWALLOW_BODIES = (ast.Pass, ast.Continue)
 _BROAD_HANDLERS = frozenset({"Exception", "BaseException"})
-
-
-def _class_parents(tree: ast.Module) -> Dict[str, List[str]]:
-    parents: Dict[str, List[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            names = []
-            for base in node.bases:
-                path = dotted_name(base)
-                if path is not None:
-                    names.append(path.split(".")[-1])
-            parents[node.name] = names
-    return parents
-
-
-def _descendants(roots: Tuple[str, ...], parents: Dict[str, List[str]]) -> Set[str]:
-    allowed = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for cls, bases in parents.items():
-            if cls not in allowed and any(b in allowed for b in bases):
-                allowed.add(cls)
-                changed = True
-    return allowed
 
 
 class ExceptionTaxonomyRule(Rule):
@@ -64,74 +30,15 @@ class ExceptionTaxonomyRule(Rule):
     waiver_tag = "broad-except"
     rationale = (
         "The recovery transport, adaptive selector and differential "
-        "oracle all branch on exception type; raising outside a "
-        "subsystem's taxonomy or silently swallowing Exception corrupts "
-        "those decisions without failing any test."
+        "oracle all branch on exception type; a bare 'except:' or a "
+        "silently swallowed Exception corrupts those decisions without "
+        "failing any test."
     )
 
     def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
         if sf.tree is None:
             return
-        yield from self._check_raises(sf, project)
-        yield from self._check_handlers(sf)
-
-    # ----- per-package raise taxonomy ----------------------------------
-
-    def _check_raises(
-        self, sf: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        roots: Optional[Tuple[str, ...]] = None
-        for prefix, allowed_roots in PACKAGE_TAXONOMY.items():
-            if sf.relpath.startswith(prefix):
-                roots = allowed_roots
-                break
-        if roots is None:
-            return
-        allowed = self._allowed_names(project, sf, roots)
-        for node in ast.walk(sf.tree or ast.Module(body=[], type_ignores=[])):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            name = self._raised_name(node.exc)
-            if name is None or name in allowed:
-                continue
-            yield self.flag(
-                sf,
-                node,
-                f"{sf.relpath.split('/')[2]} package raises {name}; its "
-                f"taxonomy allows only {' / '.join(sorted(roots))} "
-                "subclasses so callers can branch on subsystem",
-            )
-
-    def _allowed_names(
-        self, project: Project, sf: SourceFile, roots: Tuple[str, ...]
-    ) -> Set[str]:
-        parents: Dict[str, List[str]] = {}
-        errors = project.file(ERRORS_PATH)
-        if errors is not None and errors.tree is not None:
-            parents.update(_class_parents(errors.tree))
-        package = sf.relpath.rsplit("/", 1)[0] + "/"
-        for other in project.files:
-            if other.relpath.startswith(package) and other.tree is not None:
-                parents.update(_class_parents(other.tree))
-        return _descendants(roots, parents)
-
-    @staticmethod
-    def _raised_name(exc: ast.AST) -> Optional[str]:
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        path = dotted_name(exc)
-        if path is None:
-            return None
-        name = path.split(".")[-1]
-        # re-raising a caught variable ('raise exc') is not a new type
-        if not name[:1].isupper():
-            return None
-        return name
-
-    # ----- broad / silent handlers -------------------------------------
-
-    def _check_handlers(self, sf: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(sf.tree or ast.Module(body=[], type_ignores=[])):
+        for node in ast.walk(sf.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

@@ -1,23 +1,14 @@
-"""CSD008: optimizer rules are pure plan-to-plan transforms.
+"""CSD008: every optimizer rewrite rule is statically registered.
 
 The optimizer's correctness story rests on the rewrite rules being
 *referentially transparent*: a rule sees a logical plan plus catalogue
-statistics and returns a plan — nothing else.  Three mechanically
-checkable consequences, enforced over ``src/repro/optimizer/``:
-
-* no wall-clock or entropy imports (``time``, ``datetime``, ``random``):
-  plan choices must be reproducible from (query, stats) alone, or EXPLAIN
-  goldens and the differential oracle's optimized leg stop being
-  deterministic;
-* no decompression during planning (``decompress``/``decode``/
-  ``decode_codes``/``decode_all`` calls): rules price compressed
-  representations through :mod:`repro.optimizer.cost`; touching payloads
-  at plan time would smuggle data-dependent work into what must be a
-  metadata-only phase;
-* every :class:`RewriteRule` subclass must be registered in the static
-  ``RULES`` tuple literal of :mod:`repro.optimizer.rules` — an
-  unregistered rule silently never runs, and a dynamically-built table
-  defeats static auditing of what can rewrite a plan.
+statistics and returns a plan — nothing else.  This rule enforces the
+registration half of that story over ``src/repro/optimizer/``: every
+:class:`RewriteRule` subclass must be registered in the static ``RULES``
+tuple literal of :mod:`repro.optimizer.rules` — an unregistered rule
+silently never runs, and a dynamically-built table defeats static
+auditing of what can rewrite a plan.  (Wall-clock and entropy imports
+in the optimizer are CSD010's contract, decode calls CSD009's.)
 """
 
 from __future__ import annotations
@@ -30,12 +21,6 @@ from ..project import Project, SourceFile
 from .base import Rule
 
 OPTIMIZER_PREFIX = "src/repro/optimizer/"
-
-FORBIDDEN_MODULES = frozenset({"time", "datetime", "random"})
-
-DECODE_CALLS = frozenset(
-    {"decompress", "decode", "decode_codes", "decode_all"}
-)
 
 RULE_BASE = "RewriteRule"
 RULES_TABLE = "RULES"
@@ -56,10 +41,9 @@ class OptimizerPurityRule(Rule):
     title = "optimizer-purity"
     waiver_tag = "plan-transform"
     rationale = (
-        "Rewrite rules must be pure AST/plan transforms: no wall-clock "
-        "or entropy imports, no decompression of payloads at plan time, "
-        "and every RewriteRule subclass registered in the static RULES "
-        "tuple so the active rule set is statically auditable."
+        "Every RewriteRule subclass must be registered in the static "
+        "RULES tuple as a bare RuleClass() entry, so the active rule set "
+        "is statically auditable and no rule silently never runs."
     )
 
     def applies(self, sf: SourceFile) -> bool:
@@ -68,55 +52,6 @@ class OptimizerPurityRule(Rule):
     def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
         if sf.tree is None:
             return
-        yield from self._check_imports(sf)
-        yield from self._check_decode_calls(sf)
-        yield from self._check_registration(sf)
-
-    # ----- wall clock / entropy ----------------------------------------
-
-    def _check_imports(self, sf: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in FORBIDDEN_MODULES:
-                        yield self.flag(
-                            sf,
-                            node,
-                            f"optimizer imports {alias.name!r}; plan "
-                            "rewrites must be reproducible from the query "
-                            "and statistics alone",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in FORBIDDEN_MODULES:
-                    yield self.flag(
-                        sf,
-                        node,
-                        f"optimizer imports from {node.module!r}; plan "
-                        "rewrites must be reproducible from the query "
-                        "and statistics alone",
-                    )
-
-    # ----- no decompression at plan time -------------------------------
-
-    def _check_decode_calls(self, sf: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in DECODE_CALLS:
-                yield self.flag(
-                    sf,
-                    node,
-                    f"optimizer calls .{func.attr}(); planning is a "
-                    "metadata-only phase — price representations via the "
-                    "cost model instead of touching payloads",
-                )
-
-    # ----- static RULES registration -----------------------------------
-
-    def _check_registration(self, sf: SourceFile) -> Iterable[Finding]:
         subclasses: List[ast.ClassDef] = []
         registered: Set[str] = set()
         table_node = None

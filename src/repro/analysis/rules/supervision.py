@@ -6,14 +6,10 @@ handler: a stray ``except CodecError`` in a session or admission helper
 would swallow a poison batch before the supervisor can disarm it,
 checkpoint around it and account for it in the tenant's health.  This
 rule forbids except-handlers that catch any engine/transport exception
-(or ``Exception``/bare) under ``src/repro/serve/`` unless the handler
+(or ``Exception``) under ``src/repro/serve/`` unless the handler
 carries a ``# lint: supervised`` waiver — which in practice only the
-supervisor's recovery point does.
-
-The rule also bans importing ``time``/``datetime``: the serving layer
-schedules restart backoff, breaker cooldowns and admission refill in
-*virtual* time (:class:`~repro.serve.clock.VirtualClock`), and a single
-wall-clock read would make kill-and-recover replays nondeterministic.
+supervisor's recovery point does.  (A bare ``except:`` is CSD004's, in
+every package; wall-clock imports are CSD010's.)
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ ENGINE_EXCEPTIONS = frozenset(
     }
 )
 
-FORBIDDEN_MODULES = frozenset({"time", "datetime"})
-
 
 def _handler_names(handler: ast.ExceptHandler) -> Iterable[Optional[str]]:
     """Leaf class names caught by a handler (None for unresolvable)."""
@@ -66,9 +60,7 @@ class SupervisionRule(Rule):
         "Tenant crash containment relies on engine exceptions reaching "
         "the supervisor's single recovery point; a handler elsewhere in "
         "repro.serve would swallow poison batches before they can be "
-        "disarmed and checkpointed around, and wall-clock sleeps would "
-        "make restart backoff and kill-and-recover replays "
-        "irreproducible."
+        "disarmed and checkpointed around."
     )
 
     def applies(self, sf: SourceFile) -> bool:
@@ -78,42 +70,13 @@ class SupervisionRule(Rule):
         if sf.tree is None:
             return
         for node in ast.walk(sf.tree):
-            if isinstance(node, ast.ExceptHandler):
-                yield from self._check_handler(sf, node)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in FORBIDDEN_MODULES:
-                        yield self.flag(
-                            sf,
-                            node,
-                            f"repro.serve imports wall-clock module "
-                            f"{alias.name!r}; backoff and cooldowns run "
-                            "on the virtual clock",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if (node.module or "").split(".")[0] in FORBIDDEN_MODULES:
-                    yield self.flag(
-                        sf,
-                        node,
-                        f"repro.serve imports from wall-clock module "
-                        f"{node.module!r}; backoff and cooldowns run "
-                        "on the virtual clock",
-                    )
-
-    def _check_handler(
-        self, sf: SourceFile, node: ast.ExceptHandler
-    ) -> Iterable[Finding]:
-        if node.type is None:
-            yield self.flag(
-                sf,
-                node,
-                "bare 'except:' in repro.serve swallows engine faults "
-                "before the supervisor can contain them; let them "
-                "propagate to the recovery point",
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            name = next(
+                (n for n in _handler_names(node) if n in ENGINE_EXCEPTIONS),
+                None,
             )
-            return
-        for name in _handler_names(node):
-            if name in ENGINE_EXCEPTIONS:
+            if name is not None:
                 yield self.flag(
                     sf,
                     node,
@@ -122,4 +85,3 @@ class SupervisionRule(Rule):
                     "checkpointing and health accounting; waive the one "
                     "recovery point with '# lint: supervised <why>'",
                 )
-                return

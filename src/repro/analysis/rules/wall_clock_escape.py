@@ -1,40 +1,46 @@
-"""CSD010: wall-clock escape analysis for the virtual-time stack.
+"""CSD010: the virtual-time surface never touches the wall clock.
 
-CSD005 forbids *importing* ``time``/``datetime`` inside ``repro.net``;
-a serving-layer function that calls a helper in another package which
-reads the wall clock sails straight past it.  This rule generalizes the
-contract interprocedurally: no function transitively reachable from a
-``repro.net`` or ``repro.serve`` entry point may call a wall-clock or
-ambient-entropy API (``time.time``, ``datetime.now``, ``os.urandom``,
-``time.sleep`` …).  ``time.perf_counter`` stays allowed, consistent
-with CSD003 — measuring elapsed time changes no computed result — and
-propagation stops at the CSD003 allowlist files (CLI surface, bench
-runner), whose wall-clock use is documented provenance.
+``repro.net`` simulates channels, faults and the recovery transport in
+*virtual* time, ``repro.serve`` schedules restart backoff, breaker
+cooldowns and admission refill on the
+:class:`~repro.serve.clock.VirtualClock`, and ``repro.optimizer`` must
+choose plans from (query, statistics) alone.  One wall-clock read or
+entropy draw in any of them makes campaign replays, kill-and-recover
+runs and EXPLAIN goldens machine-dependent.  Two checks:
+
+* inside those three entry packages, no import of ``time``,
+  ``datetime`` or ``random`` at all;
+* no function transitively reachable from them over the call graph may
+  call a wall-clock or entropy API — the table CSD003 reads
+  (:func:`~repro.analysis.rules.determinism.is_wall_clock_call`), so a
+  helper in another package cannot do it on their behalf.
+  ``time.perf_counter`` stays allowed — measuring elapsed time changes
+  no computed result — and propagation stops at the CSD003 allowlist
+  files (CLI surface, bench runner), whose wall-clock use is documented
+  provenance.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import Iterable, Tuple
 
 from ..callgraph import CallGraph
 from ..dataflow import external_sink, find_flows, mark_flow_edges
 from ..findings import Finding
-from ..project import Project
+from ..project import Project, SourceFile
 from .base import GraphRule
-from .determinism import ALLOWLIST, WALL_CLOCK_CALLS
+from .determinism import ALLOWLIST, is_wall_clock_call
 
 #: entry surface: everything the virtual-time contract covers
-ENTRY_PATHS: Tuple[str, ...] = ("src/repro/net/", "src/repro/serve/")
+ENTRY_PATHS: Tuple[str, ...] = (
+    "src/repro/net/",
+    "src/repro/serve/",
+    "src/repro/optimizer/",
+)
 
-#: sinks beyond CSD003's computation set: sleeping couples simulated
-#: time to real seconds; os.urandom is ambient entropy
-EXTRA_SINKS = frozenset({"time.sleep", "os.urandom"})
-
-_SINKS = frozenset(WALL_CLOCK_CALLS) | EXTRA_SINKS
-
-
-def _is_sink(path: str) -> bool:
-    return path in _SINKS
+#: modules the entry packages may not import at all
+FORBIDDEN_MODULES = frozenset({"time", "datetime", "random"})
 
 
 class WallClockEscapeRule(GraphRule):
@@ -42,13 +48,36 @@ class WallClockEscapeRule(GraphRule):
     title = "wall-clock-escape"
     waiver_tag = "wall-clock"
     rationale = (
-        "The network stack and serving layer run in virtual time so "
-        "fault campaigns and checkpoint replays are bit-reproducible; a "
-        "wall-clock read anywhere in their transitive call closure "
-        "couples results to the host clock.  CSD005 only checks imports "
-        "inside repro.net; this rule follows calls across module "
-        "boundaries."
+        "The network stack and serving layer run in virtual time and the "
+        "optimizer plans from (query, statistics) alone, so fault "
+        "campaigns, checkpoint replays and EXPLAIN output are "
+        "bit-reproducible; a wall-clock or entropy import in those "
+        "packages, or a wall-clock read anywhere in their transitive call "
+        "closure, couples results to the host."
     )
+
+    def applies(self, sf: SourceFile) -> bool:
+        return sf.relpath.startswith(ENTRY_PATHS)
+
+    def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
+        if sf.tree is None:
+            return
+        for node in ast.walk(sf.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] in FORBIDDEN_MODULES:
+                    yield self.flag(
+                        sf,
+                        node,
+                        f"{sf.relpath} imports {module!r}; the virtual-time "
+                        "surface computes time from the virtual clock and "
+                        "randomness from seeded generators",
+                    )
 
     def finish(self, project: Project) -> Iterable[Finding]:
         graph = project.graph
@@ -59,7 +88,7 @@ class WallClockEscapeRule(GraphRule):
             n.qualname
             for n in graph.functions_in(tuple(ALLOWLIST))
         }
-        facts = external_sink(_is_sink)
+        facts = external_sink(is_wall_clock_call)
         for flow in find_flows(graph, entries, facts, sanitizers):
             mark_flow_edges(project.edge_taints, flow, self.title)
             node = graph.function(flow.node)

@@ -38,12 +38,12 @@ Commands
              fixtures; ``--bless`` re-records fixtures from the baseline
              reference path; non-zero exit below a 100% pass rate;
 ``lint``     run the AST-based invariant analyzer (syntactic rules
-             CSD001-CSD008: decode discipline, scalar parity,
-             determinism, exception taxonomy, virtual time, bench
-             registration, supervised recovery, optimizer purity; and
-             flow-sensitive rules CSD009-CSD012 over the linked call
-             graph: decode taint, wall-clock escape, taxonomy flow,
-             checkpoint purity) over the repo; ``--graph dot|json``
+             CSD002-CSD008: scalar parity, determinism, exception
+             taxonomy, bench registration, supervised recovery,
+             optimizer purity; and flow-sensitive rules CSD009-CSD012
+             over the linked call graph: decode taint, wall-clock
+             escape, taxonomy flow, checkpoint purity) over the repo;
+             ``--graph dot|json``
              exports the call graph with per-edge taint annotations;
              exit 0 clean / 1 findings / 2 usage — the CI gate for the
              engine's internal contracts (see docs/static-analysis.md);

@@ -78,6 +78,7 @@ class ExecColumn:
                 self._codes = np.repeat(self._runs[0], self._runs[1])
             else:
                 assert self._planes is not None
+                # lint: force-decode (plane-to-row fallback, once per column)
                 self._codes = self._planes.decode_all()
         return self._codes
 

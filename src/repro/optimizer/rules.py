@@ -3,11 +3,11 @@
 Every rule is a pure plan-to-plan transform: it reads a logical tree,
 returns a rewritten tree (or the input unchanged) plus a record of what
 it did, and never touches compressed payloads, the wall clock, or any
-mutable state (CSD008 enforces this statically).  The base class owns
-the cost gate: a rule's rewrite is kept only when the cost model prices
-it strictly below the plan it was handed — "refuses to fire when it
-loses" is therefore a property of the framework, not of each rule's
-discipline.
+mutable state (CSD009 and CSD010 enforce the first two statically).  The
+base class owns the cost gate: a rule's rewrite is kept only when the
+cost model prices it strictly below the plan it was handed — "refuses to
+fire when it loses" is therefore a property of the framework, not of
+each rule's discipline.
 
 Rules must be registered in the static :data:`RULES` table to run; the
 driver applies them in table order, threading the tree through.

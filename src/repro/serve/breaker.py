@@ -9,7 +9,7 @@ disables direct-on-compressed fast paths by forcing decode-first
 execution.  Degraded service is slower but keeps delivering results
 instead of burning retries on a hostile link.
 
-After a cooldown (virtual seconds, per CSD007) the breaker goes
+After a cooldown (virtual seconds, per CSD010) the breaker goes
 HALF_OPEN and lets one probe step run at full service; a clean probe
 closes the breaker and restores normal mode, a failed probe re-opens it
 with an escalated (capped) cooldown.

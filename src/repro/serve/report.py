@@ -26,11 +26,16 @@ HEALTH_STATES = (HEALTHY, DEGRADED, QUARANTINED)
 
 
 def p95(latencies_s: List[float]) -> float:
-    """Nearest-rank 95th percentile (0.0 for no samples)."""
+    """Nearest-rank 95th percentile (0.0 for no samples).
+
+    The rank is ``ceil(0.95 * n)``, taken in integers so an exact
+    multiple (n = 20, 100, ...) does not round up a rank.
+    """
     if not latencies_s:
         return 0.0
     ordered = sorted(latencies_s)
-    return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
+    rank = -(-95 * len(ordered) // 100)
+    return ordered[rank - 1]
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .session import StepOutcome, TenantSession, TenantSpec
 
 @dataclass(frozen=True)
 class RestartPolicy:
-    """Bounded exponential restart backoff (virtual seconds, per CSD005)."""
+    """Bounded exponential restart backoff (virtual seconds, per CSD010)."""
 
     max_restarts: int = 3
     backoff_base_s: float = 0.05

@@ -9,7 +9,9 @@ handling, baseline round-trips, stale-entry detection, CLI exit codes
 repository is clean — the same invocation CI gates on.
 """
 
+import io
 import json
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,12 @@ from repro.errors import AnalysisError
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = {"src/repro/placeholder.py": "X = 1\n"}
+
+#: every registered rule id, in registry order
+RULE_IDS = (
+    "CSD002", "CSD003", "CSD004", "CSD006", "CSD007",
+    "CSD008", "CSD009", "CSD010", "CSD011", "CSD012",
+)
 
 
 def make_project(tmp_path, files):
@@ -47,7 +55,12 @@ def rules_of(report):
     return sorted({f.rule for f in report.findings})
 
 
-# ----- CSD001 decode-discipline ----------------------------------------
+def flagged_at(report):
+    """(rule, path, line) of every finding, in report order."""
+    return [(f.rule, f.path, f.line) for f in report.findings]
+
+
+# ----- CSD009 decode-taint: sites on the direct path ---------------------
 
 
 class TestDecodeDiscipline:
@@ -60,10 +73,9 @@ class TestDecodeDiscipline:
                     "    return column.decode(x)\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
-        assert rules_of(report) == ["CSD001"]
-        assert report.findings[0].line == 2
+        assert flagged_at(report) == [("CSD009", "src/repro/operators/foo.py", 2)]
 
     def test_flags_codec_decompress_in_server(self, tmp_path):
         report = run(
@@ -74,9 +86,9 @@ class TestDecodeDiscipline:
                     "    return codec.decompress(cc)\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
-        assert rules_of(report) == ["CSD001"]
+        assert flagged_at(report) == [("CSD009", "src/repro/core/server.py", 2)]
 
     def test_cache_receiver_is_sanctioned(self, tmp_path):
         report = run(
@@ -87,7 +99,7 @@ class TestDecodeDiscipline:
                     "    return self.cache.decompress(codec, cc)\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
         assert report.clean
 
@@ -101,7 +113,7 @@ class TestDecodeDiscipline:
                     "  # lint: force-decode (one value per window)\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
         assert report.clean
         assert len(report.waived) == 1
@@ -115,7 +127,7 @@ class TestDecodeDiscipline:
                     "    return column.decode(x)\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
         assert report.clean
 
@@ -218,6 +230,13 @@ class TestDeterminism:
             "import numpy as np\n\nR = np.random.default_rng()\n",
             "import numpy as np\n\nnp.random.seed(0)\n",
             "import numpy\n\nX = numpy.random.randint(3)\n",
+            "import numpy as np\n\nR = np.random.default_rng(None)\n",
+            "import numpy as np\n\nR = np.random.default_rng(seed=None)\n",
+            "import time\n\ntime.sleep(0.1)\n",
+            "import os\n\nK = os.urandom(8)\n",
+            "import uuid\n\nU = uuid.uuid4()\n",
+            "from uuid import uuid1\n\nU = uuid1()\n",
+            "import secrets\n\nK = secrets.token_hex(8)\n",
         ],
     )
     def test_flags(self, tmp_path, snippet):
@@ -234,6 +253,8 @@ class TestDeterminism:
             "import time\n\nT = time.perf_counter()\n",
             "import numpy as np\n\nR = np.random.default_rng(42)\n",
             "import numpy as np\n\nR = np.random.default_rng(seed=7)\n",
+            "import numpy as np\n\n\ndef f(kw):\n"
+            "    return np.random.default_rng(**kw)\n",
             "def f(rng):\n    return rng.integers(0, 10)\n",
         ],
     )
@@ -264,7 +285,7 @@ class TestDeterminism:
         assert report.clean
 
 
-# ----- CSD004 exception-taxonomy ---------------------------------------
+# ----- CSD004 exception-taxonomy, CSD011 raises inside wire/codec -------
 
 ERRORS_MODULE = '''\
 class ReproError(Exception):
@@ -289,9 +310,9 @@ class TestExceptionTaxonomy:
                     "def f():\n    raise ValueError('nope')\n"
                 )
             },
-            rule_ids=["CSD004"],
+            rule_ids=["CSD011"],
         )
-        assert rules_of(report) == ["CSD004"]
+        assert flagged_at(report) == [("CSD011", "src/repro/wire/fmt.py", 2)]
         assert "ValueError" in report.findings[0].message
 
     def test_wire_subclass_allowed(self, tmp_path):
@@ -304,7 +325,7 @@ class TestExceptionTaxonomy:
                     "def f():\n    raise FrameError('bad frame')\n"
                 )
             },
-            rule_ids=["CSD004"],
+            rule_ids=["CSD011"],
         )
         assert report.clean
 
@@ -317,7 +338,7 @@ class TestExceptionTaxonomy:
                     "def f():\n    raise CodecNotApplicable('negatives')\n"
                 ),
             },
-            rule_ids=["CSD004"],
+            rule_ids=["CSD011"],
         )
         assert report.clean
 
@@ -330,9 +351,11 @@ class TestExceptionTaxonomy:
                     "def f():\n    raise RuntimeError('oops')\n"
                 ),
             },
-            rule_ids=["CSD004"],
+            rule_ids=["CSD011"],
         )
-        assert rules_of(report) == ["CSD004"]
+        assert flagged_at(report) == [
+            ("CSD011", "src/repro/compression/codec.py", 2)
+        ]
 
     def test_reraise_variable_allowed(self, tmp_path):
         report = run(
@@ -346,7 +369,7 @@ class TestExceptionTaxonomy:
                     "        raise exc\n"
                 )
             },
-            rule_ids=["CSD004"],
+            rule_ids=["CSD011"],
         )
         assert report.clean
 
@@ -419,7 +442,7 @@ class TestExceptionTaxonomy:
         assert len(report.waived) == 1
 
 
-# ----- CSD005 virtual-time ---------------------------------------------
+# ----- CSD010 wall-clock-escape: imports in the entry packages ----------
 
 
 class TestVirtualTime:
@@ -430,21 +453,22 @@ class TestVirtualTime:
             "import datetime\n",
             "from time import sleep\n",
             "from datetime import datetime\n",
+            "import random\n",
         ],
     )
     def test_flags_wall_clock_imports(self, tmp_path, snippet):
         report = run(
             tmp_path,
             {"src/repro/net/chan.py": snippet},
-            rule_ids=["CSD005"],
+            rule_ids=["CSD010"],
         )
-        assert rules_of(report) == ["CSD005"], snippet
+        assert flagged_at(report) == [("CSD010", "src/repro/net/chan.py", 1)], snippet
 
     def test_math_import_fine(self, tmp_path):
         report = run(
             tmp_path,
             {"src/repro/net/chan.py": "import math\nimport struct\n"},
-            rule_ids=["CSD005"],
+            rule_ids=["CSD010"],
         )
         assert report.clean
 
@@ -452,7 +476,7 @@ class TestVirtualTime:
         report = run(
             tmp_path,
             {"src/repro/core/foo.py": "import time\n"},
-            rule_ids=["CSD005"],
+            rule_ids=["CSD010"],
         )
         assert report.clean
 
@@ -516,7 +540,7 @@ class TestBenchRegistration:
         assert report.clean
 
 
-# ----- CSD007 supervised-recovery ---------------------------------------
+# ----- CSD007 supervised-recovery, CSD010 imports in serve/ -------------
 
 
 class TestSupervision:
@@ -543,9 +567,13 @@ class TestSupervision:
                     "        return None\n"
                 )
             },
-            rule_ids=["CSD007"],
+            rule_ids=["CSD004", "CSD007"],
         )
-        assert rules_of(report) == ["CSD007"], handler
+        # a bare 'except:' is CSD004's everywhere, serve/ included
+        rule = "CSD004" if handler == "except:" else "CSD007"
+        assert flagged_at(report) == [
+            (rule, "src/repro/serve/session.py", 4)
+        ], handler
 
     def test_supervised_waiver_passes(self, tmp_path):
         report = run(
@@ -588,9 +616,11 @@ class TestSupervision:
         report = run(
             tmp_path,
             {"src/repro/serve/clock.py": snippet},
-            rule_ids=["CSD007"],
+            rule_ids=["CSD010"],
         )
-        assert rules_of(report) == ["CSD007"], snippet
+        assert flagged_at(report) == [
+            ("CSD010", "src/repro/serve/clock.py", 1)
+        ], snippet
 
     def test_handlers_outside_serve_not_this_rules_business(self, tmp_path):
         report = run(
@@ -609,7 +639,7 @@ class TestSupervision:
         assert report.clean
 
 
-# ----- CSD008 optimizer-purity ------------------------------------------
+# ----- CSD008 optimizer-purity, CSD009/CSD010 in the optimizer ----------
 
 PURE_RULES = '''\
 class RewriteRule:
@@ -636,7 +666,7 @@ class TestOptimizerPurity:
         report = run(
             tmp_path,
             {"src/repro/optimizer/rules.py": PURE_RULES},
-            rule_ids=["CSD008"],
+            rule_ids=["CSD008", "CSD009", "CSD010"],
         )
         assert report.clean
 
@@ -654,9 +684,11 @@ class TestOptimizerPurity:
         report = run(
             tmp_path,
             {"src/repro/optimizer/cost.py": snippet},
-            rule_ids=["CSD008"],
+            rule_ids=["CSD010"],
         )
-        assert rules_of(report) == ["CSD008"], snippet
+        assert flagged_at(report) == [
+            ("CSD010", "src/repro/optimizer/cost.py", 1)
+        ], snippet
 
     @pytest.mark.parametrize(
         "call", ["decompress", "decode", "decode_codes", "decode_all"]
@@ -669,9 +701,11 @@ class TestOptimizerPurity:
                     f"def rewrite(col):\n    return col.{call}()\n"
                 )
             },
-            rule_ids=["CSD008"],
+            rule_ids=["CSD009"],
         )
-        assert rules_of(report) == ["CSD008"], call
+        assert flagged_at(report) == [
+            ("CSD009", "src/repro/optimizer/rules.py", 2)
+        ], call
 
     def test_flags_unregistered_rule_subclass(self, tmp_path):
         source = PURE_RULES + (
@@ -738,7 +772,7 @@ class TestOptimizerPurity:
                     "def f(col):\n    return col.decode()\n"
                 )
             },
-            rule_ids=["CSD008"],
+            rule_ids=["CSD009"],
         )
         assert report.clean
 
@@ -770,10 +804,10 @@ class TestWaiverParsing:
             {
                 "src/repro/operators/foo.py": (
                     "def f(c, x):\n"
-                    "    return c.decode(x)  # lint: disable=CSD001\n"
+                    "    return c.decode(x)  # lint: disable=CSD009\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
         assert report.clean
 
@@ -786,7 +820,7 @@ class TestWaiverParsing:
                     "    return c.decode(x)  # lint: broad-except\n"
                 )
             },
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
         assert not report.clean
 
@@ -803,11 +837,11 @@ VIOLATION = {
 class TestBaseline:
     def test_round_trip(self, tmp_path):
         root = make_project(tmp_path, VIOLATION)
-        report = run_analysis(root, rule_ids=["CSD001"])
+        report = run_analysis(root, rule_ids=["CSD009"])
         assert len(report.findings) == 1
         baseline = tmp_path / "lint-baseline.json"
         write_baseline(baseline, report.findings)
-        again = run_analysis(root, rule_ids=["CSD001"])
+        again = run_analysis(root, rule_ids=["CSD009"])
         assert again.clean
         assert len(again.baselined) == 1
 
@@ -815,11 +849,11 @@ class TestBaseline:
         root = make_project(tmp_path, VIOLATION)
         write_baseline(
             tmp_path / "lint-baseline.json",
-            run_analysis(root, rule_ids=["CSD001"]).findings,
+            run_analysis(root, rule_ids=["CSD009"]).findings,
         )
         path = root / "src/repro/operators/foo.py"
         path.write_text("import numpy as np\n\n\n" + path.read_text())
-        report = run_analysis(root, rule_ids=["CSD001"])
+        report = run_analysis(root, rule_ids=["CSD009"])
         assert report.clean
         assert len(report.baselined) == 1
 
@@ -827,10 +861,10 @@ class TestBaseline:
         root = make_project(tmp_path, VIOLATION)
         write_baseline(
             tmp_path / "lint-baseline.json",
-            run_analysis(root, rule_ids=["CSD001"]).findings,
+            run_analysis(root, rule_ids=["CSD009"]).findings,
         )
         (root / "src/repro/operators/foo.py").write_text("X = 1\n")
-        report = run_analysis(root, rule_ids=["CSD001"])
+        report = run_analysis(root, rule_ids=["CSD009"])
         assert not report.clean
         assert report.findings[0].rule == "CSD000"
         assert "stale" in report.findings[0].message
@@ -844,7 +878,7 @@ class TestBaseline:
 
     def test_missing_baseline_is_empty(self, tmp_path):
         root = make_project(tmp_path, {})
-        assert run_analysis(root, rule_ids=["CSD001"]).clean
+        assert run_analysis(root, rule_ids=["CSD009"]).clean
 
 
 # ----- engine / misc ----------------------------------------------------
@@ -855,7 +889,7 @@ class TestEngine:
         report = run(
             tmp_path,
             {"src/repro/core/broken.py": "def f(:\n"},
-            rule_ids=["CSD001"],
+            rule_ids=["CSD009"],
         )
         assert not report.clean
         assert report.findings[0].rule == "CSD000"
@@ -879,10 +913,10 @@ class TestEngine:
             load_project(tmp_path)
 
     def test_json_doc_shape(self, tmp_path):
-        report = run(tmp_path, VIOLATION, rule_ids=["CSD001"])
+        report = run(tmp_path, VIOLATION, rule_ids=["CSD009"])
         doc = report.to_doc()
         assert doc["clean"] is False
-        assert doc["findings"][0]["rule"] == "CSD001"
+        assert doc["findings"][0]["rule"] == "CSD009"
         assert json.loads(json.dumps(doc)) == doc
 
 
@@ -899,7 +933,7 @@ class TestLintCLI:
         root = make_project(tmp_path, VIOLATION)
         assert main(["lint", "--root", str(root)]) == 1
         out = capsys.readouterr().out
-        assert "CSD001" in out
+        assert "CSD009" in out
         assert "FAIL" in out
 
     def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
@@ -912,22 +946,25 @@ class TestLintCLI:
             tmp_path,
             dict(VIOLATION, **{"src/repro/net/chan.py": "import time\n"}),
         )
-        assert main(["lint", "--root", str(root), "--rule", "CSD005"]) == 1
+        assert main(["lint", "--root", str(root), "--rule", "CSD010"]) == 1
 
     def test_json_output(self, tmp_path, capsys):
         root = make_project(tmp_path, VIOLATION)
         assert main(["lint", "--root", str(root), "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["findings"][0]["rule"] == "CSD001"
+        assert doc["findings"][0]["rule"] == "CSD009"
 
     def test_list_rules(self, tmp_path, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "CSD001", "CSD002", "CSD003", "CSD004", "CSD005", "CSD006",
-            "CSD007", "CSD008", "CSD009", "CSD010", "CSD011", "CSD012",
-        ):
-            assert rule_id in out
+        listed = {line.split()[0] for line in out.splitlines() if line[:3] == "CSD"}
+        assert listed == set(RULE_IDS)
+
+    @pytest.mark.parametrize("rule_id", ["CSD001", "CSD005"])
+    def test_superseded_rule_ids_are_unknown(self, tmp_path, rule_id, capsys):
+        root = make_project(tmp_path, {})
+        assert main(["lint", "--root", str(root), "--rule", rule_id]) == 2
+        assert "unknown rule" in capsys.readouterr().err
 
     def test_write_baseline_then_clean(self, tmp_path, capsys):
         root = make_project(tmp_path, VIOLATION)
@@ -946,9 +983,40 @@ class TestRepositoryContracts:
         report = run_analysis(REPO_ROOT)
         assert report.clean, "\n".join(report.format_lines())
 
-    def test_all_twelve_rules_ran(self):
+    def test_all_ten_rules_ran(self):
         report = run_analysis(REPO_ROOT)
-        assert len(report.rules) >= 12
+        assert report.rules == list(RULE_IDS)
+
+    def test_every_waiver_is_used(self):
+        """Each ``# lint:`` comment silences at least one finding.
+
+        A waiver whose finding went away (fixed code, a merged rule, a
+        ``disable=`` of a deleted id) would otherwise sit there as dead
+        reviewable text.
+        """
+        report = run_analysis(REPO_ROOT)
+        waived = {}
+        for finding in report.waived:
+            waived.setdefault((finding.path, finding.line), []).append(finding)
+        unused = []
+        for sf in load_project(REPO_ROOT).files:
+            tokens = tokenize.generate_tokens(io.StringIO(sf.text).readline)
+            for tok in tokens:
+                if tok.type != tokenize.COMMENT:
+                    continue
+                tags = parse_waiver_tags(tok.string)
+                if not tags:
+                    continue
+                line = tok.start[0]
+                own_line = tok.line[: tok.start[1]].strip() == ""
+                covered = [line, line + 1] if own_line else [line]
+                if not any(
+                    f.waiver in tags or f"disable={f.rule}" in tags
+                    for at in covered
+                    for f in waived.get((sf.relpath, at), [])
+                ):
+                    unused.append(f"{sf.relpath}:{line}: {tok.string}")
+        assert not unused, "\n".join(unused)
 
     def test_repo_baseline_stays_near_empty(self):
         baseline = json.loads(
@@ -966,7 +1034,7 @@ class TestRepositoryContracts:
 
 HELPER_DECODE = {
     # the operator itself never decodes; a one-hop helper does it on
-    # its behalf -- CSD001's per-file scan cannot see this
+    # its behalf, so only the call graph can see it
     "src/repro/operators/filter2.py": (
         "from repro.util.expand import expand\n\n\n"
         "def scan(col):\n"
@@ -987,11 +1055,6 @@ class TestDecodeTaint:
         assert findings[0].path == "src/repro/util/expand.py"
         # the witness chain from the entry point rides in the message
         assert "scan" in findings[0].message
-
-    def test_csd001_misses_the_helper_hop(self, tmp_path):
-        """The blind spot CSD009 exists to close."""
-        report = run(tmp_path, HELPER_DECODE, rule_ids=["CSD001"])
-        assert report.clean
 
     def test_cache_routed_helper_passes(self, tmp_path):
         report = run(
@@ -1084,7 +1147,7 @@ class TestWallClockEscape:
         assert report.clean
 
     def test_helper_not_reached_from_entry_paths_passes(self, tmp_path):
-        # wall clock in a helper only the CLI calls is CSD005/CSD007's
+        # wall clock in a helper only the CLI calls is CSD003's
         # allowlist decision, not an escape from the serving layer
         report = run(
             tmp_path,
@@ -1099,10 +1162,27 @@ class TestWallClockEscape:
         )
         assert report.clean
 
+    @pytest.mark.parametrize(
+        "call",
+        ["uuid.uuid4()", "uuid.uuid1()", "secrets.token_hex(8)", "os.urandom(8)"],
+    )
+    def test_entropy_call_in_serve_flagged(self, tmp_path, call):
+        module = call.split(".")[0]
+        report = run(
+            tmp_path,
+            {
+                "src/repro/serve/ids.py": (
+                    f"import {module}\n\n\ndef new_id():\n    return {call}\n"
+                ),
+            },
+            rule_ids=["CSD010"],
+        )
+        assert flagged_at(report) == [("CSD010", "src/repro/serve/ids.py", 5)]
+
 
 WIRE_RERAISE = {
-    # regression fixture for CSD004's documented blind spot: the helper
-    # module re-raises an untyped Exception on behalf of a wire function
+    # the helper module re-raises an untyped Exception on behalf of a
+    # wire function, so only the call graph can see it
     "src/repro/wire/frames.py": (
         "from repro.util.checks import ensure_magic\n\n\n"
         "def read_frame(buf):\n"
@@ -1119,7 +1199,7 @@ WIRE_RERAISE = {
 
 class TestExceptionFlow:
     def test_csd004_misses_the_helper_reraise(self, tmp_path):
-        """The old per-package rule is blind across the module boundary."""
+        """CSD004 checks handlers only; raises are CSD011's business."""
         report = run(tmp_path, WIRE_RERAISE, rule_ids=["CSD004"])
         assert report.clean
 

@@ -39,6 +39,7 @@ from repro.serve import (
     backpressure_frame,
     parse_backpressure_frame,
 )
+from repro.serve.report import p95
 
 
 def spec(tenant, **kwargs):
@@ -537,6 +538,22 @@ class TestVirtualClock:
             clock.advance(float("nan"))
         with pytest.raises(ServeError):
             VirtualClock(start=-1.0)
+
+
+# ----- latency percentile ------------------------------------------------
+
+
+class TestP95:
+    @pytest.mark.parametrize(
+        "n, rank", [(1, 1), (19, 19), (20, 19), (21, 20), (100, 95)]
+    )
+    def test_nearest_rank(self, n, rank):
+        # values 1..n, shuffled: the p95 is the ceil(0.95 n)-th smallest
+        values = [float(v) for v in np.random.default_rng(n).permutation(n) + 1]
+        assert p95(values) == float(rank)
+
+    def test_no_samples(self):
+        assert p95([]) == 0.0
 
 
 # ----- chaos campaign smoke ----------------------------------------------
