@@ -14,7 +14,7 @@ codeword inversion and Dictionary's value gather, exercised here by the
 group-by queries Q2 and Q6 (grouping runs on codes directly).
 """
 
-from common import Metric, Table, register
+from common import Table, average, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES
@@ -43,13 +43,16 @@ def _run(qname, mode, force_decode, batches, windows_per_batch):
 
 
 def collect(batches=4, windows_per_batch=20):
-    results = {}
-    for qname in QUERY_NAMES:
-        for mode in MODES + INFO_MODES:
-            direct = _run(qname, mode, False, batches, windows_per_batch)
-            decoded = _run(qname, mode, True, batches, windows_per_batch)
-            results[(qname, mode)] = (direct, decoded)
-    return results
+    pairs = [(qname, mode) for qname in QUERY_NAMES for mode in MODES + INFO_MODES]
+    best = best_of(
+        [(qname, mode, decode) for qname, mode in pairs for decode in (False, True)],
+        lambda cell: _run(*cell, batches, windows_per_batch),
+        _server_ms,
+    )
+    return {
+        (qname, mode): (best[(qname, mode, False)], best[(qname, mode, True)])
+        for qname, mode in pairs
+    }
 
 
 def _server_ms(rep):
@@ -91,7 +94,7 @@ def _microbench_decode_vs_direct():
 
     from repro.compression import get_codec
 
-    def best_of(fn, repeats=5):
+    def fastest_s(fn, repeats=5):
         fn()  # warm caches
         return min(
             (lambda t0: (fn(), time.perf_counter() - t0)[1])(time.perf_counter())
@@ -104,8 +107,8 @@ def _microbench_decode_vs_direct():
     for name in ("ed", "dict"):
         codec = get_codec(name)
         cc = codec.compress(values)
-        direct_s = best_of(lambda: codec.direct_codes(cc))
-        decode_s = best_of(lambda: codec.decompress(cc))
+        direct_s = fastest_s(lambda: codec.direct_codes(cc))
+        decode_s = fastest_s(lambda: codec.decompress(cc))
         out[name] = (direct_s, decode_s)
     return out
 
@@ -123,6 +126,16 @@ def check(results):
                 direct.stage_seconds()["decompress"]
                 < decoded.stage_seconds()["decompress"]
             )
+    # end to end, skipping those decodes saves server time (decompress +
+    # query per batch, averaged over the group-by queries)
+    for mode in MODES:
+        saving = average(
+            [
+                1 - _server_ms(direct) / _server_ms(decoded)
+                for direct, decoded in (results[(q, mode)] for q in QUERY_NAMES)
+            ]
+        )
+        assert saving > 0.0, (mode, saving)
     # the mechanism, isolated from group-by noise: accessing codes must be
     # clearly cheaper than decoding for the expensive-decode codecs
     micro = _microbench_decode_vs_direct()
@@ -135,44 +148,5 @@ def check(results):
         )
 
 
-def metrics(results):
-    out = {}
-    for mode in MODES:
-        savings = []
-        for qname in QUERY_NAMES:
-            direct, decoded = results[(qname, mode)]
-            savings.append(1 - _server_ms(direct) / _server_ms(decoded))
-        out[f"direct_saving_{mode.split(':')[1]}"] = Metric(
-            sum(savings) / len(savings), better="higher"
-        )
-    return out
-
-
-SPEC = register(
-    name="ablation_direct",
-    suite="ablation",
-    fn=collect,
-    params={"batches": 4, "windows_per_batch": 20},
-    quick_params={"batches": 1, "windows_per_batch": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda results: sum(
-        direct.tuples + decoded.tuples for direct, decoded in results.values()
-    ),
-    tolerance=0.5,
-)
-
-
-def bench_ablation_direct(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_ablation_direct():
+    run_bench("ablation_direct", collect, report, check)

@@ -7,7 +7,7 @@ the stability benefit of compression that the paper's bandwidth-limited
 latency curves imply.
 """
 
-from common import Table, register
+from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig, SystemParams
 from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES
@@ -81,41 +81,5 @@ def check(results):
     assert comp_rep.avg_latency < base_rep.avg_latency
 
 
-def metrics(results):
-    base_rep, base_ch = results["baseline"]
-    comp_rep, comp_ch = results["adaptive"]
-    # informational: virtual-time queueing is deterministic but scale-bound
-    return {
-        "baseline_queue_seconds": base_ch.queue_seconds,
-        "adaptive_queue_seconds": comp_ch.queue_seconds,
-        "latency_ratio_adaptive_vs_baseline": comp_rep.avg_latency
-        / base_rep.avg_latency,
-    }
-
-
-SPEC = register(
-    name="ablation_queueing",
-    suite="ablation",
-    fn=collect,
-    params={"batches": 10, "windows_per_batch": 8},
-    quick_params={"batches": 4, "windows_per_batch": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda results: sum(rep.tuples for rep, _ in results.values()),
-    tolerance=0.35,
-)
-
-
-def bench_ablation_queueing(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_ablation_queueing():
+    run_bench("ablation_queueing", collect, report, check)

@@ -7,7 +7,7 @@ too-rare re-decisions miss regime changes (bytes rise); re-deciding every
 batch must not collapse throughput (selection is cheap).
 """
 
-from common import Table, register
+from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
@@ -85,40 +85,5 @@ def check(results):
     )
 
 
-def metrics(results):
-    fastest = results[(1, 5)]
-    slowest = results[(32, 5)]
-    # informational: wall-clock throughput ratio is noisy on shared runners
-    return {
-        "throughput_ratio_cadence1_vs_32": fastest.throughput / slowest.throughput,
-        "bytes_ratio_cadence1_vs_32": fastest.profiler.bytes_sent
-        / slowest.profiler.bytes_sent,
-    }
-
-
-SPEC = register(
-    name="ablation_redecision",
-    suite="ablation",
-    fn=collect,
-    params={"batches": 24, "batches_per_phase": 8},
-    quick_params={"batches": 8, "batches_per_phase": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda results: sum(r.tuples for r in results.values()),
-    tolerance=0.35,
-)
-
-
-def bench_ablation_redecision(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_ablation_redecision():
+    run_bench("ablation_redecision", collect, report, check)

@@ -1,17 +1,17 @@
-"""Regression spec for ``BitWriter.write_unary`` on long zero runs.
+"""Regression bench for ``BitWriter.write_unary`` on long zero runs.
 
 The original implementation re-masked the whole accumulator for every
 chunk of a zero run, making a single ``write_unary(n)`` quadratic in
 ``n`` (visible on Elias Gamma's unary prefixes for wide values).  The
 fix flushes to byte alignment and extends the buffer directly, which is
-O(n / 8).  This spec gates on long-run throughput — the linear and
+O(n / 8).  This bench gates on long-run throughput — the linear and
 quadratic implementations differ by ~400x at this run length — and
 reports the x2 scaling factor for context.
 """
 
 import time
 
-from common import Metric, Table, register
+from common import Table, run_bench
 from repro.compression.bitstream import BitWriter
 
 
@@ -73,43 +73,5 @@ def check(result):
     assert result["bits_per_s"] > 5e8, result["bits_per_s"]
 
 
-def metrics(result):
-    # raw throughput and the 2-point scaling ratio are informational
-    # (machine- and allocator-sensitive); the gated metric clamps
-    # throughput at a floor ~25x below healthy so it reads exactly the
-    # floor on any working build and collapses on a quadratic regression
-    return {
-        "unary_bits_per_s": Metric(result["bits_per_s"], better=None),
-        "unary_x2_scaling": Metric(result["scaling"], better=None),
-        "unary_bits_per_s_gate": Metric(
-            min(result["bits_per_s"], 5e8), better="higher"
-        ),
-    }
-
-
-SPEC = register(
-    name="bitstream_unary",
-    suite="kernels",
-    fn=collect,
-    params={"count": 8_000_000, "repeats": 5},
-    quick_params={"count": 4_000_000, "repeats": 3},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["count"],
-    tolerance=0.2,
-)
-
-
-def bench_bitstream_unary(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_bitstream_unary():
+    run_bench("bitstream_unary", collect, report, check)

@@ -1,6 +1,6 @@
 """Cascades — composed-codec ratios plus the morph serving win.
 
-Two halves, one spec:
+Two halves, one bench:
 
 * **Ratio table** (Table-IV style): each cascade family compresses the
   column shape it was composed for, next to its own stage codecs run
@@ -22,7 +22,7 @@ Two halves, one spec:
 """
 
 import numpy as np
-from common import Metric, Table, register
+from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.compression import get_codec
 from repro.core.calibration import default_calibration
@@ -143,21 +143,15 @@ def _morph_engine(optimize):
 
 def collect(n=2048, batches=4, windows_per_batch=16, cell_repeats=4):
     batch_size = 4096 * windows_per_batch
-    legs = {}
-    tuples = 0
-    for optimize in (False, True):
-        best = None
-        for _ in range(cell_repeats):
-            engine = _morph_engine(optimize)
-            rep = engine.run(
-                _morph_source(batch_size, batches), collect_outputs=True
-            )
-            tuples += rep.tuples
-            query_s = rep.stage_seconds()["query"]
-            if best is None or query_s < best[0]:
-                best = (query_s, rep, getattr(engine._base_plan, "opt", None))
-        legs[optimize] = best
-    return {"ratios": _ratios(n), "legs": legs, "tuples": tuples}
+
+    def leg(optimize):
+        engine = _morph_engine(optimize)
+        rep = engine.run(_morph_source(batch_size, batches), collect_outputs=True)
+        info = getattr(engine._base_plan, "opt", None)
+        return rep.stage_seconds()["query"], rep, info
+
+    legs = best_of((False, True), leg, lambda result: result[0], cell_repeats)
+    return {"ratios": _ratios(n), "legs": legs}
 
 
 def report(result):
@@ -242,42 +236,5 @@ def check(result):
     assert morph_s < naive_s, (morph_s, naive_s)
 
 
-def metrics(result):
-    ratios = {name: cell["ratios"] for name, cell in result["ratios"].items()}
-    (naive_s, _, _) = result["legs"][False]
-    (morph_s, morph_rep, _) = result["legs"][True]
-    out = {
-        name: Metric(cell[name], better="higher")
-        for name, cell in ratios.items()
-    }
-    out["morph_query_speedup"] = Metric(naive_s / morph_s, better="higher")
-    out["morph_throughput"] = float(morph_rep.throughput)
-    return out
-
-
-SPEC = register(
-    name="cascade_families",
-    suite="cascades",
-    fn=collect,
-    params={"n": 2048, "batches": 4, "windows_per_batch": 16, "cell_repeats": 4},
-    quick_params={"n": 512, "batches": 2, "windows_per_batch": 2, "cell_repeats": 2},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.5,
-)
-
-
-def bench_cascades(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_cascades():
+    run_bench("cascade_families", collect, report, check)

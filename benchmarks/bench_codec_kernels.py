@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from common import Metric, Table, register
+from common import Table, run_bench
 from repro.compression import kernels
 from repro.compression.kernels import scalar_reference_mode
 
@@ -102,47 +102,5 @@ def check(rows):
         assert rows[name]["speedup"] >= floor, (name, rows[name]["speedup"])
 
 
-def metrics(rows):
-    # raw speedups and throughputs are informational: they swing with
-    # machine and problem size.  The gated metrics clamp each decode
-    # speedup at its floor — exactly the floor on any healthy build
-    # regardless of machine, collapsing only on a real regression.
-    out = {}
-    for name, row in rows.items():
-        out[f"{name}_tuples_per_s"] = Metric(
-            row["tuples"] / row["vector_s"], better=None
-        )
-        out[f"{name}_speedup"] = Metric(row["speedup"], better=None)
-    for name, floor in FLOORS.items():
-        out[f"{name}_speedup_gate"] = Metric(
-            min(rows[name]["speedup"], floor), better="higher"
-        )
-    return out
-
-
-SPEC = register(
-    name="codec_kernels",
-    suite="kernels",
-    fn=collect,
-    params={"n": 100_000, "repeats": 3},
-    quick_params={"n": 20_000, "repeats": 2},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda rows: sum(r["tuples"] for r in rows.values()),
-    tolerance=0.2,
-)
-
-
-def bench_codec_kernels(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_codec_kernels():
+    run_bench("codec_kernels", collect, report, check)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from common import Metric, Table, register
+from common import Table, run_bench
 from repro.compression import get_codec
 from repro.operators.aggregation import window_aggregate
 from repro.operators.base import ExecColumn, decoded_column
@@ -111,46 +111,5 @@ def check(rows):
         assert row["speedup"] >= FLOOR, (name, row["speedup"])
 
 
-def metrics(rows):
-    # raw speedups are informational (they swing with machine and
-    # problem size, e.g. the bitmap path ranges hundreds-x); the gated
-    # metric clamps each speedup at the floor, so it is exactly FLOOR on
-    # any healthy build and collapses only on a real regression
-    out = {}
-    for name, row in rows.items():
-        out[f"{name}_tuples_per_s"] = Metric(
-            row["tuples"] / row["direct_s"], better=None
-        )
-        out[f"{name}_speedup"] = Metric(row["speedup"], better=None)
-        out[f"{name}_speedup_gate"] = Metric(
-            min(row["speedup"], FLOOR), better="higher"
-        )
-    return out
-
-
-SPEC = register(
-    name="direct_kernels",
-    suite="kernels",
-    fn=collect,
-    params={"n": 400_000, "run_length": 50, "kindnum": 64, "repeats": 3},
-    quick_params={"n": 80_000, "repeats": 2},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda rows: sum(r["tuples"] for r in rows.values()),
-    tolerance=0.2,
-)
-
-
-def bench_direct_kernels(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_direct_kernels():
+    run_bench("direct_kernels", collect, report, check)

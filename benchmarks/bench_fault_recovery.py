@@ -12,7 +12,7 @@ bit-for-bit across runs.
 """
 
 import numpy as np
-from common import Metric, Table, bench_scale, register
+from common import Table, run_bench, scale
 from repro import CompressStreamDB, EngineConfig
 from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES
@@ -44,7 +44,7 @@ def run_at(rate, batches, windows_per_batch):
     )
     source = q.make_source(
         batch_size=q.window * windows_per_batch,
-        batches=batches * bench_scale(),
+        batches=batches * scale(),
         seed=11,
     )
     return engine.run(source, collect_outputs=True)
@@ -102,6 +102,7 @@ def check(reports):
         if 0 < rate <= 0.1:
             # moderate loss: recovery delivers everything, bit-identically
             assert faults.quarantined == 0
+            assert rep.delivered_tuples == rep.tuples
             for name in clean.outputs.columns:
                 assert np.array_equal(
                     clean.outputs.columns[name], rep.outputs.columns[name]
@@ -114,43 +115,5 @@ def check(reports):
     assert reports[0.4].goodput < clean.goodput
 
 
-def metrics(reports):
-    moderate = reports[0.1]
-    # delivered fraction is seeded and deterministic, so it gates tightly
-    out = {
-        "delivered_fraction_rate_0.1": Metric(
-            moderate.delivered_tuples / moderate.tuples, better="higher"
-        ),
-        # informational: virtual-time goodput ratio under heavy loss
-        "goodput_ratio_rate_0.4_vs_clean": reports[0.4].goodput
-        / reports[0.0].goodput,
-    }
-    return out
-
-
-SPEC = register(
-    name="fault_recovery",
-    suite="robustness",
-    fn=collect,
-    params={"batches": 6, "windows_per_batch": 8},
-    quick_params={"batches": 3, "windows_per_batch": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda reports: sum(r.tuples for r in reports.values()),
-    tolerance=0.35,
-)
-
-
-def bench_fault_recovery(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fault_recovery():
+    run_bench("fault_recovery", collect, report, check)

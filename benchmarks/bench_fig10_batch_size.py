@@ -8,7 +8,7 @@ changes per-tuple performance by only a few percent thanks to the batch
 buffer.
 """
 
-from common import Table, register
+from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
@@ -34,9 +34,6 @@ def collect(
     slides=(1, 128, 256, 512, 1024),
     slide_batches=3,
 ):
-    batch_sizes = tuple(batch_sizes)
-    slides = tuple(slides)
-
     batch_results = {}
     for label, mbps in NETWORKS.items():
         for batch_size in batch_sizes:
@@ -51,12 +48,13 @@ def collect(
             }
 
     # per-tuple processing time across slides (fixed window 1024)
-    slide_results = {}
-    for slide in slides:
+    def seconds_per_tuple(slide):
         report = _engine(1000.0, slide=slide).run(
             smart_grid.source(batch_size=1024 * 8, batches=slide_batches)
         )
-        slide_results[slide] = report.total_seconds / report.tuples
+        return report.total_seconds / report.tuples
+
+    slide_results = best_of(slides, seconds_per_tuple, lambda seconds: seconds)
 
     return {
         "batch": batch_results,
@@ -131,47 +129,5 @@ def check(result):
     )
 
 
-def metrics(result):
-    batch_results = result["batch"]
-    batch_sizes = result["batch_sizes"]
-    # informational: curve endpoints characterizing the sweep
-    latency_s = batch_results[("100Mbps", batch_sizes[-1])]["latency"]
-    return {
-        "space_usage_largest_batch": batch_results[("1Gbps", batch_sizes[-1])]["space"],
-        "latency_ms_100mbps_largest": latency_s * 1e3,
-    }
-
-
-SPEC = register(
-    name="fig10_batch_size",
-    suite="paper",
-    fn=collect,
-    params={
-        "batch_sizes": [2048, 8192, 32768, 131072],
-        "slides": [1, 128, 256, 512, 1024],
-        "slide_batches": 3,
-    },
-    quick_params={
-        "batch_sizes": [2048, 8192],
-        "slides": [128, 1024],
-        "slide_batches": 1,
-    },
-    report=report,
-    check=check,
-    metrics=metrics,
-    tolerance=0.35,
-)
-
-
-def bench_fig10_batch_size(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig10_batch_size():
+    run_bench("fig10_batch_size", collect, report, check)

@@ -8,7 +8,7 @@ share is lower, but it must dominate at 500 Mbps vs 1 Gbps and shrink with
 bandwidth — the mechanism that makes compression pay.
 """
 
-from common import Table, register, run_query
+from common import Table, best_of, run_bench, run_query
 from repro.datasets import QUERIES
 
 
@@ -21,30 +21,28 @@ def collect(batches=3, windows_per_batch=20, cell_repeats=3):
     # cold-cache costs in the compute stages, which would depress its
     # transmission *share* and distort the 500 Mbps vs 1 Gbps comparison
     run_query("q1", "baseline", bandwidth_mbps=500, batches=1, windows_per_batch=4)
-    shares = {}
-    trans_seconds = {}
-    tuples = 0
-    for qname in sorted(QUERIES):
-        for mbps in (500, 1000):
-            # transmission time is modeled (bytes/bandwidth, deterministic)
-            # but the compute stages are wall-clock; take the run with the
-            # least compute time so a stray GC/scheduler spike in one run
-            # cannot distort the share comparison
-            runs = [
-                run_query(
-                    qname,
-                    "baseline",
-                    bandwidth_mbps=mbps,
-                    batches=batches,
-                    windows_per_batch=windows_per_batch,
-                )
-                for _ in range(cell_repeats)
-            ]
-            report = min(runs, key=_compute_seconds)
-            tuples += report.tuples
-            shares[(qname, mbps)] = report.breakdown()["trans"]
-            trans_seconds[(qname, mbps)] = report.stage_seconds()["trans"]
-    return {"shares": shares, "trans_seconds": trans_seconds, "tuples": tuples}
+
+    def measure(cell):
+        qname, mbps = cell
+        return run_query(
+            qname,
+            "baseline",
+            bandwidth_mbps=mbps,
+            batches=batches,
+            windows_per_batch=windows_per_batch,
+        )
+
+    # transmission time is modeled (bytes/bandwidth, deterministic) but the
+    # compute stages are wall-clock; take the run with the least compute
+    # time so a stray GC/scheduler spike cannot distort the share comparison
+    cells = [(qname, mbps) for qname in sorted(QUERIES) for mbps in (500, 1000)]
+    reports = best_of(cells, measure, _compute_seconds, cell_repeats)
+    return {
+        "shares": {cell: rep.breakdown()["trans"] for cell, rep in reports.items()},
+        "trans_seconds": {
+            cell: rep.stage_seconds()["trans"] for cell, rep in reports.items()
+        },
+    }
 
 
 def report(result):
@@ -91,39 +89,5 @@ def check(result):
             assert s500 > 0.25, f"{qname}: transmission must dominate at 500 Mbps"
 
 
-def metrics(result):
-    shares = result["shares"]
-    # informational: the transmission share is a property of the substrate,
-    # not a quality metric to gate on
-    return {
-        "trans_share_q1_500mbps": shares[("q1", 500)],
-        "trans_share_q1_1gbps": shares[("q1", 1000)],
-    }
-
-
-SPEC = register(
-    name="fig3_time_breakdown",
-    suite="paper",
-    fn=collect,
-    params={"batches": 3, "windows_per_batch": 20, "cell_repeats": 3},
-    quick_params={"batches": 1, "windows_per_batch": 4, "cell_repeats": 1},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.3,
-)
-
-
-def bench_fig3_time_breakdown(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig3_time_breakdown():
+    run_bench("fig3_time_breakdown", collect, report, check)

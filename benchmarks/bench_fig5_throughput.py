@@ -10,36 +10,25 @@ from common import (
     DATASET_LABELS,
     METHOD_LABELS,
     METHODS,
-    Metric,
     Table,
     average,
-    register,
+    best_of,
+    run_bench,
     run_dataset,
 )
 from repro.datasets import DATASET_QUERIES
 
 
 def collect(batches=3, windows_per_batch=20, cell_repeats=3):
-    throughput = {}
-    tuples = 0
-    for dataset in DATASET_QUERIES:
-        for mode in METHODS:
-            # wall-clock noise can only depress a run's throughput, never
-            # inflate it, so best-of-N per cell is the robust estimator
-            best = 0.0
-            for _ in range(cell_repeats):
-                reports = run_dataset(
-                    dataset,
-                    mode,
-                    batches=batches,
-                    windows_per_batch=windows_per_batch,
-                )
-                tuples += sum(r.tuples for r in reports.values())
-                best = max(
-                    best, average([r.throughput for r in reports.values()])
-                )
-            throughput[(dataset, mode)] = best
-    return {"throughput": throughput, "tuples": tuples}
+    def measure(cell):
+        reports = run_dataset(
+            *cell, batches=batches, windows_per_batch=windows_per_batch
+        )
+        return average([r.throughput for r in reports.values()])
+
+    cells = [(dataset, mode) for dataset in DATASET_QUERIES for mode in METHODS]
+    throughput = best_of(cells, measure, lambda tps: -tps, cell_repeats)
+    return {"throughput": throughput}
 
 
 def _speedups(throughput):
@@ -102,42 +91,5 @@ def check(result) -> None:
         )
 
 
-def metrics(result):
-    speedups = _speedups(result["throughput"])
-    out = {
-        f"speedup_adaptive_{d}": Metric(speedups[(d, "adaptive")], better="higher")
-        for d in DATASET_QUERIES
-    }
-    out["speedup_adaptive_avg"] = Metric(
-        average([speedups[(d, "adaptive")] for d in DATASET_QUERIES]),
-        better="higher",
-    )
-    return out
-
-
-SPEC = register(
-    name="fig5_throughput",
-    suite="paper",
-    fn=collect,
-    params={"batches": 3, "windows_per_batch": 20, "cell_repeats": 3},
-    quick_params={"batches": 1, "windows_per_batch": 4, "cell_repeats": 1},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.3,
-)
-
-
-def bench_fig5_throughput(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig5_throughput():
+    run_bench("fig5_throughput", collect, report, check)

@@ -8,36 +8,25 @@ from common import (
     DATASET_LABELS,
     METHOD_LABELS,
     METHODS,
-    Metric,
     Table,
     average,
-    register,
+    best_of,
+    run_bench,
     run_dataset,
 )
 from repro.datasets import DATASET_QUERIES
 
 
 def collect(batches=3, windows_per_batch=20, cell_repeats=3):
-    latency = {}
-    tuples = 0
-    for dataset in DATASET_QUERIES:
-        for mode in METHODS:
-            # wall-clock noise can only inflate a run's latency, never
-            # shrink it, so best-of-N per cell is the robust estimator
-            best = float("inf")
-            for _ in range(cell_repeats):
-                reports = run_dataset(
-                    dataset,
-                    mode,
-                    batches=batches,
-                    windows_per_batch=windows_per_batch,
-                )
-                tuples += sum(r.tuples for r in reports.values())
-                best = min(
-                    best, average([r.avg_latency for r in reports.values()])
-                )
-            latency[(dataset, mode)] = best
-    return {"latency": latency, "tuples": tuples}
+    def measure(cell):
+        reports = run_dataset(
+            *cell, batches=batches, windows_per_batch=windows_per_batch
+        )
+        return average([r.avg_latency for r in reports.values()])
+
+    cells = [(dataset, mode) for dataset in DATASET_QUERIES for mode in METHODS]
+    latency = best_of(cells, measure, lambda seconds: seconds, cell_repeats)
+    return {"latency": latency}
 
 
 def _normalized(latency):
@@ -93,42 +82,5 @@ def check(result):
         )
 
 
-def metrics(result):
-    norm = _normalized(result["latency"])
-    out = {
-        f"latency_reduction_{d}": Metric(1 - norm[(d, "adaptive")], better="higher")
-        for d in DATASET_QUERIES
-    }
-    out["latency_reduction_avg"] = Metric(
-        average([1 - norm[(d, "adaptive")] for d in DATASET_QUERIES]),
-        better="higher",
-    )
-    return out
-
-
-SPEC = register(
-    name="fig6_latency",
-    suite="paper",
-    fn=collect,
-    params={"batches": 3, "windows_per_batch": 20, "cell_repeats": 3},
-    quick_params={"batches": 1, "windows_per_batch": 4, "cell_repeats": 1},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.3,
-)
-
-
-def bench_fig6_latency(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig6_latency():
+    run_bench("fig6_latency", collect, report, check)

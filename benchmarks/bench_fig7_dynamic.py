@@ -6,7 +6,7 @@ bandwidth, with the largest margin on constrained links (paper: 9.68x over
 baseline and 3.97x over static at 100 Mbps).
 """
 
-from common import Metric, Table, register
+from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
@@ -93,40 +93,5 @@ def check(results):
     assert max(margins[:2]) >= margins[-1] * 0.95
 
 
-def metrics(results):
-    r100 = results[100]
-    return {
-        "speedup_adaptive_100mbps": Metric(
-            r100["adaptive"] / r100["baseline"], better="higher"
-        ),
-        "margin_vs_static_100mbps": Metric(
-            r100["adaptive"] / r100["static"], better="higher"
-        ),
-    }
-
-
-SPEC = register(
-    name="fig7_dynamic",
-    suite="paper",
-    fn=collect,
-    params={"batches": 18, "batches_per_phase": 6, "windows_per_batch": 4},
-    quick_params={"batches": 6, "batches_per_phase": 2, "windows_per_batch": 2},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tolerance=0.35,
-)
-
-
-def bench_fig7_dynamic(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig7_dynamic():
+    run_bench("fig7_dynamic", collect, report, check)

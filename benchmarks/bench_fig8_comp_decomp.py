@@ -13,7 +13,7 @@ from common import (
     METHODS,
     Table,
     average,
-    register,
+    run_bench,
     run_dataset,
 )
 from repro.datasets import DATASET_QUERIES
@@ -21,13 +21,11 @@ from repro.datasets import DATASET_QUERIES
 
 def collect(batches=3, windows_per_batch=20):
     rows = {}
-    tuples = 0
     for dataset in DATASET_QUERIES:
         for mode in METHODS:
             reports = run_dataset(
                 dataset, mode, batches=batches, windows_per_batch=windows_per_batch
             )
-            tuples += sum(r.tuples for r in reports.values())
             rows[(dataset, mode)] = {
                 "compress": average(
                     [
@@ -45,7 +43,7 @@ def collect(batches=3, windows_per_batch=20):
                     [r.total_seconds / r.profiler.batches for r in reports.values()]
                 ),
             }
-    return {"rows": rows, "tuples": tuples}
+    return {"rows": rows}
 
 
 def report(result):
@@ -82,38 +80,5 @@ def check(result):
         assert nsv["decompress"] / nsv["total"] < 0.5
 
 
-def metrics(result):
-    rows = result["rows"]
-    nsv = rows[("smart_grid", "static:nsv")]
-    # informational: stage shares characterize the substrate, not quality
-    return {
-        "nsv_decompress_share_smart_grid": nsv["decompress"] / nsv["total"],
-    }
-
-
-SPEC = register(
-    name="fig8_comp_decomp",
-    suite="paper",
-    fn=collect,
-    params={"batches": 3, "windows_per_batch": 20},
-    quick_params={"batches": 1, "windows_per_batch": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.3,
-)
-
-
-def bench_fig8_comp_decomp(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig8_comp_decomp():
+    run_bench("fig8_comp_decomp", collect, report, check)

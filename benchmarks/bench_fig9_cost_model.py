@@ -7,7 +7,7 @@ shape: estimates track measurements with ~88 % average accuracy, estimates
 slightly below measurements (model ignores engine overheads).
 """
 
-from common import METHOD_LABELS, METHODS, Metric, Table, average, register, run_query
+from common import METHOD_LABELS, METHODS, Table, average, run_bench, run_query
 from repro import CompressStreamDB, EngineConfig
 from repro.compression import get_codec
 from repro.core import CostModel, SystemParams, column_stats_from_batches
@@ -111,36 +111,5 @@ def check(results):
     assert average(_accuracies(results)) > 0.6, "cost model must track measurements"
 
 
-def metrics(results):
-    return {
-        "cost_model_accuracy_avg": Metric(
-            average(_accuracies(results)), better="higher"
-        ),
-    }
-
-
-SPEC = register(
-    name="fig9_cost_model",
-    suite="paper",
-    fn=collect,
-    params={"batches": 4, "windows_per_batch": 20},
-    quick_params={"batches": 1, "windows_per_batch": 8},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tolerance=0.35,
-)
-
-
-def bench_fig9_cost_model(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_fig9_cost_model():
+    run_bench("fig9_cost_model", collect, report, check)

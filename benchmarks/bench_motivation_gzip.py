@@ -8,7 +8,7 @@ lightweight methods' decompression stays a negligible share (<1 % of total
 in Fig. 8).
 """
 
-from common import Table, register, run_query
+from common import Table, run_bench, run_query
 
 
 def collect(batches=3, windows_per_batch=20):
@@ -71,37 +71,5 @@ def check(reports):
     assert s["decompress"] / s["query"] > 0.2
 
 
-def metrics(reports):
-    # informational: substrate stage shares
-    return {
-        "gzip_compress_share": reports["gzip"].breakdown()["compress"],
-        "ns_compress_share": reports["ns"].breakdown()["compress"],
-    }
-
-
-SPEC = register(
-    name="motivation_gzip",
-    suite="paper",
-    fn=collect,
-    params={"batches": 3, "windows_per_batch": 20},
-    quick_params={"batches": 1, "windows_per_batch": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda reports: sum(r.tuples for r in reports.values()),
-    tolerance=0.3,
-)
-
-
-def bench_motivation_gzip(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_motivation_gzip():
+    run_bench("motivation_gzip", collect, report, check)

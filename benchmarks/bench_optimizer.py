@@ -12,13 +12,13 @@ with ``optimize=False`` — the escape hatch makes the comparison exact:
 identical codecs, identical bytes on the wire, identical answers, only
 the plan differs.
 
-Wall-clock noise can only depress a leg's best-of-N time, never inflate
-it, so best-of-``cell_repeats`` per leg is the robust estimator (same
-policy as bench_fig5_throughput).
+Wall-clock noise can only slow a leg down, never speed it up, so
+best-of-``cell_repeats`` per leg is the robust estimator
+(``common.best_of``, as in every wall-clock bench).
 """
 
 import numpy as np
-from common import Metric, Table, register
+from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.core.calibration import default_calibration
 from repro.datasets import smart_grid
@@ -74,21 +74,15 @@ def _engine(optimize):
 
 def collect(batches=4, windows_per_batch=20, cell_repeats=3):
     batch_size = 1024 * windows_per_batch
-    legs = {}
-    tuples = 0
-    for optimize in (False, True):
-        best = None
-        for _ in range(cell_repeats):
-            engine = _engine(optimize)
-            rep = engine.run(
-                _source(batch_size, batches), collect_outputs=True
-            )
-            tuples += rep.tuples
-            query_s = rep.stage_seconds()["query"]
-            if best is None or query_s < best[0]:
-                best = (query_s, rep, getattr(engine._base_plan, "opt", None))
-        legs[optimize] = best
-    return {"legs": legs, "tuples": tuples}
+
+    def leg(optimize):
+        engine = _engine(optimize)
+        rep = engine.run(_source(batch_size, batches), collect_outputs=True)
+        info = getattr(engine._base_plan, "opt", None)
+        return rep.stage_seconds()["query"], rep, info
+
+    legs = best_of((False, True), leg, lambda result: result[0], cell_repeats)
+    return {"legs": legs}
 
 
 def report(result):
@@ -140,39 +134,5 @@ def check(result):
     assert opt_s < naive_s, (opt_s, naive_s)
 
 
-def metrics(result):
-    (naive_s, _, _) = result["legs"][False]
-    (opt_s, opt_rep, _) = result["legs"][True]
-    return {
-        "opt_query_speedup": Metric(naive_s / opt_s, better="higher"),
-        # informational scale marker
-        "opt_throughput": float(opt_rep.throughput),
-    }
-
-
-SPEC = register(
-    name="optimizer_pushdown_fusion",
-    suite="optimizer",
-    fn=collect,
-    params={"batches": 4, "windows_per_batch": 20, "cell_repeats": 3},
-    quick_params={"batches": 2, "windows_per_batch": 8, "cell_repeats": 2},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.5,
-)
-
-
-def bench_optimizer(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_optimizer():
+    run_bench("optimizer_pushdown_fusion", collect, report, check)

@@ -11,11 +11,10 @@ Each tenant gets its own fault seed (seed-per-link), otherwise the whole
 fleet would replay one identical drop pattern.  Fault injection and
 virtual time are fully seeded; the only machine-dependent input is the
 per-process codec calibration, which shifts codec choices (and thus the
-lossy/clean goodput ratio) by well under the gate tolerance.  Wall-clock
-timing statistics come from the harness.
+lossy/clean goodput ratio) by far less than the checked floor allows.
 """
 
-from common import Metric, Table, bench_scale, register
+from common import Table, run_bench, scale
 from repro.net.faults import FaultProfile
 from repro.net.transport import ReliabilityConfig
 from repro.serve import ServeSupervisor, TenantSpec
@@ -55,7 +54,7 @@ def collect(batches=4, batch_size=512):
     for n_tenants in FLEETS:
         for loss in (0.0, LOSS_RATE):
             specs = fleet_specs(
-                n_tenants, loss, batches * bench_scale(), batch_size
+                n_tenants, loss, batches * scale(), batch_size
             )
             reports[(n_tenants, loss)] = ServeSupervisor(specs).run()
     return reports
@@ -104,58 +103,24 @@ def check(reports):
                 + tenant.batches_shed
             )
             assert accounted == tenant.batches_total
+        # retries recover every lost frame: nothing reaches dead letters
+        assert rep.delivered_fraction == 1.0
         if loss == 0.0:
             assert sum(t.retries for t in rep.tenants) == 0
-            assert rep.delivered_fraction == 1.0
     # recovery costs virtual time: lossy goodput below the clean fleet's
     for n_tenants in FLEETS:
         assert (
             reports[(n_tenants, LOSS_RATE)].goodput_tps
             < reports[(n_tenants, 0.0)].goodput_tps
         )
-
-
-def metrics(reports):
+    # ... but at fleet scale 5% loss costs well under half the goodput
+    # (seeded virtual time: 0.62 of the clean fleet's at 64 tenants)
     big = max(FLEETS)
-    clean = reports[(big, 0.0)]
-    lossy = reports[(big, LOSS_RATE)]
-    return {
-        # both seeded and virtual-time deterministic, so they gate tightly
-        f"delivered_fraction_{big}_tenants_lossy": Metric(
-            lossy.delivered_fraction, better="higher"
-        ),
-        f"degradation_ratio_{big}_tenants_lossy": Metric(
-            lossy.goodput_tps / clean.goodput_tps, better="higher"
-        ),
-        # informational: virtual p95 and clean-link goodput at scale
-        f"p95_latency_ms_{big}_tenants_lossy": lossy.p95_latency_s() * 1e3,
-        f"goodput_tps_{big}_tenants_clean": clean.goodput_tps,
-    }
+    degradation = (
+        reports[(big, LOSS_RATE)].goodput_tps / reports[(big, 0.0)].goodput_tps
+    )
+    assert degradation > 0.4, degradation
 
 
-SPEC = register(
-    name="serve_resilience",
-    suite="robustness",
-    fn=collect,
-    params={"batches": 4, "batch_size": 512},
-    quick_params={"batches": 2, "batch_size": 256},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda reports: sum(r.tuples_delivered for r in reports.values()),
-    tolerance=0.35,
-)
-
-
-def bench_serve_resilience(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_serve_resilience():
+    run_bench("serve_resilience", collect, report, check)

@@ -12,10 +12,9 @@ from common import (
     DATASET_LABELS,
     METHOD_LABELS,
     METHODS,
-    Metric,
     Table,
     average,
-    register,
+    run_bench,
     run_dataset,
 )
 from repro.datasets import DATASET_QUERIES
@@ -23,13 +22,11 @@ from repro.datasets import DATASET_QUERIES
 
 def collect(batches=3, windows_per_batch=20):
     cells = {}
-    tuples = 0
     for dataset in DATASET_QUERIES:
         for mode in METHODS:
             reports = run_dataset(
                 dataset, mode, batches=batches, windows_per_batch=windows_per_batch
             )
-            tuples += sum(r.tuples for r in reports.values())
             # aggregate TOTALS over the dataset's two queries so the
             # byte-proportionality of transmission holds exactly
             # (averaging per-query ratios would weight them inconsistently)
@@ -41,7 +38,7 @@ def collect(batches=3, windows_per_batch=20):
                 "inv_r": sent / raw,
                 "space_saving": 1.0 - sent / raw,
             }
-    return {"cells": cells, "tuples": tuples}
+    return {"cells": cells}
 
 
 def report(result):
@@ -105,48 +102,10 @@ def check(result):
             cells[(dataset, m)]["inv_r"] for m in METHODS if m != "adaptive"
         )
         assert adaptive_inv_r <= best_static * 1.25, dataset
-    savings = [cells[(d, "adaptive")]["space_saving"] for d in DATASET_QUERIES]
-    assert average(savings) > 0.5, "adaptive must save the majority of bytes"
-
-
-def metrics(result):
-    cells = result["cells"]
-    out = {
-        f"space_saving_adaptive_{d}": Metric(
-            cells[(d, "adaptive")]["space_saving"], better="higher"
+        assert cells[(dataset, "adaptive")]["space_saving"] > 0.5, (
+            f"adaptive must save the majority of bytes on {dataset}"
         )
-        for d in DATASET_QUERIES
-    }
-    out["space_saving_adaptive_avg"] = Metric(
-        average([cells[(d, "adaptive")]["space_saving"] for d in DATASET_QUERIES]),
-        better="higher",
-    )
-    return out
 
 
-SPEC = register(
-    name="table4_ratios",
-    suite="paper",
-    fn=collect,
-    params={"batches": 3, "windows_per_batch": 20},
-    quick_params={"batches": 1, "windows_per_batch": 4},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda result: result["tuples"],
-    tolerance=0.3,
-)
-
-
-def bench_table4_ratios(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_table4_ratios():
+    run_bench("table4_ratios", collect, report, check)

@@ -6,21 +6,19 @@ multi-way and LEFT OUTER joins) replays at its fixture-pinned geometry
 through the single-engine adaptive path and the one-tenant supervised
 fleet path.  Every result is checked against the committed golden
 fixtures, whose expected rows were blessed from the uncompressed
-baseline path — so the gated metric, the pass rate, asserts
-end-to-end answer equivalence across three execution stacks, not just
-that the replay ran.
+baseline path — so the checked pass rate asserts end-to-end answer
+equivalence across three execution stacks, not just that the replay ran.
 
 Everything is seeded (trace phases, dataset generators, virtual-time
-scheduling), so the pass rate is exactly 1.0 on any machine; wall-clock
-timing statistics come from the harness.
+scheduling), so the pass rate is exactly 1.0 on any machine.
 """
 
-from common import Metric, register
+from common import run_bench
 from repro.workloads import replay
 
 
-def collect(quick=False):
-    return replay(quick=quick)
+def collect():
+    return replay()
 
 
 def report(rep):
@@ -42,38 +40,5 @@ def check(rep):
     assert rep.checks >= 2 * len({o.query for o in rep.outcomes})
 
 
-def metrics(rep):
-    return {
-        "pass_rate": Metric(rep.pass_rate, better="higher"),
-        # informational scale markers
-        "queries": float(len({o.query for o in rep.outcomes})),
-        "rows_checked": float(sum(o.n_rows for o in rep.outcomes)),
-    }
-
-
-SPEC = register(
-    name="workload_replay",
-    suite="workloads",
-    fn=collect,
-    params={"quick": False},
-    quick_params={"quick": True},
-    report=report,
-    check=check,
-    metrics=metrics,
-    tuples=lambda rep: rep.tuples,
-    tolerance=0.0,
-)
-
-
-def bench_workload_replay(benchmark):
-    from repro.bench import run_pytest_benchmark
-
-    run_pytest_benchmark(SPEC, benchmark)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench import spec_main
-
-    sys.exit(spec_main(SPEC))
+def bench_workload_replay():
+    run_bench("workload_replay", collect, report, check)

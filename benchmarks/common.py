@@ -1,17 +1,17 @@
-"""Shared benchmark helpers: paper workloads + harness registration.
+"""Shared benchmark helpers: paper workloads and the one bench runner.
 
 Every ``bench_*.py`` regenerates one table or figure of the paper
-(DESIGN.md §4) and registers a :class:`repro.bench.BenchSpec` (module
-attribute ``SPEC``) with the unified harness.  Run a script directly
-(``python bench_fig5_throughput.py``), through pytest-benchmark
-(``pytest benchmarks/ --benchmark-only -s``) or — the canonical way —
-through ``python -m repro bench`` (see docs/benchmarking.md), which adds
-warmup/repeats, timing statistics and ``BENCH_<suite>.json`` emission.
-Rendered tables land in ``benchmarks/results/<name>.txt``.
+(DESIGN.md §4) as three functions — ``collect`` (measure, defaults are
+the full-scale parameters), ``report`` (render text blocks) and
+``check`` (assert the paper's shape) — plus one pytest function,
+``bench_<name>``, that hands them to :func:`run_bench`.  Run them all
+with ``PYTHONPATH=src python -m pytest benchmarks -q``, one with
+``-k fig5`` (see docs/benchmarking.md).  Rendered tables land in
+``benchmarks/results/<name>.txt``.
 
 Scale: ``REPRO_BENCH_SCALE`` (default 1) multiplies batch counts; the
-defaults are sized to finish each file in tens of seconds in pure Python
-while preserving the paper's per-batch geometry (window size and
+defaults are sized to finish each file in seconds in pure Python while
+preserving the paper's per-batch geometry (window size and
 windows-per-batch).
 """
 
@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence
 
 from repro import CompressStreamDB, EngineConfig, RunReport
-from repro.bench import BenchSpec, Metric
-from repro.bench import register as _register
 from repro.core.calibration import default_calibration
 from repro.datasets import DATASET_QUERIES, QUERIES
 from repro.reporting import TextTable as Table
@@ -32,14 +30,14 @@ __all__ = [
     "DATASET_LABELS",
     "METHOD_LABELS",
     "METHODS",
-    "Metric",
     "RESULTS_DIR",
     "Table",
     "average",
-    "bench_scale",
-    "register",
+    "best_of",
+    "run_bench",
     "run_dataset",
     "run_query",
+    "scale",
 ]
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -78,14 +76,48 @@ DATASET_LABELS = {
 }
 
 
-def bench_scale() -> int:
+def scale() -> int:
     return max(int(os.environ.get("REPRO_BENCH_SCALE", "1")), 1)
 
 
-def register(**kwargs) -> BenchSpec:
-    """Register a benchmark with tables persisted under ``results/``."""
-    kwargs.setdefault("results_dir", RESULTS_DIR)
-    return _register(**kwargs)
+def run_bench(
+    name: str,
+    collect: Callable[[], Any],
+    report: Callable[[Any], Sequence[str]],
+    check: Callable[[Any], None],
+) -> None:
+    """Run one bench at full scale: print and persist its tables, then check.
+
+    The tables are written to ``results/<name>.txt`` before ``check``
+    runs, so a failing shape assertion still leaves the numbers behind.
+    """
+    result = collect()
+    text = "\n\n".join(report(result)) + "\n"
+    print("\n" + text)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    check(result)
+
+
+def best_of(
+    cells: Sequence[Hashable],
+    measure: Callable[[Any], Any],
+    cost: Callable[[Any], float],
+    repeats: int = 3,
+) -> Dict[Any, Any]:
+    """The lowest-``cost`` of ``repeats`` measurements of every cell.
+
+    Wall-clock noise only ever slows a run down, so the best of N is the
+    robust estimate.  Each round sweeps every cell, so a slow spell on a
+    shared machine lands on all of them instead of sinking one.
+    """
+    best: Dict[Any, Any] = {}
+    for _ in range(repeats):
+        for cell in cells:
+            result = measure(cell)
+            if cell not in best or cost(result) < cost(best[cell]):
+                best[cell] = result
+    return best
 
 
 def run_query(
@@ -115,7 +147,7 @@ def run_query(
     )
     source = q.make_source(
         batch_size=q.window * windows_per_batch,
-        batches=batches * bench_scale(),
+        batches=batches * scale(),
         seed=seed,
     )
     return engine.run(source)

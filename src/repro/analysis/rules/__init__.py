@@ -6,7 +6,6 @@ from typing import Dict, List, Optional, Sequence, Type
 
 from ...errors import AnalysisError
 from .base import GraphRule, Rule
-from .bench_registration import BenchRegistrationRule
 from .checkpoint_purity import CheckpointPurityRule
 from .decode_taint import DecodeTaintRule
 from .determinism import DeterminismRule
@@ -22,7 +21,6 @@ ALL_RULES: List[Type[Rule]] = [
     ScalarParityRule,
     DeterminismRule,
     ExceptionTaxonomyRule,
-    BenchRegistrationRule,
     SupervisionRule,
     OptimizerPurityRule,
     DecodeTaintRule,

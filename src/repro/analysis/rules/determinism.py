@@ -7,10 +7,9 @@ This rule forbids the wall-clock/entropy calls of :data:`WALL_CLOCK_CALLS`
 (``time.time``, ``datetime.now``, ``os.urandom``, ``secrets.*`` …), the
 stdlib ``random`` module, the legacy ``np.random.*`` global generator
 and *unseeded* ``np.random.default_rng()`` / ``default_rng(None)`` —
-everywhere except a small documented allowlist (CLI surface,
-bench-runner environment capture).  ``time.perf_counter`` is
-deliberately allowed: measuring elapsed time does not change any
-computed result.
+everywhere except a documented allowlist (the CLI surface).
+``time.perf_counter`` is deliberately allowed: measuring elapsed time
+does not change any computed result.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ ALLOWLIST: Dict[str, str] = {
     # the CLI is the human surface; argparse defaults and progress output
     # may reference the environment without affecting engine results
     "src/repro/cli.py": "interactive surface, not engine computation",
-    # the bench runner stamps results with a creation timestamp and
-    # captures the host environment — provenance, not computation
-    "src/repro/bench/runner.py": "environment capture and provenance",
 }
 
 #: scan scope: engine sources and benchmarks (tests manage their own

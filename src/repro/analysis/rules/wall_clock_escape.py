@@ -16,8 +16,7 @@ runs and EXPLAIN goldens machine-dependent.  Two checks:
   helper in another package cannot do it on their behalf.
   ``time.perf_counter`` stays allowed — measuring elapsed time changes
   no computed result — and propagation stops at the CSD003 allowlist
-  files (CLI surface, bench runner), whose wall-clock use is documented
-  provenance.
+  files (the CLI surface), whose wall-clock use is documented.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Text reporting: fixed-width tables and run comparisons.
 
-The benchmark harness and the CLI render every paper table through this
-module; it is public API so downstream users can print their own
-experiment grids the same way.
+The paper benches (``benchmarks/``) and the CLI render every table
+through this module; it is public API so downstream users can print
+their own experiment grids the same way.
 """
 
 from __future__ import annotations

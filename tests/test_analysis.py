@@ -31,8 +31,8 @@ MINIMAL = {"src/repro/placeholder.py": "X = 1\n"}
 
 #: every registered rule id, in registry order
 RULE_IDS = (
-    "CSD002", "CSD003", "CSD004", "CSD006", "CSD007",
-    "CSD008", "CSD009", "CSD010", "CSD011", "CSD012",
+    "CSD002", "CSD003", "CSD004", "CSD007", "CSD008",
+    "CSD009", "CSD010", "CSD011", "CSD012",
 )
 
 
@@ -267,12 +267,7 @@ class TestDeterminism:
         assert report.clean, snippet
 
     def test_allowlisted_files_exempt(self, tmp_path):
-        files = {
-            "src/repro/cli.py": "import time\n\nT = time.time()\n",
-            "src/repro/bench/runner.py": (
-                "import datetime\n\nT = datetime.datetime.now()\n"
-            ),
-        }
+        files = {"src/repro/cli.py": "import time\n\nT = time.time()\n"}
         report = run(tmp_path, files, rule_ids=["CSD003"])
         assert report.clean
 
@@ -477,65 +472,6 @@ class TestVirtualTime:
             tmp_path,
             {"src/repro/core/foo.py": "import time\n"},
             rule_ids=["CSD010"],
-        )
-        assert report.clean
-
-
-# ----- CSD006 bench-registration ---------------------------------------
-
-GOOD_BENCH = '''\
-from repro.bench import register
-
-
-def run_bench():
-    return 1
-
-
-SPEC = register(name="demo", suite="paper", fn=run_bench)
-'''
-
-
-class TestBenchRegistration:
-    def test_registered_script_passes(self, tmp_path):
-        report = run(
-            tmp_path,
-            {"benchmarks/bench_demo.py": GOOD_BENCH},
-            rule_ids=["CSD006"],
-        )
-        assert report.clean
-
-    def test_missing_spec_flagged(self, tmp_path):
-        report = run(
-            tmp_path,
-            {"benchmarks/bench_demo.py": "def run_bench():\n    return 1\n"},
-            rule_ids=["CSD006"],
-        )
-        assert rules_of(report) == ["CSD006"]
-        assert "SPEC" in report.findings[0].message
-
-    def test_spec_not_a_register_call_flagged(self, tmp_path):
-        report = run(
-            tmp_path,
-            {"benchmarks/bench_demo.py": "SPEC = 3\n"},
-            rule_ids=["CSD006"],
-        )
-        assert rules_of(report) == ["CSD006"]
-
-    def test_spec_missing_suite_keyword_flagged(self, tmp_path):
-        bench = GOOD_BENCH.replace(', suite="paper"', "")
-        report = run(
-            tmp_path,
-            {"benchmarks/bench_demo.py": bench},
-            rule_ids=["CSD006"],
-        )
-        assert rules_of(report) == ["CSD006"]
-        assert "suite" in report.findings[0].message
-
-    def test_non_bench_files_ignored(self, tmp_path):
-        report = run(
-            tmp_path,
-            {"benchmarks/common.py": "HELPER = True\n"},
-            rule_ids=["CSD006"],
         )
         assert report.clean
 
@@ -960,7 +896,9 @@ class TestLintCLI:
         listed = {line.split()[0] for line in out.splitlines() if line[:3] == "CSD"}
         assert listed == set(RULE_IDS)
 
-    @pytest.mark.parametrize("rule_id", ["CSD001", "CSD005"])
+    # CSD001/CSD005 were folded into CSD009/CSD010; CSD006 (bench
+    # registration) went with the bench registry
+    @pytest.mark.parametrize("rule_id", ["CSD001", "CSD005", "CSD006"])
     def test_superseded_rule_ids_are_unknown(self, tmp_path, rule_id, capsys):
         root = make_project(tmp_path, {})
         assert main(["lint", "--root", str(root), "--rule", rule_id]) == 2
@@ -983,7 +921,7 @@ class TestRepositoryContracts:
         report = run_analysis(REPO_ROOT)
         assert report.clean, "\n".join(report.format_lines())
 
-    def test_all_ten_rules_ran(self):
+    def test_all_nine_rules_ran(self):
         report = run_analysis(REPO_ROOT)
         assert report.rules == list(RULE_IDS)
 
