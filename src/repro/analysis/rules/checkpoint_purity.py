@@ -12,12 +12,13 @@ annotated-parameter assignments) and flags every reachable attribute
 carrying a pickle-hostile marker or an unpicklable type root.
 
 The walk follows composition: ``TenantSession -> Pipeline -> {client,
-server, channel, transport, feed}``.  What the checkpoint code leaves
-out is excluded below and nowhere else: the two attributes
+server, channel, transport}``.  What the checkpoint code leaves out is
+excluded below and nowhere else: the three attributes
 ``TenantSession.restore`` takes as arguments
-(``repro.serve.session.REBUILT_ON_RESTORE``), the source iterator
-``Pipeline.__getstate__`` drops, and the shared decode cache
-``state_bytes`` detaches.
+(``repro.serve.session.REBUILT_ON_RESTORE``, the delivered outputs among
+them, which the checkpoint store logs), the source iterator and
+lookahead feed ``Pipeline.__getstate__`` drops, and the shared decode
+cache ``state_bytes`` detaches.
 """
 
 from __future__ import annotations
@@ -38,8 +39,14 @@ DETACHED_ATTRS: Set[Tuple[str, str]] = {
     # restore() arguments (session.REBUILT_ON_RESTORE)
     ("TenantSession", "spec"),
     ("TenantSession", "disarmed"),
+    # delivered results: each checkpoint hands its new ones to the
+    # store's append-once output log, restore() takes them back
+    ("TenantSession", "outputs"),
     # dropped by Pipeline.__getstate__; attach() re-seeks a fresh one
     ("Pipeline", "_source"),
+    # dropped by Pipeline.__getstate__; attach() re-pulls the same
+    # batches from the seeded source after seeking to the cursor
+    ("Pipeline", "feed"),
     # shared across tenants; state_bytes() detaches it before pickling
     ("Server", "cache"),
 }

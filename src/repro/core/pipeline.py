@@ -18,8 +18,11 @@ the arrival counter and — when the channel is a
 (:mod:`repro.net.transport`), which ships batches as binary frames,
 retransmits with capped exponential backoff in virtual time and
 quarantines a batch that exhausts its retries instead of crashing the
-run.  Only the source iterator stays out of a pickle;
-:meth:`Pipeline.attach` seeks a fresh one to the pulled cursor.
+run.  A pickle leaves out what the source can give back: the iterator
+and the lookahead feed.  It records ``pulled = cursor``, and
+:meth:`Pipeline.attach` seeks a fresh source there and re-pulls the
+lookahead, the same batches byte for byte because every source is
+seeded.
 """
 
 from __future__ import annotations
@@ -121,8 +124,14 @@ class Pipeline:
         self.arrived_tuples = 0
 
     def __getstate__(self) -> Dict[str, Any]:
-        # iterators do not pickle; attach() seeks a fresh one to ``pulled``
-        return {**self.__dict__, "_source": None}
+        # iterators do not pickle, and the lookahead is the source's to
+        # give back: attach() seeks a fresh one to the cursor and refills
+        return {
+            **self.__dict__,
+            "_source": None,
+            "feed": deque(),
+            "pulled": self.cursor,
+        }
 
     # ----- the source feed -------------------------------------------------
 
@@ -131,7 +140,7 @@ class Pipeline:
 
         On an unpickled pipeline this is a log-offset seek: the source
         (rebuilt by the caller) is advanced past every batch the pickled
-        pipeline had already pulled.
+        pipeline had already taken, and the lookahead is pulled again.
         """
         if self._source is not None:
             raise EngineError("a Pipeline serves one stream; make a fresh one")

@@ -20,19 +20,25 @@ property the kill-and-recover differential test and the chaos oracle
 lean on.
 
 Checkpointing pickles the session's attributes (the pipeline and the
-delivery bookkeeping) as one object graph, so shared references — the
-cost model's channel handle, the fault injector's RNG position — survive
-intact.  The shared decode cache is detached first, and the source
-iterator is *not* pickled: it is rebuilt from the spec's seeded factory
-and fast-forwarded to the pulled-batch cursor by ``Pipeline.attach``,
-the virtual-time equivalent of a log offset seek.
+delivery counters) as one object graph, so shared references — the cost
+model's channel handle, the fault injector's RNG position — survive
+intact.  What can be rebuilt stays out: the shared decode cache is
+detached first; the pipeline drops the source iterator and its lookahead
+feed, which ``Pipeline.attach`` re-pulls byte-identically from the
+spec's seeded factory after seeking to the cursor (the virtual-time
+equivalent of a log offset seek); and the delivered ``outputs`` are not
+pickled at all — the supervisor hands each checkpoint the outputs
+delivered since the previous one, the checkpoint store logs them once,
+and :meth:`TenantSession.restore` takes the logged outputs below the
+checkpoint's cursor as an argument, so a checkpoint does not grow with
+run length.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..core.client import Client
 from ..core.cost_model import SystemParams
@@ -47,14 +53,15 @@ from ..net.transport import ReliabilityConfig
 from ..sql.executor import QueryResult
 from ..sql.plan import Plan
 from ..stream.batch import Batch
+from .checkpoint import unpickle
 
 #: codec names a degraded tenant is confined to: cheap, always-applicable
 #: encodings with no dictionary state and no direct-path execution needs
 DEGRADED_POOL = ("identity", "ns")
 
 #: session attributes restore() takes as arguments instead of unpickling
-#: (CSD012's detach list names the same two)
-REBUILT_ON_RESTORE = ("spec", "disarmed")
+#: (CSD012's detach list names the same three)
+REBUILT_ON_RESTORE = ("spec", "disarmed", "outputs")
 
 DELIVERED = "delivered"
 QUARANTINED = "quarantined"
@@ -200,7 +207,8 @@ class TenantSession:
         self.server.tenant = spec.tenant
         #: batch index -> that batch's query output; keyed storage makes
         #: post-restore reprocessing exactly-once (replays overwrite with
-        #: identical results instead of duplicating rows)
+        #: identical results instead of duplicating rows).  Not pickled:
+        #: the checkpoint store logs it, restore() takes it back
         self.outputs: Dict[int, QueryResult] = {}
         #: input tuples behind the delivered outputs (first deliveries only)
         self.tuples_delivered = 0
@@ -328,13 +336,25 @@ class TenantSession:
         cls,
         spec: TenantSpec,
         payload: bytes,
+        outputs: Optional[Mapping[int, QueryResult]] = None,
         cache: Optional[DecodeCache] = None,
         disarmed: Optional[Iterable[int]] = None,
     ) -> "TenantSession":
-        """Resume a session from :meth:`state_bytes` output."""
+        """Resume a session from :meth:`state_bytes` output.
+
+        ``outputs`` are the tenant's logged outputs below the checkpoint's
+        cursor (:meth:`CheckpointStore.outputs`).
+        """
+        what = f"checkpoint payload of tenant {spec.tenant!r}"
+        state = unpickle(payload, what)
+        if not isinstance(state, dict) or not isinstance(
+            state.get("pipeline"), Pipeline
+        ):
+            raise ServeError(f"{what} is not a pickled session state")
         session = cls.__new__(cls)
-        vars(session).update(pickle.loads(payload))
+        vars(session).update(state)
         session.spec = spec
+        session.outputs = dict(outputs or {})
         session.disarmed = set(disarmed or ())
         session.server.cache = cache if cache is not None else DecodeCache()
         session.server.tenant = spec.tenant

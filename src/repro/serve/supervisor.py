@@ -93,6 +93,9 @@ class TenantRunner:
         #: batch indices already counted as delivered (replays after a
         #: checkpoint restore must not double-count)
         self.delivered_indices: Set[int] = set()
+        #: cursor of the latest checkpoint saved or restored: the store's
+        #: output log holds every output below it
+        self.logged_through = 0
 
     @property
     def finished(self) -> bool:
@@ -247,11 +250,16 @@ class ServeSupervisor:
         runner.session.set_degraded(runner.breaker.degraded)
 
     def _restore_session(self, runner: TenantRunner, ckpt: TenantCheckpoint) -> None:
-        ckpt.require_current_version()
+        ckpt.verify()
         runner.disarmed |= set(ckpt.disarmed_crashes)
         runner.session = TenantSession.restore(
-            runner.spec, ckpt.payload, cache=self.cache, disarmed=runner.disarmed
+            runner.spec,
+            ckpt.payload,
+            outputs=self.store.outputs(ckpt),
+            cache=self.cache,
+            disarmed=runner.disarmed,
         )
+        runner.logged_through = ckpt.batches_processed
         runner.report.resumed_from_batch = ckpt.batches_processed
 
     def _park(self, runner: TenantRunner) -> None:
@@ -286,17 +294,30 @@ class ServeSupervisor:
             self._checkpoint(runner)
 
     def _checkpoint(self, runner: TenantRunner) -> None:
-        if runner.session is None:
+        session = runner.session
+        if session is None:
             return
+        cursor = session.cursor
+        # only what was delivered since the last checkpoint: the store
+        # already logs everything below ``logged_through``
+        fresh = {
+            index: session.outputs[index]
+            for index in range(runner.logged_through, cursor)
+            if index in session.outputs
+        }
         self.store.save(
             TenantCheckpoint(
                 tenant=runner.spec.tenant,
-                batches_processed=runner.session.cursor,
-                payload=runner.session.state_bytes(),
+                batches_processed=cursor,
+                payload=session.state_bytes(),
                 virtual_time=self.clock.now,
                 disarmed_crashes=tuple(sorted(runner.disarmed)),
+                outputs=fresh,
+                outputs_from=runner.logged_through,
+                delivered=len(session.outputs),
             )
         )
+        runner.logged_through = cursor
         runner.report.checkpoints_saved += 1
         runner.steps_since_checkpoint = 0
 

@@ -7,6 +7,10 @@ tenants — never the process.  Everything runs in virtual time, so the
 suite asserts exact schedules and exact shed sets, not tolerances.
 """
 
+import dataclasses
+import io
+import pickle
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,7 @@ from repro.serve import (
     backpressure_frame,
     parse_backpressure_frame,
 )
+from repro.serve.checkpoint import frame_record
 from repro.serve.report import p95
 
 
@@ -472,8 +477,6 @@ class TestCheckpointStores:
             store.save(bad)
 
     def test_version_1_file_rejected_on_load_and_restore(self, tmp_path):
-        import pickle
-
         from repro.sql.executor import WindowAggExecutor
         from repro.stream import PartitionWindowState, WindowScheduler, WindowSpec
 
@@ -495,13 +498,16 @@ class TestCheckpointStores:
             _tail={"v": np.array([7])},
         )
         v3 = pickle.dumps({"cursor": 2, "executor": executor})
-        for version, payload in ((1, v1), (2, v2), (3, v3)):
+        # version 4: the lookahead feed and every delivered output inside
+        # the payload, before both were rebuilt on restore
+        v4 = pickle.dumps({"feed": [np.arange(4)], "outputs": {0: None}})
+        for version, payload in ((1, v1), (2, v2), (3, v3), (4, v4)):
             old = TenantCheckpoint(
                 tenant="t", batches_processed=2, payload=payload, version=version
             )
             directory = tmp_path / f"v{version}"
             directory.mkdir()
-            (directory / "t.ckpt").write_bytes(pickle.dumps(old, protocol=4))
+            (directory / "t.ckpt").write_bytes(frame_record(old))
             with pytest.raises(ServeError, match=f"version {version}"):
                 FileCheckpointStore(directory)
             # a store that let it through must still not reach pickle.loads
@@ -518,6 +524,215 @@ class TestCheckpointStores:
         assert "checkpoints.json" in names
         assert any(name.endswith(".ckpt") for name in names)
         assert len(written) == 2
+
+
+class RecordingStore(CheckpointStore):
+    """An in-memory store that keeps every checkpoint it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.saved = []
+
+    def save(self, checkpoint):
+        super().save(checkpoint)
+        self.saved.append(checkpoint)
+
+
+def pickled_class_names(payload):
+    """Names of every class a pickle instantiates, without building it."""
+    names = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            names.add(name)
+            return super().find_class(module, name)
+
+    Recorder(io.BytesIO(payload)).load()
+    return names
+
+
+def batch_bytes(batches):
+    return [
+        [(name, col.dtype.str, col.tobytes()) for name, col in b.columns.items()]
+        for b in batches
+    ]
+
+
+class TestCheckpointContents:
+    """A checkpoint holds session state only: no lookahead batches and no
+    delivered outputs, so its size does not grow with run length."""
+
+    def test_checkpoint_size_is_flat(self):
+        store = RecordingStore()
+        tenant = spec(
+            "q6", query="q6", batches=64, batch_size=1024, checkpoint_every=8
+        )
+        ServeSupervisor([tenant], store=store).run()
+        sizes = [ckpt.nbytes for ckpt in store.saved]
+        assert len(sizes) == 8
+        assert max(sizes) <= 1.25 * sizes[0], sizes
+        for ckpt in store.saved:
+            names = pickled_class_names(ckpt.payload)
+            assert "Pipeline" in names
+            assert not names & {"Batch", "QueryResult"}, names
+
+    def test_each_output_is_logged_once_by_reference(self):
+        store = RecordingStore()
+        supervisor = ServeSupervisor([spec("t", checkpoint_every=2)], store=store)
+        supervisor.run()
+        assert [sorted(c.outputs) for c in store.saved] == [[0, 1], [2, 3], [4, 5]]
+        assert [c.outputs_from for c in store.saved] == [0, 2, 4]
+        assert [c.delivered for c in store.saved] == [2, 4, 6]
+        delivered = supervisor.runners[0].session.outputs
+        logged = store.outputs(store.latest("t"))
+        assert all(logged[i] is delivered[i] for i in range(6))
+
+    @pytest.mark.parametrize(
+        "tenant, shed",
+        [
+            (spec("grid", query="q2", batches=10), ()),
+            (spec("road", query="q3", batches=10), ()),
+            (spec("cluster", query="q6", batches=10), ()),
+            (
+                spec(
+                    "arrivals",
+                    query="q1",
+                    batches=12,
+                    arrival_rate_tps=2e5,
+                    bandwidth_mbps=5.0,
+                ),
+                (5, 6, 10),
+            ),
+        ],
+        ids=["smart_grid", "linear_road", "cluster", "shed_under_arrivals"],
+    )
+    def test_restore_repulls_the_same_lookahead(self, tenant, shed):
+        from repro.sql.executor import QueryResult
+
+        reference, live = TenantSession(tenant), TenantSession(tenant)
+        reference.mark_shed(shed)
+        live.mark_shed(shed)
+        for _ in range(4):
+            live.step(0.0)
+        restored = TenantSession.restore(
+            tenant, live.state_bytes(), outputs=live.outputs
+        )
+        assert len(live.pipeline.feed) == live.client.lookahead
+        assert batch_bytes(restored.pipeline.feed) == batch_bytes(live.pipeline.feed)
+        assert restored.pipeline.pulled == live.pipeline.pulled
+        assert restored.shed_indices == live.shed_indices
+        for session in (reference, restored):
+            while not session.done:
+                session.step(0.0)
+        assert restored.batches_shed == reference.batches_shed == len(shed)
+        assert sorted(restored.outputs) == sorted(reference.outputs)
+        merged = [
+            QueryResult.merge([s.outputs[i] for i in sorted(s.outputs)])
+            for s in (reference, restored)
+        ]
+        assert merged[0].columns.keys() == merged[1].columns.keys()
+        for name in merged[0].columns:
+            assert np.array_equal(merged[0].columns[name], merged[1].columns[name])
+
+    def test_file_store_log_survives_reopen_and_dump(self, tmp_path):
+        specs = mixed_fleet()
+        reference = ServeSupervisor(specs)
+        reference.run()
+        store = FileCheckpointStore(tmp_path / "ckpts")
+        ServeSupervisor(specs, store=store).run(max_steps=9)
+        dumped = tmp_path / "dump"
+        store.dump(dumped)
+        for directory in (tmp_path / "ckpts", dumped):
+            reopened = FileCheckpointStore(directory)
+            for tenant in reopened.tenants():
+                ckpt = reopened.latest(tenant)
+                logged = reopened.outputs(ckpt)
+                assert sorted(logged) == sorted(store.outputs(ckpt))
+                for index, out in logged.items():
+                    expected = reference.outputs(tenant)[index]
+                    for name in out.columns:
+                        assert np.array_equal(
+                            out.columns[name], expected.columns[name]
+                        )
+
+    def test_first_checkpoint_of_a_fresh_run_resets_the_log(self, tmp_path):
+        # a run without --resume over an old directory must not restore
+        # the old run's outputs
+        directory = tmp_path / "ckpts"
+        ServeSupervisor([spec("t")], store=FileCheckpointStore(directory)).run()
+        store = FileCheckpointStore(directory)
+        ServeSupervisor([spec("t")], store=store).run(max_steps=2)
+        assert sorted(store.outputs(store.latest("t"))) == [0, 1]
+        assert sorted(FileCheckpointStore(directory)._outputs["t"]) == [0, 1]
+
+
+class TestCorruptCheckpoints:
+    """Every damaged checkpoint, payload or log is a ServeError naming the
+    tenant (and the file), never a raw unpickling error."""
+
+    def saved(self, tmp_path):
+        directory = tmp_path / "ckpts"
+        ServeSupervisor(
+            [spec("t", query="q6")], store=FileCheckpointStore(directory)
+        ).run(max_steps=5)
+        return directory
+
+    def test_truncated_checkpoint_file(self, tmp_path):
+        directory = self.saved(tmp_path)
+        path = directory / "t.ckpt"
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(ServeError, match=r"tenant 't' in .*t\.ckpt"):
+            FileCheckpointStore(directory)
+
+    def test_seeded_truncations_and_bit_flips(self, tmp_path):
+        directory = self.saved(tmp_path)
+        rng = np.random.default_rng(0)
+        for name in ("t.ckpt", "t.outputs"):
+            path = directory / name
+            clean = path.read_bytes()
+            for trial in range(40):
+                data = bytearray(clean)
+                if trial % 2:
+                    del data[int(rng.integers(0, len(data))) :]
+                else:
+                    data[int(rng.integers(0, len(data)))] ^= 1 << int(
+                        rng.integers(0, 8)
+                    )
+                path.write_bytes(bytes(data))
+                with pytest.raises(ServeError, match="tenant 't'"):
+                    FileCheckpointStore(directory)
+            path.write_bytes(clean)
+        assert FileCheckpointStore(directory).tenants() == ["t"]
+
+    def test_missing_output_log_is_refused(self, tmp_path):
+        directory = self.saved(tmp_path)
+        (directory / "t.outputs").unlink()
+        with pytest.raises(ServeError, match="holds 0 outputs below batch 4"):
+            FileCheckpointStore(directory)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"\x80\x04garbage", "does not unpickle"),
+            (pickle.dumps({"x": 1}), "not a pickled session state"),
+        ],
+        ids=["garbage", "wrong_shape"],
+    )
+    def test_bad_payload_on_resume(self, payload, message):
+        store = CheckpointStore()
+        store.save(TenantCheckpoint(tenant="t", batches_processed=2, payload=payload))
+        with pytest.raises(ServeError, match=f"tenant 't'.*{message}"):
+            ServeSupervisor([spec("t")], store=store, resume=True)
+
+    def test_payload_digest_checked_before_unpickling(self):
+        store = CheckpointStore()
+        ServeSupervisor([spec("t")], store=store).run(max_steps=2)
+        good = store.latest("t")
+        bad = dataclasses.replace(good, payload=good.payload[:-1])
+        object.__setattr__(bad, "digest", good.digest)
+        store._latest["t"] = bad
+        with pytest.raises(ServeError, match="SHA-256"):
+            ServeSupervisor([spec("t")], store=store, resume=True)
 
 
 # ----- virtual clock -----------------------------------------------------
