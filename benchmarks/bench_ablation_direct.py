@@ -16,7 +16,6 @@ group-by queries Q2 and Q6 (grouping runs on codes directly).
 
 from common import Table, average, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES
 
 #: codecs whose decode is materially more expensive than code access
@@ -34,7 +33,6 @@ def _run(qname, mode, force_decode, batches, windows_per_batch):
         EngineConfig(
             mode=mode,
             bandwidth_mbps=500,
-            calibration=default_calibration(),
             force_decode=force_decode,
         ),
     )

@@ -9,7 +9,6 @@ latency curves imply.
 
 from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig, SystemParams
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES
 
 #: the stream produces tuples faster than the thin link can ship them raw
@@ -25,7 +24,6 @@ def _run(mode, batches, windows_per_batch):
         EngineConfig(
             mode=mode,
             bandwidth_mbps=BANDWIDTH_MBPS,
-            calibration=default_calibration(),
             params=SystemParams(arrival_rate_tps=ARRIVAL_TPS),
         ),
     )

@@ -9,7 +9,6 @@ batch must not collapse throughput (selection is cheap).
 
 from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
 
 CADENCES = (1, 4, 8, 32)
@@ -24,7 +23,6 @@ def _run(redecide_every, lookahead, batches, batches_per_phase):
         EngineConfig(
             mode="adaptive",
             bandwidth_mbps=100,
-            calibration=default_calibration(),
             redecide_every=redecide_every,
             lookahead=lookahead,
         ),

@@ -10,7 +10,6 @@ scheduler's overhead stays modest.
 
 from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import smart_grid
 
 #: ~200 readings/second in the generator: 5-second time windows hold
@@ -29,7 +28,7 @@ def _run(query, mode, batches, batch_size):
     engine = CompressStreamDB(
         {"SmartGridStr": smart_grid.SCHEMA},
         query,
-        EngineConfig(mode=mode, calibration=default_calibration()),
+        EngineConfig(mode=mode),
     )
     return engine.run(smart_grid.source(batch_size=batch_size, batches=batches))
 

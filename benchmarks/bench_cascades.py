@@ -25,7 +25,6 @@ import numpy as np
 from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
 from repro.compression import get_codec
-from repro.core.calibration import default_calibration
 from repro.stats import ColumnStats
 from repro.stream.schema import Field, Schema
 from repro.stream.source import GeneratorSource
@@ -135,7 +134,6 @@ def _morph_engine(optimize):
         EngineConfig(
             mode="static:rle",
             bandwidth_mbps=500,
-            calibration=default_calibration(),
             optimize=optimize,
         ),
     )

@@ -14,7 +14,6 @@ bit-for-bit across runs.
 import numpy as np
 from common import Table, run_bench, scale
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES
 from repro.net.faults import FaultProfile
 from repro.net.transport import ReliabilityConfig
@@ -36,7 +35,6 @@ def run_at(rate, batches, windows_per_batch):
         EngineConfig(
             mode="adaptive",
             bandwidth_mbps=100.0,
-            calibration=default_calibration(),
             fault_profile=profile,
             reliability=ReliabilityConfig(max_retries=6),
             profile_query=False,

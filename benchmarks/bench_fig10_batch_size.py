@@ -10,7 +10,6 @@ buffer.
 
 from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
 
 NETWORKS = {"100Mbps": 100.0, "1Gbps": 1000.0, "single-node": None}
@@ -24,7 +23,6 @@ def _engine(mbps, slide=1024):
         EngineConfig(
             mode="adaptive",
             bandwidth_mbps=mbps,
-            calibration=default_calibration(),
         ),
     )
 

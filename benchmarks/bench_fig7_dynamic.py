@@ -8,7 +8,6 @@ baseline and 3.97x over static at 100 Mbps).
 
 from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
 
 BANDWIDTHS = (10, 100, 500, 1000)
@@ -23,7 +22,6 @@ def _run(mode, mbps, batches, batches_per_phase, windows_per_batch):
         EngineConfig(
             mode=mode,
             bandwidth_mbps=mbps,
-            calibration=default_calibration(),
             redecide_every=batches_per_phase,  # re-decide at phase cadence
             lookahead=3,
         ),

@@ -8,7 +8,7 @@ slightly below measurements (model ignores engine overheads).
 """
 
 from common import METHOD_LABELS, METHODS, Table, average, run_bench, run_query
-from repro import CompressStreamDB, EngineConfig
+from repro import CompressStreamDB
 from repro.compression import get_codec
 from repro.core import CostModel, SystemParams, column_stats_from_batches
 from repro.core.calibration import default_calibration
@@ -26,11 +26,7 @@ def _model_inputs(windows_per_batch):
         q.make_source(batch_size=q.window * windows_per_batch, batches=2, seed=11)
     )
     stats = column_stats_from_batches(batches, q.schema)
-    plan = CompressStreamDB(
-        q.catalog,
-        q.text(slide=q.window),
-        EngineConfig(calibration=default_calibration()),
-    ).plan
+    plan = CompressStreamDB(q.catalog, q.text(slide=q.window)).plan
     measure_query_profile(plan, batches[0], SystemParams().memory_fraction)
     model = CostModel(
         default_calibration(), SystemParams(), Channel(bandwidth_mbps=500)

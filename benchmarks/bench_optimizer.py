@@ -20,7 +20,6 @@ best-of-``cell_repeats`` per leg is the robust estimator
 import numpy as np
 from common import Table, best_of, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import smart_grid
 from repro.stream.source import GeneratorSource
 
@@ -66,7 +65,6 @@ def _engine(optimize):
         EngineConfig(
             mode="static:rle",
             bandwidth_mbps=500,
-            calibration=default_calibration(),
             optimize=optimize,
         ),
     )

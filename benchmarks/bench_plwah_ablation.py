@@ -8,7 +8,6 @@ than the adaptive design; adding PLWAH to the adaptive pool can only help
 
 from common import Table, run_bench
 from repro import CompressStreamDB, EngineConfig
-from repro.core.calibration import default_calibration
 from repro.datasets import QUERIES, smart_grid
 
 
@@ -20,7 +19,6 @@ def _run(mode, batches, windows_per_batch):
         EngineConfig(
             mode=mode,
             bandwidth_mbps=100,
-            calibration=default_calibration(),
         ),
     )
     source = smart_grid.source(

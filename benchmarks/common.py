@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, Optional, Sequence
 
 from repro import CompressStreamDB, EngineConfig, RunReport
-from repro.core.calibration import default_calibration
 from repro.datasets import DATASET_QUERIES, QUERIES
 from repro.reporting import TextTable as Table
 
@@ -141,7 +140,6 @@ def run_query(
         EngineConfig(
             mode=mode,
             bandwidth_mbps=bandwidth_mbps,
-            calibration=default_calibration(),
             redecide_every=redecide_every,
         ),
     )

@@ -9,17 +9,13 @@ time); anything else needs a ``# lint: force-decode`` waiver stating
 why the decode is bounded (e.g. one value per window).
 
 A decode site is a :data:`DECODE_METHODS` call on a non-cache receiver.
-The rule checks two scopes:
-
-* the direct path (``repro.operators``, ``repro.core.server``): its own
-  decode sites, and every site reachable from it over the call graph
-  through any number of helper hops, with propagation cut at the
-  sanctioned decode layers — ``DecodeCache`` itself and the codec
-  package, whose whole job is decoding;
-* ``repro.optimizer``: its own decode sites.  Planning is metadata-only
-  (rules price representations through the cost model), but its call
-  closure is not followed: it reaches the codec calibration
-  micro-benchmarks, which decode on purpose.
+The rule checks the direct path (``repro.operators``,
+``repro.core.server``) and planning (``repro.optimizer``, which is
+metadata-only: rules price representations through the cost model):
+their own decode sites, and every site reachable from them over the call
+graph through any number of helper hops, with propagation cut at the
+sanctioned decode layers — ``DecodeCache`` itself and the codec package,
+whose whole job is decoding.
 
 Findings anchor at the offending call site and carry the witness call
 chain from the entry point, so the fix (route through the cache, or
@@ -44,14 +40,12 @@ DECODE_METHODS = frozenset(
 #: receiver names through which a full decode is sanctioned
 CACHE_RECEIVERS = frozenset({"cache", "decode_cache"})
 
-#: files on the direct-on-compressed execution path (closure followed)
-DIRECT_PATHS: Tuple[str, ...] = (
+#: the direct-on-compressed execution path and planning (closure followed)
+ENTRY_PATHS: Tuple[str, ...] = (
     "src/repro/operators/",
     "src/repro/core/server.py",
+    "src/repro/optimizer/",
 )
-
-#: planning code: checked site by site, closure not followed
-PLAN_PATHS: Tuple[str, ...] = ("src/repro/optimizer/",)
 
 #: paths where decoding is the sanctioned job (propagation stops here,
 #: and decode sites inside them are not sinks)
@@ -89,8 +83,8 @@ class DecodeTaintRule(GraphRule):
         "Direct-on-compressed operators, the server hot loop and the "
         "optimizer may only materialize values through "
         "DecodeCache.decompress.  The rule flags every other decode "
-        "call in those packages and, from the direct path, follows the "
-        "call graph through any number of helper hops, unless the path "
+        "call in those packages and follows the call graph from them "
+        "through any number of helper hops, unless the path "
         "passes through DecodeCache or the codec package; each site "
         "needs a '# lint: force-decode' waiver explaining why the decode "
         "is bounded and intentional."
@@ -100,21 +94,9 @@ class DecodeTaintRule(GraphRule):
         graph = project.graph
         if not isinstance(graph, CallGraph):
             return
-        entries = [n.qualname for n in graph.functions_in(DIRECT_PATHS)]
-        sanitizers = {
-            n.qualname
-            for n in graph.functions_in(SANCTIONED_PATHS)
-        }
-        planners = {n.qualname for n in graph.functions_in(PLAN_PATHS)}
-        flows = find_flows(graph, entries, _decode_sites, sanitizers)
-        reached = {flow.node for flow in flows}
-        # every planner is an entry and a stop: its own sites, no closure
-        flows += [
-            flow
-            for flow in find_flows(graph, planners, _decode_sites, planners)
-            if flow.node not in reached
-        ]
-        for flow in flows:
+        entries = [n.qualname for n in graph.functions_in(ENTRY_PATHS)]
+        sanitizers = {n.qualname for n in graph.functions_in(SANCTIONED_PATHS)}
+        for flow in find_flows(graph, entries, _decode_sites, sanitizers):
             mark_flow_edges(project.edge_taints, flow, self.title)
             node = graph.function(flow.node)
             assert node is not None

@@ -921,7 +921,12 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser(
         "calibrate", help="micro-benchmark codecs and save the cost table"
     )
-    calibrate.add_argument("--out", default="calibration.json")
+    calibrate.add_argument(
+        "--out",
+        default="calibration.json",
+        help="where to write the table; engines read the shipped one, "
+        "src/repro/core/calibration.json",
+    )
     calibrate.add_argument("--repeats", type=int, default=3)
     calibrate.set_defaults(func=cmd_calibrate)
     return parser

@@ -106,10 +106,6 @@ class BitReader:
                 return count
             count += 1
 
-    @property
-    def bit_position(self) -> int:
-        return self._pos
-
 
 def _as_int64_stream(values: Iterable[int]) -> np.ndarray:
     if isinstance(values, np.ndarray):

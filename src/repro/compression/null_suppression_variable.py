@@ -22,11 +22,6 @@ from .kernels import nsv_pack, nsv_unpack
 WIDTH_CHOICES = np.array([1, 2, 4, 8], dtype=np.int64)
 
 
-def _descriptor_for_widths(exact_widths: np.ndarray) -> np.ndarray:
-    """Map exact byte widths (1..8) to descriptor codes (0..3)."""
-    return np.searchsorted(WIDTH_CHOICES, exact_widths, side="left").astype(np.uint8)
-
-
 class NullSuppressionVariableCodec(Codec):
     """Per-element-width leading-zero suppression (the paper's NSV)."""
 

@@ -1,18 +1,25 @@
-"""Cost-model calibration: measured per-codec time coefficients.
+"""Cost-model calibration: per-codec time coefficients.
 
 The paper obtains the instruction counts of Eq. 2/6 by reading each
-codec's assembly.  Python has no stable instruction counts, so we play the
+codec's assembly once, so every run prices codecs from one fixed table.
+Python has no stable instruction counts, so :func:`calibrate` plays the
 same role empirically (DESIGN.md §3): each codec's compression and
 decompression cost is fitted as ``t(n) = a * n + b`` seconds from timed
-runs at two column sizes.  The fit is cached per process — calibration
-runs once and is amortized over the stream, like the paper's "overhead can
-be amortized during stream processing".
+runs at two column sizes.  Those timings move between processes, so the
+engine never measures: :func:`default_calibration` loads the table shipped
+with the package (``calibration.json`` beside this module), and
+``python -m repro calibrate --out src/repro/core/calibration.json`` is the
+one way to refresh it.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,52 +57,17 @@ class CalibrationTable:
     timings: Dict[str, CodecTiming]
     kindnum: int = 1024
 
-    #: stage-1 transform name -> the calibrated codec whose coefficients
-    #: proxy that transform's per-element work (cascade composition below)
-    STAGE1_PROXIES = {"dict": "dict", "delta": "deltachain", "bd": "bd"}
-
     def timing(self, codec_name: str) -> CodecTiming:
         try:
             return self.timings[codec_name]
         except KeyError:
-            composed = self._composed_timing(codec_name)
-            if composed is not None:
-                return composed
             raise CalibrationError(
                 f"codec {codec_name!r} was not calibrated"
             ) from None
 
-    def _composed_timing(self, codec_name: str) -> Optional[CodecTiming]:
-        """Stage-summed coefficients for an uncalibrated cascade.
-
-        A cascade ``s1+s2`` costs roughly one pass of its stage-1 transform
-        plus the stage-2 codec on the code array, so summing the calibrated
-        linear models of a per-stage proxy generalizes Eqs. 2/6 to tables
-        recorded before the cascade existed.  Freshly calibrated tables
-        time cascades directly and never reach this fallback.
-        """
-        if "+" not in codec_name:
-            return None
-        stage1_name, stage2_name = codec_name.split("+", 1)
-        proxy = self.STAGE1_PROXIES.get(stage1_name)
-        if proxy is None:
-            return None
-        s1 = self.timings.get(proxy)
-        s2 = self.timings.get(stage2_name)
-        if s1 is None or s2 is None:
-            return None
-        return CodecTiming(
-            compress_a=s1.compress_a + s2.compress_a,
-            compress_b=s1.compress_b + s2.compress_b,
-            decompress_a=s1.decompress_a + s2.decompress_a,
-            decompress_b=s1.decompress_b + s2.decompress_b,
-        )
-
-    # ----- persistence (amortize calibration across processes) ----------
+    # ----- persistence ---------------------------------------------------
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "version": 1,
@@ -110,8 +82,6 @@ class CalibrationTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationTable":
-        import json
-
         try:
             doc = json.loads(text)
             if doc.get("version") != 1:
@@ -122,21 +92,27 @@ class CalibrationTable:
                 name: CodecTiming(*[float(x) for x in coeffs])
                 for name, coeffs in doc["timings"].items()
             }
-            return cls(timings=timings, kindnum=int(doc["kindnum"]))
+            kindnum = int(doc["kindnum"])
         except CalibrationError:
             raise
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CalibrationError(f"malformed calibration file: {exc}") from exc
+        if kindnum < 1:
+            raise CalibrationError(f"kindnum must be >= 1, got {kindnum}")
+        for name, t in timings.items():
+            coeffs = (t.compress_a, t.compress_b, t.decompress_a, t.decompress_b)
+            if not all(math.isfinite(c) and c >= 0 for c in coeffs):
+                raise CalibrationError(
+                    f"codec {name!r} needs finite non-negative coefficients, "
+                    f"got {list(coeffs)}"
+                )
+        return cls(timings=timings, kindnum=kindnum)
 
     def save(self, path) -> None:
-        from pathlib import Path
-
         Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":
-        from pathlib import Path
-
         return cls.from_json(Path(path).read_text())
 
 
@@ -202,12 +178,11 @@ def calibrate(
     return CalibrationTable(timings=timings, kindnum=kindnum)
 
 
-_DEFAULT_TABLE: Optional[CalibrationTable] = None
+#: the shipped table: package data, refreshed only by ``repro calibrate``
+SHIPPED_TABLE = Path(__file__).with_name("calibration.json")
 
 
+@functools.lru_cache(maxsize=None)
 def default_calibration() -> CalibrationTable:
-    """Process-wide cached calibration of the full codec registry."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = calibrate()
-    return _DEFAULT_TABLE
+    """The shipped calibration of the full codec registry, loaded once."""
+    return CalibrationTable.load(SHIPPED_TABLE)

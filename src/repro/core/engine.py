@@ -68,6 +68,8 @@ class EngineConfig:
     redecide_every: int = 16
     lookahead: int = 5
     params: SystemParams = field(default_factory=SystemParams)
+    #: codec cost table for the optimizer and the selector (None = the
+    #: table shipped with the package, see ``default_calibration``)
     calibration: Optional[CalibrationTable] = None
     #: restrict the adaptive pool to these codec names (None = Table I pool)
     pool: Optional[List[str]] = None
@@ -124,13 +126,15 @@ class CompressStreamDB:
         hint = ""
         if config.mode.startswith("static:"):
             hint = config.mode.split(":", 1)[1]
+        # one table prices both the plan and the codec choices
+        self._calibration = config.calibration or default_calibration()
         # plan once: the plan is immutable; executors are per-run
         self._base_plan: Plan = plan_for_engine(
             catalog,
             query,
             optimize=config.optimize,
             codec_hint=hint,
-            calibration=config.calibration,
+            calibration=self._calibration,
         ).plan
 
     @staticmethod
@@ -177,8 +181,7 @@ class CompressStreamDB:
             return StaticSelector("identity")
         if mode.startswith("static:"):
             return StaticSelector(mode.split(":", 1)[1])
-        table = self.config.calibration or default_calibration()
-        cost_model = CostModel(table, self.config.params, channel)
+        cost_model = CostModel(self._calibration, self.config.params, channel)
         if self.config.pool is not None:
             pool = [get_codec(name) for name in self.config.pool]
         else:

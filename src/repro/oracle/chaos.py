@@ -44,6 +44,11 @@ from .differential import compare_results
 #: queries the generator cycles through (all six evaluation queries)
 CHAOS_QUERIES = ("q1", "q2", "q3", "q4", "q5", "q6")
 
+#: upper bound for the per-tenant drop/corrupt rates the RNG draws
+MAX_LOSS_RATE = 0.08
+#: probability that a tenant carries a poison (crash-injected) batch
+CRASH_PROBABILITY = 0.3
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -54,10 +59,6 @@ class ChaosConfig:
     tenants: int = 3
     batches: int = 6
     batch_size: int = 384
-    #: upper bound for the per-tenant drop/corrupt rates the RNG draws
-    max_loss_rate: float = 0.08
-    #: probability that a tenant carries a poison (crash-injected) batch
-    crash_probability: float = 0.3
     #: cap retries so heavy-loss tenants dead-letter instead of grinding
     max_retries: int = 3
     out_dir: str = "chaos-artifacts"
@@ -102,7 +103,7 @@ def case_specs(config: ChaosConfig, case_id: int) -> List[TenantSpec]:
     specs = []
     for t in range(config.tenants):
         query = CHAOS_QUERIES[int(rng.integers(0, len(CHAOS_QUERIES)))]
-        loss = float(rng.uniform(0.0, config.max_loss_rate))
+        loss = float(rng.uniform(0.0, MAX_LOSS_RATE))
         profile = FaultProfile(
             drop_rate=loss,
             corrupt_rate=loss,
@@ -111,7 +112,7 @@ def case_specs(config: ChaosConfig, case_id: int) -> List[TenantSpec]:
             seed=int(rng.integers(0, 2**31)),
         )
         crash_batches: Tuple[int, ...] = ()
-        if float(rng.random()) < config.crash_probability:
+        if float(rng.random()) < CRASH_PROBABILITY:
             crash_batches = (int(rng.integers(1, config.batches)),)
         from ..net.transport import ReliabilityConfig
 
@@ -240,8 +241,8 @@ def _write_artifacts(
         "tenants": config.tenants,
         "batches": config.batches,
         "batch_size": config.batch_size,
-        "max_loss_rate": config.max_loss_rate,
-        "crash_probability": config.crash_probability,
+        "max_loss_rate": MAX_LOSS_RATE,
+        "crash_probability": CRASH_PROBABILITY,
         "max_retries": config.max_retries,
         "replay": (
             f"python -m repro oracle --chaos --cases 1 "

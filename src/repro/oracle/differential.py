@@ -79,8 +79,6 @@ class DifferentialConfig:
     rtol: float = 1e-9
     atol: float = 1e-9
     mutate: Optional[MutateHook] = None
-    #: also run the direct path on the scalar-reference kernels (leg d)
-    scalar_leg: bool = True
     #: also run the direct path on the *optimized* plan (leg e): the case
     #: is re-planned through :mod:`repro.optimizer` with the pinned codec
     #: as hint and statistics bound from the case's own batches, so every
@@ -306,9 +304,8 @@ def run_case(
 
     baseline = run_path(plan, batches, None, force_decode=True)
 
-    paths = [(PATH_DECODE, True), (PATH_DIRECT, False)]
-    if config.scalar_leg:
-        paths.append((PATH_SCALAR, False))
+    # leg d (PATH_SCALAR) re-runs the direct path on scalar-reference kernels
+    paths = [(PATH_DECODE, True), (PATH_DIRECT, False), (PATH_SCALAR, False)]
     if config.optimized_leg:
         paths.append((PATH_OPTIMIZED, False))
     for codec_name in config.codecs:

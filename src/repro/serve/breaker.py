@@ -28,6 +28,11 @@ CLOSED = "CLOSED"
 OPEN = "OPEN"
 HALF_OPEN = "HALF_OPEN"
 
+#: a step needing this many transport attempts counts as a soft failure
+RETRY_PRESSURE = 4
+#: cooldown multiplier applied on each re-trip (capped by cooldown_cap_s)
+COOLDOWN_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class BreakerConfig:
@@ -37,12 +42,8 @@ class BreakerConfig:
     failure_threshold: int = 4
     #: number of recent steps the failure count is evaluated over
     window: int = 16
-    #: a step needing this many transport attempts counts as a soft failure
-    retry_pressure: int = 4
     #: OPEN -> HALF_OPEN cooldown after the first trip
     cooldown_s: float = 2.0
-    #: cooldown multiplier applied on each re-trip, capped below
-    cooldown_factor: float = 2.0
     cooldown_cap_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -50,12 +51,8 @@ class BreakerConfig:
             raise ServeError("failure_threshold must be >= 1")
         if self.window < self.failure_threshold:
             raise ServeError("window must be >= failure_threshold")
-        if self.retry_pressure < 1:
-            raise ServeError("retry_pressure must be >= 1")
         if self.cooldown_s <= 0 or not math.isfinite(self.cooldown_s):
             raise ServeError("cooldown_s must be positive and finite")
-        if self.cooldown_factor < 1:
-            raise ServeError("cooldown_factor must be >= 1")
         if self.cooldown_cap_s < self.cooldown_s:
             raise ServeError("cooldown_cap_s must be >= cooldown_s")
 
@@ -82,7 +79,7 @@ class CircuitBreaker:
         self.trips += 1
         self._open_until = now + self._cooldown
         self._cooldown = min(
-            self.config.cooldown_cap_s, self._cooldown * self.config.cooldown_factor
+            self.config.cooldown_cap_s, self._cooldown * COOLDOWN_FACTOR
         )
         self._outcomes.clear()
 

@@ -121,14 +121,6 @@ class ServeReport:
     def p95_latency_s(self) -> float:
         return p95([s for tenant in self.tenants for s in tenant.latencies_s])
 
-    def worst_health(self) -> str:
-        order = {HEALTHY: 0, DEGRADED: 1, QUARANTINED: 2}
-        worst = HEALTHY
-        for t in self.tenants:
-            if order[t.health] > order[worst]:
-                worst = t.health
-        return worst
-
     def summary_rows(self) -> List[Tuple[str, str]]:
         counts = self.health_counts()
         return [

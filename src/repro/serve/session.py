@@ -10,11 +10,11 @@ The supervisor interleaves tenants one :meth:`TenantSession.step` at a
 time, contains crashes and checkpoints between batches.
 
 Determinism is the load-bearing property: sessions always run with
-``profile_query=False`` (codec selection depends only on the calibration
-table, never on measured wall time) and all virtual-time inputs to the
-scheduler come from the transport/channel simulation plus a fixed
-per-batch service quantum, passed to ``Pipeline.step`` in place of the
-measured compression time.  Two sessions built from the same
+``profile_query=False`` (codec selection depends only on the shipped
+calibration table, never on measured wall time) and all virtual-time
+inputs to the scheduler come from the transport/channel simulation plus
+a fixed per-batch service quantum, passed to ``Pipeline.step`` in place
+of the measured compression time.  Two sessions built from the same
 :class:`TenantSpec` therefore produce byte-identical outputs — the
 property the kill-and-recover differential test and the chaos oracle
 lean on.
@@ -142,8 +142,9 @@ class TenantSpec:
             bandwidth_mbps=self.bandwidth_mbps,
             latency_s=self.latency_s,
             params=SystemParams(arrival_rate_tps=self.arrival_rate_tps),
-            # calibration-only selection: deterministic across runs, the
-            # precondition for checkpoint-replay equivalence
+            # selection from the shipped calibration table alone: the same
+            # choices in every run and process, the precondition for
+            # checkpoint-replay equivalence
             profile_query=False,
             fault_profile=self.fault_profile,
             reliability=self.reliability,

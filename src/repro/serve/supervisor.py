@@ -25,12 +25,17 @@ from ..core.decode_cache import DecodeCache
 from ..errors import ReproError, ServeError
 from ..sql.executor import QueryResult
 from .admission import AdmissionConfig, AdmissionController, backpressure_frame
-from .breaker import OPEN, BreakerConfig, CircuitBreaker
+from .breaker import OPEN, RETRY_PRESSURE, BreakerConfig, CircuitBreaker
 from .checkpoint import CheckpointStore, TenantCheckpoint
 from .clock import VirtualClock
 from .report import DEGRADED, HEALTHY, QUARANTINED, ServeReport, TenantReport
 from .session import DELIVERED, DONE, QUARANTINED as BATCH_QUARANTINED
 from .session import StepOutcome, TenantSession, TenantSpec
+
+#: shared decode-cache sizing: entries, hard bytes, per-tenant bytes
+CACHE_ENTRIES = 64
+CACHE_MAX_BYTES = 32 * 1024 * 1024
+CACHE_TENANT_QUOTA_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,6 @@ class ServeConfig:
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     restart: RestartPolicy = field(default_factory=RestartPolicy)
-    #: shared decode-cache sizing (entries / hard bytes / per-tenant bytes)
-    cache_entries: int = 64
-    cache_max_bytes: int = 32 * 1024 * 1024
-    cache_tenant_quota_bytes: int = 4 * 1024 * 1024
 
 
 class TenantRunner:
@@ -141,9 +142,9 @@ class ServeSupervisor:
         self.store = store if store is not None else CheckpointStore()
         self.clock = clock or VirtualClock()
         self.cache = cache or DecodeCache(
-            max_entries=self.config.cache_entries,
-            max_bytes=self.config.cache_max_bytes,
-            tenant_quota_bytes=self.config.cache_tenant_quota_bytes,
+            max_entries=CACHE_ENTRIES,
+            max_bytes=CACHE_MAX_BYTES,
+            tenant_quota_bytes=CACHE_TENANT_QUOTA_BYTES,
         )
         self.admission = AdmissionController(self.config.admission)
         self.runners: List[TenantRunner] = []
@@ -273,10 +274,7 @@ class ServeSupervisor:
         if outcome.kind == DONE:
             return
         self.clock.advance(outcome.virtual_seconds)
-        failed = (
-            outcome.kind == BATCH_QUARANTINED
-            or outcome.attempts >= self.config.breaker.retry_pressure
-        )
+        failed = outcome.kind == BATCH_QUARANTINED or outcome.attempts >= RETRY_PRESSURE
         runner.breaker.record(self.clock.now, failed=failed)
         if runner.session is not None:
             runner.session.set_degraded(runner.breaker.degraded)

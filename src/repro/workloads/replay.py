@@ -120,7 +120,8 @@ def run_single(entry: CorpusEntry, mode: str = "adaptive") -> QueryResult:
     engine = CompressStreamDB(
         catalog=entry.catalog,
         query=entry.sql,
-        # calibration-only selection keeps the replay deterministic
+        # selection from the shipped calibration table alone keeps the
+        # replay deterministic across processes
         config=EngineConfig(mode=mode, profile_query=False),
     )
     report = engine.run(entry.source(), collect_outputs=True)

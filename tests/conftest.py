@@ -43,13 +43,14 @@ def fast_calibration() -> CalibrationTable:
         "gzip": (900 * ns, 200 * ns),
         "deltachain": (7 * ns, 7 * ns),
     }
-    # cascade codecs pay the sum of their stages (stage-1 transforms are
-    # timed via their closest single-stage proxy, as in CalibrationTable)
+    # cascade codecs pay the sum of their stages; a stage-1 transform
+    # costs what its closest single-stage codec does
+    stage1_proxies = {"dict": "dict", "delta": "deltachain", "bd": "bd"}
     for name in all_codec_names():
         if "+" not in name or name in per_elem:
             continue
         stage1, stage2 = name.split("+", 1)
-        proxy = CalibrationTable.STAGE1_PROXIES.get(stage1, "identity")
+        proxy = stage1_proxies.get(stage1, "identity")
         per_elem[name] = (
             per_elem[proxy][0] + per_elem[stage2][0],
             per_elem[proxy][1] + per_elem[stage2][1],

@@ -994,6 +994,28 @@ class TestDecodeTaint:
         # the witness chain from the entry point rides in the message
         assert "scan" in findings[0].message
 
+    def test_optimizer_helper_hop_decode_flagged(self, tmp_path):
+        """Planning's call closure is followed like the direct path's."""
+        report = run(
+            tmp_path,
+            {
+                "src/repro/optimizer/rules2.py": (
+                    "from repro.util.peek import peek\n\n\n"
+                    "def price(col):\n"
+                    "    return peek(col)\n"
+                ),
+                "src/repro/util/peek.py": (
+                    "def peek(col):\n"
+                    "    return col.codec.decompress(col)\n"
+                ),
+            },
+            rule_ids=["CSD009"],
+        )
+        findings = [f for f in report.findings if f.rule == "CSD009"]
+        assert len(findings) == 1
+        assert findings[0].path == "src/repro/util/peek.py"
+        assert "price" in findings[0].message
+
     def test_cache_routed_helper_passes(self, tmp_path):
         report = run(
             tmp_path,

@@ -252,21 +252,16 @@ class TestCascadeIntegration:
                 codec.decompress(decoded.columns[name]), columns[name]
             )
 
-    def test_composed_calibration_fallback(self):
-        # a table recorded before cascades existed still prices them:
-        # stage-proxy + stage-2 coefficients summed per Eqs. 2/6
+    def test_uncalibrated_cascade_is_an_error(self):
+        # tables price every codec they serve: a cascade missing from the
+        # table is not composed from its stages
         base = {
             name: CodecTiming(1e-9, 1e-6, 2e-9, 1e-6)
-            for name in ("identity", "dict", "rle", "deltachain", "ns")
+            for name in ("identity", "dict", "rle")
         }
         table = CalibrationTable(timings=base)
-        t = table.timing("dict+rle")
-        assert t.compress_a == pytest.approx(2e-9)
-        assert t.decompress_a == pytest.approx(4e-9)
-        # delta proxies through deltachain
-        assert table.timing("delta+ns").compress_a == pytest.approx(2e-9)
-        with pytest.raises(CalibrationError):
-            table.timing("bd+nsv")  # bd/nsv never calibrated: still an error
+        with pytest.raises(CalibrationError, match="dict\\+rle"):
+            table.timing("dict+rle")
 
     def test_adaptive_cascades_mode_extends_the_pool(self, fast_calibration):
         from repro import CompressStreamDB, EngineConfig

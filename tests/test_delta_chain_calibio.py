@@ -99,6 +99,26 @@ class TestCalibrationPersistence:
         with pytest.raises(CalibrationError):
             CalibrationTable.from_json('{"version": 1}')
 
+    @pytest.mark.parametrize(
+        "kindnum, coeffs",
+        [
+            (64, "[NaN, 1e-6, 2e-9, 2e-6]"),
+            (64, "[1e-9, Infinity, 2e-9, 2e-6]"),
+            (64, "[1e-9, 1e-6, -Infinity, 2e-6]"),
+            (64, "[1e-9, 1e-6, 2e-9, -1]"),
+            (0, "[1e-9, 1e-6, 2e-9, 2e-6]"),
+            (-3, "[1e-9, 1e-6, 2e-9, 2e-6]"),
+        ],
+    )
+    def test_unusable_coefficients_rejected(self, kindnum, coeffs):
+        # a NaN or negative price would reach the selector's comparisons
+        text = (
+            f'{{"version": 1, "kindnum": {kindnum}, '
+            f'"timings": {{"ns": {coeffs}}}}}'
+        )
+        with pytest.raises(CalibrationError):
+            CalibrationTable.from_json(text)
+
     def test_loaded_table_drives_engine(self, tmp_path, fast_calibration):
         from repro import CompressStreamDB, EngineConfig
         from repro.stream import Field, GeneratorSource, Schema
