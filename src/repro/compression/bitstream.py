@@ -11,7 +11,7 @@ compression at the cost of decompression (β = 1 usage).
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -105,50 +105,6 @@ class BitReader:
             if bit == 1:
                 return count
             count += 1
-
-
-def _as_int64_stream(values: Iterable[int]) -> np.ndarray:
-    if isinstance(values, np.ndarray):
-        return np.asarray(values, dtype=np.int64)
-    try:
-        return np.array([int(v) for v in values], dtype=np.int64)
-    except OverflowError as exc:
-        raise CodecError("bitstream values must fit in int64") from exc
-
-
-def gamma_encode_stream(values: Iterable[int]) -> bytes:
-    """Classic Elias Gamma bitstream of positive integers.
-
-    Dispatches to the batch bit-scattering kernel (or, under
-    :func:`.kernels.scalar_reference_mode`, the :class:`BitWriter` loop).
-    """
-    from .kernels import gamma_stream_encode
-
-    return gamma_stream_encode(_as_int64_stream(values))
-
-
-def gamma_decode_stream(data: bytes, count: int) -> np.ndarray:
-    """Decode ``count`` Elias Gamma codewords."""
-    from .kernels import gamma_stream_decode
-
-    return gamma_stream_decode(bytes(data), count)
-
-
-def delta_encode_stream(values: Iterable[int]) -> bytes:
-    """Classic Elias Delta bitstream of positive integers.
-
-    Dispatches like :func:`gamma_encode_stream`.
-    """
-    from .kernels import delta_stream_encode
-
-    return delta_stream_encode(_as_int64_stream(values))
-
-
-def delta_decode_stream(data: bytes, count: int) -> np.ndarray:
-    """Decode ``count`` Elias Delta codewords."""
-    from .kernels import delta_stream_decode
-
-    return delta_stream_decode(bytes(data), count)
 
 
 def gamma_codeword_ints(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ stream must never stall.
 
 Graceful degradation: a codec that keeps failing on live data (raising
 :class:`CodecError`/:class:`CodecNotApplicable` at compression time on
-``demote_after`` batches) is *demoted* — removed from the selector's pool
+:data:`DEMOTE_AFTER` batches) is *demoted* — removed from the selector's pool
 for that column for the rest of the run, with the incident recorded as a
 :class:`CodecDemotion`.  The per-batch fallback is always identity, so a
 single misbehaving codec degrades compression ratio, never correctness.
@@ -29,6 +29,10 @@ from ..stream.batch import Batch, CompressedBatch
 from ..stream.schema import Schema
 from .query_profile import QueryProfile
 from .selector import SelectorBase, column_stats_from_batches
+
+#: compression failures on live data before a codec is demoted from a
+#: column's pool for the rest of the run
+DEMOTE_AFTER = 3
 
 
 @dataclass
@@ -63,7 +67,6 @@ class Client:
         redecide_every: int = 16,
         lookahead: int = 5,
         hybrid_threshold: int = 0,
-        demote_after: int = 3,
     ):
         if redecide_every <= 0:
             # lint: taxonomy-flow constructor precondition, programmer error not wire data
@@ -74,9 +77,6 @@ class Client:
         if hybrid_threshold < 0:
             # lint: taxonomy-flow constructor precondition, programmer error not wire data
             raise ValueError("hybrid_threshold cannot be negative")
-        if demote_after <= 0:
-            # lint: taxonomy-flow constructor precondition, programmer error not wire data
-            raise ValueError("demote_after must be positive")
         self.schema = schema
         self.selector = selector
         self.profile = profile
@@ -86,9 +86,6 @@ class Client:
         #: compression entirely (single-tuple / small-scale scenarios
         #: should not wait for batch-level compression to pay off)
         self.hybrid_threshold = hybrid_threshold
-        #: compression failures on live data before a codec is demoted
-        #: from a column's pool for the rest of the run
-        self.demote_after = demote_after
         self._choices: Optional[Dict[str, Codec]] = None
         self._batch_index = 0
         self._identity = get_codec("identity")
@@ -108,31 +105,34 @@ class Client:
         self, batch: Batch, upcoming: Sequence[Batch] = ()
     ) -> CompressionOutcome:
         """Compress one batch; ``upcoming`` is the lookahead sample."""
-        if batch.n <= self.hybrid_threshold:
-            return self._compress_uncompressed(batch)
         reselected = False
-        if self._choices is None or self._batch_index % self.redecide_every == 0:
-            sample = [batch, *upcoming][: self.lookahead]
-            stats = column_stats_from_batches(sample, self.schema)
-            excluded = self._demoted
-            if self._restricted:
-                excluded = {
-                    f.name: self._restricted | self._demoted.get(f.name, set())
-                    for f in self.schema
-                }
-            self._choices = self.selector.select(
-                stats, self.profile, batch.n, excluded=excluded
-            )
-            self.decision_log.append(
-                {name: codec.name for name, codec in self._choices.items()}
-            )
-            reselected = True
+        if batch.n <= self.hybrid_threshold:
+            # hybrid path: ship the batch uncompressed without waiting
+            choices = dict.fromkeys(self.schema.names, self._identity)
+        else:
+            if self._choices is None or self._batch_index % self.redecide_every == 0:
+                sample = [batch, *upcoming][: self.lookahead]
+                stats = column_stats_from_batches(sample, self.schema)
+                excluded = self._demoted
+                if self._restricted:
+                    excluded = {
+                        f.name: self._restricted | self._demoted.get(f.name, set())
+                        for f in self.schema
+                    }
+                self._choices = self.selector.select(
+                    stats, self.profile, batch.n, excluded=excluded
+                )
+                self.decision_log.append(
+                    {name: codec.name for name, codec in self._choices.items()}
+                )
+                reselected = True
+            choices = self._choices
         self._batch_index += 1
 
         t0 = time.perf_counter()
         columns: Dict[str, CompressedColumn] = {}
         for f in self.schema:
-            codec = self._choices[f.name]
+            codec = choices[f.name]
             values = batch.column(f.name)
             try:
                 cc = codec.compress(values)
@@ -165,7 +165,7 @@ class Client:
             return
         key = (column, codec.name)
         self._failures[key] = self._failures.get(key, 0) + 1
-        if self._failures[key] < self.demote_after:
+        if self._failures[key] < DEMOTE_AFTER:
             return
         banned = self._demoted.setdefault(column, set())
         if codec.name in banned:
@@ -209,25 +209,6 @@ class Client:
     def demoted_codecs(self) -> Dict[str, Set[str]]:
         """Codecs banned per column after repeated live-data failures."""
         return {name: set(codecs) for name, codecs in self._demoted.items()}
-
-    def _compress_uncompressed(self, batch: Batch) -> CompressionOutcome:
-        """Hybrid path: ship the batch uncompressed without waiting."""
-        t0 = time.perf_counter()
-        columns: Dict[str, CompressedColumn] = {}
-        for f in self.schema:
-            cc = self._identity.compress(batch.column(f.name))
-            cc.source_size_c = f.size
-            cc.nbytes = batch.n * f.size
-            columns[f.name] = cc
-        seconds = time.perf_counter() - t0
-        self._batch_index += 1
-        compressed = CompressedBatch(schema=self.schema, n=batch.n, columns=columns)
-        return CompressionOutcome(
-            batch=compressed,
-            seconds=seconds,
-            reselected=False,
-            choices=dict(compressed.choices),
-        )
 
     @property
     def current_choices(self) -> Dict[str, str]:

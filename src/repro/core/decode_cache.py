@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
@@ -132,13 +132,6 @@ class DecodeCache:
             for e in store.values()
             if e[2] == tenant
         )
-
-    def bytes_by_tenant(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for store in self._stores():
-            for _, nbytes, tenant, _ in store.values():
-                totals[tenant] = totals.get(tenant, 0) + nbytes
-        return totals
 
     def __len__(self) -> int:
         return sum(len(store) for store in self._stores())

@@ -96,9 +96,6 @@ class EngineConfig:
     #: retry/backoff knobs of the recovery protocol; setting this alone
     #: (without faults) still routes batches through the framed transport
     reliability: Optional[ReliabilityConfig] = None
-    #: live-data compression failures before a codec is demoted from a
-    #: column's pool (graceful degradation)
-    demote_after: int = 3
     #: run the query through the rule-based optimizer
     #: (:mod:`repro.optimizer`) before execution.  False is the escape
     #: hatch: the bound plan is lowered with zero rules applied
@@ -205,7 +202,6 @@ class CompressStreamDB:
             redecide_every=self.config.redecide_every,
             lookahead=self.config.lookahead,
             hybrid_threshold=self.config.hybrid_threshold,
-            demote_after=self.config.demote_after,
         )
         server = Server(plan, force_decode=self.config.force_decode)
         return Pipeline(

@@ -25,26 +25,28 @@ from .cost_model import CostModel
 from .query_profile import QueryProfile
 
 
+#: values per column the selector's statistics read from the lookahead
+MAX_SAMPLE = 65536
+
+
 def column_stats_from_batches(
-    batches: Sequence[Batch], schema: Schema, max_sample: int = 65536
+    batches: Sequence[Batch], schema: Schema
 ) -> Dict[str, ColumnStats]:
-    """Per-column statistics over the trailing ``max_sample`` values of the
-    lookahead.
+    """Per-column statistics over the trailing :data:`MAX_SAMPLE` values of
+    the lookahead.
 
     The batches are read most-recent last, and the sample of each column is
-    its last ``max_sample`` values across them — exactly
-    ``np.concatenate(columns)[-max_sample:]`` — so a long lookahead cannot
+    its last ``MAX_SAMPLE`` values across them — exactly
+    ``np.concatenate(columns)[-MAX_SAMPLE:]`` — so a long lookahead cannot
     make re-decisions expensive.  Only that tail is copied: batches are
     walked from the end, and a tail inside one batch is a view of it.
     """
     if not batches:
         raise CodecError("need at least one batch to compute statistics")
-    if max_sample < 1:
-        raise CodecError("max_sample must be positive")
     stats: Dict[str, ColumnStats] = {}
     for f in schema:
         tail: List[np.ndarray] = []
-        need = max_sample
+        need = MAX_SAMPLE
         for batch in reversed(batches):
             column = batch.column(f.name)
             tail.append(column[max(column.size - need, 0) :])
@@ -83,8 +85,8 @@ class AdaptiveSelector(SelectorBase):
     ``switch_margin`` adds hysteresis: once a codec is chosen for a
     column, a challenger must beat it by more than this relative margin to
     replace it.  Estimates near a tie flip with sampling noise; hysteresis
-    keeps decisions stable without giving up real wins (the re-decision
-    ablation benchmark sweeps this knob).
+    keeps decisions stable without giving up real wins.  The default 0
+    is the paper's selector; ``EngineConfig.switch_margin`` turns it on.
     """
 
     def __init__(

@@ -100,18 +100,6 @@ class Server:
             m.column: m for m in (opt.morphs if opt is not None else ())
         }
 
-    def process_frame(self, frame: bytes) -> ServerReport:
-        """Decode one binary wire frame and process it.
-
-        The client-server deployment path: validates the frame (magic,
-        version, CRC, schema) and raises
-        :class:`~repro.wire.format.WireFormatError` on corruption instead
-        of ever decoding wrong answers.
-        """
-        from ..wire.format import deserialize_batch
-
-        return self.process(deserialize_batch(frame, self.plan.schema))
-
     def process(self, batch: CompressedBatch) -> ServerReport:
         decompress_seconds = 0.0
         decoded: list = []

@@ -38,15 +38,18 @@ from .topology import MultiHopChannel
 #: The injectable fault kinds, in the order the injector draws them.
 FAULT_KINDS = ("duplicate", "drop", "corrupt", "truncate", "stall")
 
+#: extra virtual seconds a stalled frame pays on top of its wire time
+STALL_S = 0.05
+
 
 @dataclass(frozen=True)
 class FaultProfile:
     """Per-link fault rates; all draws come from one seeded RNG stream.
 
-    Rates are per-frame probabilities in [0, 1].  ``stall_s`` is the extra
-    virtual delay a stalled frame pays on top of its wire time.  A default
-    profile (all rates zero) is a lossless link, so wrapping a channel
-    with it only adds the frame serialization path.
+    Rates are per-frame probabilities in [0, 1]; a stalled frame arrives
+    :data:`STALL_S` virtual seconds late.  A default profile (all rates
+    zero) is a lossless link, so wrapping a channel with it only adds the
+    frame serialization path.
     """
 
     drop_rate: float = 0.0
@@ -54,7 +57,6 @@ class FaultProfile:
     truncate_rate: float = 0.0
     duplicate_rate: float = 0.0
     stall_rate: float = 0.0
-    stall_s: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,8 +66,6 @@ class FaultProfile:
             rate = getattr(self, name)
             if not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
                 raise ChannelError(f"{name} must be a probability in [0, 1]")
-        if not math.isfinite(self.stall_s) or self.stall_s < 0:
-            raise ChannelError("stall_s must be finite and non-negative")
 
     @property
     def is_lossless(self) -> bool:
@@ -143,7 +143,7 @@ class FaultInjector:
             delay = 0.0
             if self._hit(p.stall_rate):
                 self.counts["stall"] += 1
-                delay = p.stall_s
+                delay = STALL_S
             delivered.append((payload, delay))
         return delivered
 

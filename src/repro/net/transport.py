@@ -12,7 +12,7 @@ server would run over a real lossy edge link:
   parse failure) triggers a NACK and a retransmission;
 * a frame that never arrives (dropped or truncated to nothing) triggers a
   retransmission timeout;
-* retransmissions back off exponentially — ``backoff_base_s * factor**k``
+* retransmissions back off exponentially — ``backoff_base_s * 2**k``
   capped at ``backoff_cap_s`` — in *virtual* seconds, so runs remain
   deterministic and byte-reproducible;
 * duplicate deliveries are deduplicated by sequence number;
@@ -41,6 +41,18 @@ from .faults import DeadLetter, FaultReport, FaultyChannel
 ENVELOPE_MAGIC = b"CSTX"
 _HEADER = struct.Struct("<4sI")  # magic, sequence number
 _CRC = struct.Struct("<I")
+
+#: growth of every exponential backoff: transport retries and restarts
+BACKOFF_FACTOR = 2.0
+#: the largest exponent the backoff evaluates: ``2.0 ** 1023`` is the
+#: largest finite power of two and puts any base above 1e-300 far past any
+#: practical cap, so a later index returns the cap instead of overflowing
+_MAX_BACKOFF_EXPONENT = 1023
+
+
+def capped_backoff_s(base_s: float, cap_s: float, index: int) -> float:
+    """``base_s * BACKOFF_FACTOR**index`` capped at ``cap_s``, for any index."""
+    return min(cap_s, base_s * BACKOFF_FACTOR ** min(index, _MAX_BACKOFF_EXPONENT))
 
 
 def pack_envelope(seq: int, frame: bytes) -> bytes:
@@ -73,7 +85,6 @@ class ReliabilityConfig:
     #: retransmission timeout when nothing arrives (a dropped frame)
     rto_s: float = 0.05
     backoff_base_s: float = 0.01
-    backoff_factor: float = 2.0
     backoff_cap_s: float = 1.0
 
     def __post_init__(self) -> None:
@@ -81,15 +92,10 @@ class ReliabilityConfig:
             raise TransportError("max_retries cannot be negative")
         if self.rto_s < 0 or self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise TransportError("timeouts cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise TransportError("backoff_factor must be >= 1")
 
     def backoff_s(self, retry_index: int) -> float:
         """Capped exponential backoff before retransmission ``retry_index``."""
-        return min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_factor ** retry_index,
-        )
+        return capped_backoff_s(self.backoff_base_s, self.backoff_cap_s, retry_index)
 
 
 @dataclass

@@ -63,8 +63,6 @@ class ChaosConfig:
     max_retries: int = 3
     out_dir: str = "chaos-artifacts"
     max_failures: int = 3
-    rtol: float = 1e-9
-    atol: float = 1e-9
 
 
 @dataclass
@@ -179,9 +177,7 @@ def run_chaos_case(
             continue
         # (1) zero mismatches at every delivered index
         for index in sorted(delivered):
-            detail = compare_results(
-                clean[index], delivered[index], rtol=config.rtol, atol=config.atol
-            )
+            detail = compare_results(clean[index], delivered[index])
             if detail is not None:
                 mismatches.append(
                     ChaosMismatch(

@@ -76,8 +76,6 @@ MutateHook = Callable[[QueryResult, str, str], QueryResult]
 @dataclass(frozen=True)
 class DifferentialConfig:
     codecs: Tuple[str, ...] = PAPER_POOL
-    rtol: float = 1e-9
-    atol: float = 1e-9
     mutate: Optional[MutateHook] = None
     #: also run the direct path on the *optimized* plan (leg e): the case
     #: is re-planned through :mod:`repro.optimizer` with the pinned codec
@@ -325,9 +323,7 @@ def run_case(
             result = run.result
             if config.mutate is not None:
                 result = config.mutate(result, codec_name, path)
-            detail = compare_results(
-                baseline.result, result, rtol=config.rtol, atol=config.atol
-            )
+            detail = compare_results(baseline.result, result)
             if detail is not None:
                 mismatches.append(
                     Mismatch(

@@ -9,13 +9,12 @@ checkpointed recovery.  Everything is scheduled on a virtual clock
 
 from .admission import (
     CONTROL_SEQ,
-    AdmissionConfig,
     AdmissionController,
     TokenBucket,
     backpressure_frame,
     parse_backpressure_frame,
 )
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
+from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
@@ -32,12 +31,10 @@ from .report import (
     TenantReport,
 )
 from .session import DEGRADED_POOL, StepOutcome, TenantSession, TenantSpec
-from .supervisor import RestartPolicy, ServeConfig, ServeSupervisor, TenantRunner
+from .supervisor import ServeSupervisor, TenantRunner
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
-    "BreakerConfig",
     "CHECKPOINT_VERSION",
     "CLOSED",
     "CONTROL_SEQ",
@@ -51,8 +48,6 @@ __all__ = [
     "HEALTHY",
     "OPEN",
     "QUARANTINED",
-    "RestartPolicy",
-    "ServeConfig",
     "ServeReport",
     "ServeSupervisor",
     "StepOutcome",

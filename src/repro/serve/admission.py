@@ -4,26 +4,25 @@ Three cooperating mechanisms keep one hot tenant from stalling the
 serving layer:
 
 * a **token bucket** paces the aggregate service rate in virtual time —
-  each processed batch spends one token, tokens refill at
-  ``refill_per_s`` virtual seconds, and a tenant with no token available
-  simply waits (the supervisor advances the clock to the next refill
-  instead of spinning);
+  each processed batch spends one token, :data:`BUCKET_CAPACITY` tokens
+  at most, refilled at :data:`REFILL_PER_S` per virtual second, and a
+  tenant with no token available simply waits (the supervisor advances
+  the clock to the next refill instead of spinning);
 * **queue-depth watermarks**: per-tenant queues of arrived-but-unserved
-  batches are bounded.  Crossing the high watermark sheds load
+  batches are bounded.  Crossing :data:`HIGH_WATERMARK` sheds load
   *deterministically* — reject-newest, and when several tenants' arrivals
-  tie within one scheduling round the victim order comes from one seeded
-  RNG stream, so a campaign with the same seed sheds the same batches;
+  tie within one scheduling round the victim order comes from one RNG
+  stream seeded with :data:`SHED_SEED`, so every run sheds the same
+  batches;
 * **backpressure frames**: crossing the high watermark also pushes an
   ``XOFF`` control envelope back to the tenant's client through the
   existing transport wire format (its bytes are charged to the tenant's
-  channel); the client pauses its arrivals until depth drains to the low
-  watermark and an ``XON`` releases it.
+  channel); the client pauses its arrivals until depth drains to
+  :data:`LOW_WATERMARK` and an ``XON`` releases it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +33,16 @@ from ..net.transport import pack_envelope, unpack_envelope
 #: reserved transport sequence number for serving-layer control frames;
 #: data envelopes count up from zero and never legitimately reach it
 CONTROL_SEQ = 0xFFFFFFFF
+
+#: service tokens the bucket holds at most (rates are per virtual second)
+BUCKET_CAPACITY = 32.0
+REFILL_PER_S = 256.0
+#: per-tenant queue depth that trips shedding + XOFF
+HIGH_WATERMARK = 8
+#: depth at which a paused tenant gets its XON
+LOW_WATERMARK = 2
+#: seed of the RNG stream that orders tied shedding victims
+SHED_SEED = 0
 
 _XOFF = b"XOFF"
 _XON = b"XON"
@@ -50,29 +59,6 @@ def parse_backpressure_frame(frame: bytes) -> bool:
     if seq != CONTROL_SEQ or payload not in (_XOFF, _XON):
         raise ServeError("not a backpressure control frame")
     return payload == _XOFF
-
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Knobs of the admission gate (rates are per virtual second)."""
-
-    bucket_capacity: float = 32.0
-    refill_per_s: float = 256.0
-    #: per-tenant queue depth that trips shedding + XOFF
-    high_watermark: int = 8
-    #: depth at which a paused tenant gets its XON
-    low_watermark: int = 2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bucket_capacity < 1 or not math.isfinite(self.bucket_capacity):
-            raise ServeError("bucket_capacity must be >= 1 and finite")
-        if self.refill_per_s <= 0 or not math.isfinite(self.refill_per_s):
-            raise ServeError("refill_per_s must be positive and finite")
-        if self.high_watermark < 1:
-            raise ServeError("high_watermark must be >= 1")
-        if not 0 <= self.low_watermark <= self.high_watermark:
-            raise ServeError("need 0 <= low_watermark <= high_watermark")
 
 
 class TokenBucket:
@@ -116,10 +102,9 @@ class TokenBucket:
 class AdmissionController:
     """Token-bucket admission plus watermark-driven shedding decisions."""
 
-    def __init__(self, config: AdmissionConfig):
-        self.config = config
-        self.bucket = TokenBucket(config.bucket_capacity, config.refill_per_s)
-        self._rng = np.random.default_rng(config.seed)
+    def __init__(self) -> None:
+        self.bucket = TokenBucket(BUCKET_CAPACITY, REFILL_PER_S)
+        self._rng = np.random.default_rng(SHED_SEED)
         self.admitted = 0
         self.deferred = 0
         self.shed_total = 0
@@ -147,9 +132,9 @@ class AdmissionController:
         Returns ``(tenant, batches_to_shed)`` pairs, shed order.
         """
         over = [
-            (tenant, depth - self.config.high_watermark)
+            (tenant, depth - HIGH_WATERMARK)
             for tenant, depth in offered
-            if depth > self.config.high_watermark
+            if depth > HIGH_WATERMARK
         ]
         if not over:
             return []

@@ -2,27 +2,25 @@
 
 The breaker watches the transport's health signals — dead-letter
 quarantines, heavy retry pressure, and supervisor-contained crashes —
-over a sliding window of recent steps.  Too many failures trip it OPEN,
-which puts the tenant into *degraded mode*: the client is restricted to
-cheap always-safe codecs (via the PR 1 demotion path) and the server
+over a sliding window of the last :data:`WINDOW` steps.
+:data:`FAILURE_THRESHOLD` failures in it trip the breaker OPEN, which
+puts the tenant into *degraded mode*: the client is restricted to cheap
+always-safe codecs (through its restricted-pool hook) and the server
 disables direct-on-compressed fast paths by forcing decode-first
 execution.  Degraded service is slower but keeps delivering results
 instead of burning retries on a hostile link.
 
-After a cooldown (virtual seconds, per CSD010) the breaker goes
-HALF_OPEN and lets one probe step run at full service; a clean probe
-closes the breaker and restores normal mode, a failed probe re-opens it
-with an escalated (capped) cooldown.
+After a cooldown of :data:`COOLDOWN_S` virtual seconds (CSD010) the
+breaker goes HALF_OPEN and lets one probe step run at full service; a
+clean probe closes the breaker and restores normal mode, a failed probe
+re-opens it with the cooldown multiplied by :data:`COOLDOWN_FACTOR`, up
+to :data:`COOLDOWN_CAP_S`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque
-
-from ..errors import ServeError
 
 CLOSED = "CLOSED"
 OPEN = "OPEN"
@@ -30,43 +28,26 @@ HALF_OPEN = "HALF_OPEN"
 
 #: a step needing this many transport attempts counts as a soft failure
 RETRY_PRESSURE = 4
-#: cooldown multiplier applied on each re-trip (capped by cooldown_cap_s)
+#: failures within the sliding window that trip the breaker
+FAILURE_THRESHOLD = 4
+#: number of recent steps the failure count is evaluated over
+WINDOW = 16
+#: OPEN -> HALF_OPEN cooldown after the first trip (virtual seconds)
+COOLDOWN_S = 2.0
+#: cooldown multiplier applied on each re-trip, capped by COOLDOWN_CAP_S
 COOLDOWN_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Trip/recover thresholds (times are virtual seconds)."""
-
-    #: failures within the sliding window that trip the breaker
-    failure_threshold: int = 4
-    #: number of recent steps the failure count is evaluated over
-    window: int = 16
-    #: OPEN -> HALF_OPEN cooldown after the first trip
-    cooldown_s: float = 2.0
-    cooldown_cap_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ServeError("failure_threshold must be >= 1")
-        if self.window < self.failure_threshold:
-            raise ServeError("window must be >= failure_threshold")
-        if self.cooldown_s <= 0 or not math.isfinite(self.cooldown_s):
-            raise ServeError("cooldown_s must be positive and finite")
-        if self.cooldown_cap_s < self.cooldown_s:
-            raise ServeError("cooldown_cap_s must be >= cooldown_s")
+COOLDOWN_CAP_S = 30.0
 
 
 class CircuitBreaker:
     """CLOSED -> OPEN -> HALF_OPEN state machine over step outcomes."""
 
-    def __init__(self, config: BreakerConfig):
-        self.config = config
+    def __init__(self) -> None:
         self.state = CLOSED
         self.trips = 0
         self.recoveries = 0
-        self._outcomes: Deque[bool] = deque(maxlen=config.window)
-        self._cooldown = config.cooldown_s
+        self._outcomes: Deque[bool] = deque(maxlen=WINDOW)
+        self._cooldown = COOLDOWN_S
         self._open_until = 0.0
 
     @property
@@ -78,9 +59,7 @@ class CircuitBreaker:
         self.state = OPEN
         self.trips += 1
         self._open_until = now + self._cooldown
-        self._cooldown = min(
-            self.config.cooldown_cap_s, self._cooldown * COOLDOWN_FACTOR
-        )
+        self._cooldown = min(COOLDOWN_CAP_S, self._cooldown * COOLDOWN_FACTOR)
         self._outcomes.clear()
 
     def record(self, now: float, failed: bool) -> None:
@@ -92,14 +71,11 @@ class CircuitBreaker:
             else:
                 self.state = CLOSED
                 self.recoveries += 1
-                self._cooldown = self.config.cooldown_s
+                self._cooldown = COOLDOWN_S
                 self._outcomes.clear()
             return
         self._outcomes.append(failed)
-        if (
-            self.state == CLOSED
-            and sum(self._outcomes) >= self.config.failure_threshold
-        ):
+        if self.state == CLOSED and sum(self._outcomes) >= FAILURE_THRESHOLD:
             self._trip(now)
 
     def allow_probe(self, now: float) -> bool:

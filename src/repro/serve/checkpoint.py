@@ -53,8 +53,10 @@ from ..sql.executor import QueryResult
 #: 3: join partition state is columnar, sorted keys plus column arrays;
 #: 4: executors hold one BatchBuffer owning the scheduler and decoded tail;
 #: 5: the payload has a digest and holds neither the lookahead feed nor
-#: the outputs, which go to the store's per-tenant log; files are framed)
-CHECKPOINT_VERSION = 5
+#: the outputs, which go to the store's per-tenant log; files are framed;
+#: 6: the client, transport config and fault profile lost their
+#: single-valued knobs, now module constants)
+CHECKPOINT_VERSION = 6
 
 #: a file record's header: body length, then the body's SHA-256
 RECORD_HEADER = struct.Struct(">Q32s")

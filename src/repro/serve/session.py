@@ -98,7 +98,6 @@ class TenantSpec:
     #: fixed virtual seconds of client+server compute charged per batch
     #: (the deterministic stand-in for measured compress/query time)
     service_quantum_s: float = 0.002
-    demote_after: int = 3
     #: run tenant queries through the rule-based optimizer (the engine
     #: default); False pins the planner's naive plan shape
     optimize: bool = True
@@ -148,7 +147,6 @@ class TenantSpec:
             profile_query=False,
             fault_profile=self.fault_profile,
             reliability=self.reliability,
-            demote_after=self.demote_after,
             optimize=self.optimize,
         )
 

@@ -10,22 +10,28 @@ Crash containment has exactly **one** recovery point:
 :meth:`ServeSupervisor._protected_step` is the only place in the serving
 layer allowed to catch engine exceptions (enforced by lint rule CSD007).
 A tenant whose engine raises ``CodecError``/``WireFormatError``/... is
-restarted with bounded exponential backoff in virtual time — resuming
-from its latest checkpoint — and parked as QUARANTINED once the restart
-budget is exhausted.  The process never dies with it.
+restarted after an exponential backoff in virtual time —
+:data:`RESTART_BACKOFF_BASE_S` doubling per restart, capped at
+:data:`RESTART_BACKOFF_CAP_S` — resuming from its latest checkpoint, and
+parked as QUARANTINED once :data:`MAX_RESTARTS` restarts are spent.  The
+process never dies with it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.decode_cache import DecodeCache
 from ..errors import ReproError, ServeError
+from ..net.transport import capped_backoff_s
 from ..sql.executor import QueryResult
-from .admission import AdmissionConfig, AdmissionController, backpressure_frame
-from .breaker import OPEN, RETRY_PRESSURE, BreakerConfig, CircuitBreaker
+from .admission import (
+    HIGH_WATERMARK,
+    LOW_WATERMARK,
+    AdmissionController,
+    backpressure_frame,
+)
+from .breaker import OPEN, RETRY_PRESSURE, CircuitBreaker
 from .checkpoint import CheckpointStore, TenantCheckpoint
 from .clock import VirtualClock
 from .report import DEGRADED, HEALTHY, QUARANTINED, ServeReport, TenantReport
@@ -38,49 +44,20 @@ CACHE_MAX_BYTES = 32 * 1024 * 1024
 CACHE_TENANT_QUOTA_BYTES = 4 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Bounded exponential restart backoff (virtual seconds, per CSD010)."""
-
-    max_restarts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ServeError("max_restarts cannot be negative")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ServeError("backoff times cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ServeError("backoff_factor must be >= 1")
-        if not math.isfinite(self.backoff_cap_s):
-            raise ServeError("backoff_cap_s must be finite")
-
-    def backoff_s(self, restart_index: int) -> float:
-        """Backoff before restart number ``restart_index`` (0-based)."""
-        return min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_factor ** restart_index,
-        )
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Fleet-level policies of the serving layer."""
-
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    restart: RestartPolicy = field(default_factory=RestartPolicy)
+#: restarts a crashing tenant gets before it is parked as QUARANTINED
+MAX_RESTARTS = 3
+#: backoff before the first restart, and its cap (virtual seconds, CSD010)
+RESTART_BACKOFF_BASE_S = 0.05
+RESTART_BACKOFF_CAP_S = 5.0
 
 
 class TenantRunner:
     """Supervisor-side bookkeeping wrapped around one tenant session."""
 
-    def __init__(self, spec: TenantSpec, breaker_config: BreakerConfig):
+    def __init__(self, spec: TenantSpec):
         self.spec = spec
         self.session: Optional[TenantSession] = None
-        self.breaker = CircuitBreaker(breaker_config)
+        self.breaker = CircuitBreaker()
         self.report = TenantReport(tenant=spec.tenant, batches_total=spec.batches)
         self.restarts = 0
         self.disarmed: Set[int] = set()
@@ -127,7 +104,6 @@ class ServeSupervisor:
     def __init__(
         self,
         specs: Sequence[TenantSpec],
-        config: Optional[ServeConfig] = None,
         store: Optional[CheckpointStore] = None,
         cache: Optional[DecodeCache] = None,
         resume: bool = False,
@@ -138,7 +114,6 @@ class ServeSupervisor:
         names = [spec.tenant for spec in specs]
         if len(set(names)) != len(names):
             raise ServeError("tenant ids must be unique")
-        self.config = config or ServeConfig()
         self.store = store if store is not None else CheckpointStore()
         self.clock = clock or VirtualClock()
         self.cache = cache or DecodeCache(
@@ -146,10 +121,10 @@ class ServeSupervisor:
             max_bytes=CACHE_MAX_BYTES,
             tenant_quota_bytes=CACHE_TENANT_QUOTA_BYTES,
         )
-        self.admission = AdmissionController(self.config.admission)
+        self.admission = AdmissionController()
         self.runners: List[TenantRunner] = []
         for spec in specs:
-            runner = TenantRunner(spec, self.config.breaker)
+            runner = TenantRunner(spec)
             checkpoint = self.store.latest(spec.tenant) if resume else None
             if checkpoint is not None:
                 self._resume_runner(runner, checkpoint)
@@ -231,11 +206,13 @@ class ServeSupervisor:
                 runner.disarmed.add(crashed_index)
         runner.breaker.record(self.clock.now, failed=True)
         runner.restarts += 1
-        if runner.restarts > self.config.restart.max_restarts:
+        if runner.restarts > MAX_RESTARTS:
             self._park(runner)
             return
         runner.report.restarts = runner.restarts
-        backoff = self.config.restart.backoff_s(runner.restarts - 1)
+        backoff = capped_backoff_s(
+            RESTART_BACKOFF_BASE_S, RESTART_BACKOFF_CAP_S, runner.restarts - 1
+        )
         runner.next_eligible_at = self.clock.now + backoff
         self._restart(runner)
 
@@ -338,14 +315,12 @@ class ServeSupervisor:
         by_name = {r.spec.tenant: r for r in self.runners}
         for tenant, excess in decisions:
             self._shed_newest(by_name[tenant], excess)
-        high = self.config.admission.high_watermark
-        low = self.config.admission.low_watermark
         for tenant, _depth in offered:
             runner = by_name[tenant]
             depth = runner.queue_depth()
-            if not runner.paused and depth >= high:
+            if not runner.paused and depth >= HIGH_WATERMARK:
                 self._signal_backpressure(runner, pause=True)
-            elif runner.paused and depth <= low:
+            elif runner.paused and depth <= LOW_WATERMARK:
                 self._signal_backpressure(runner, pause=False)
 
     def _shed_newest(self, runner: TenantRunner, count: int) -> None:

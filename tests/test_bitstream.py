@@ -1,4 +1,4 @@
-"""Unit tests for the bit-level Elias reference coders."""
+"""Unit tests for the bit-level Elias coders and the stream kernels."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,13 @@ from repro.compression.bitstream import (
     BitWriter,
     delta_codeword_ints,
     delta_codeword_invert,
-    delta_decode_stream,
-    delta_encode_stream,
     gamma_codeword_ints,
-    gamma_decode_stream,
-    gamma_encode_stream,
+)
+from repro.compression.kernels import (
+    delta_stream_decode,
+    delta_stream_encode,
+    gamma_stream_decode,
+    gamma_stream_encode,
 )
 from repro.errors import CodecError
 from repro.stats import elias_delta_bits, elias_gamma_bits
@@ -63,44 +65,44 @@ class TestBitWriterReader:
 class TestGammaStream:
     def test_known_codewords(self):
         # gamma(1)=1, gamma(2)=010, gamma(3)=011 -> bits 1 010 011 0(pad)
-        data = gamma_encode_stream([1, 2, 3])
+        data = gamma_stream_encode([1, 2, 3])
         assert data == bytes([0b10100110])
 
     def test_roundtrip(self, rng):
         values = rng.integers(1, 1 << 20, size=300)
-        data = gamma_encode_stream(values)
-        np.testing.assert_array_equal(gamma_decode_stream(data, 300), values)
+        data = gamma_stream_encode(values)
+        np.testing.assert_array_equal(gamma_stream_decode(data, 300), values)
 
     def test_stream_length_matches_bit_math(self):
         values = [1, 2, 5, 100, 65535]
-        data = gamma_encode_stream(values)
+        data = gamma_stream_encode(values)
         bits = sum(elias_gamma_bits(v) for v in values)
         assert len(data) == (bits + 7) // 8
 
     def test_rejects_nonpositive(self):
         with pytest.raises(CodecError):
-            gamma_encode_stream([0])
+            gamma_stream_encode([0])
 
 
 class TestDeltaStream:
     def test_known_codewords(self):
         # delta(1) = "1"
-        assert delta_encode_stream([1]) == bytes([0b10000000])
+        assert delta_stream_encode([1]) == bytes([0b10000000])
 
     def test_roundtrip(self, rng):
         values = rng.integers(1, 1 << 30, size=300)
-        data = delta_encode_stream(values)
-        np.testing.assert_array_equal(delta_decode_stream(data, 300), values)
+        data = delta_stream_encode(values)
+        np.testing.assert_array_equal(delta_stream_decode(data, 300), values)
 
     def test_stream_length_matches_bit_math(self):
         values = [1, 2, 16, 255, 1 << 20]
-        data = delta_encode_stream(values)
+        data = delta_stream_encode(values)
         bits = sum(elias_delta_bits(v) for v in values)
         assert len(data) == (bits + 7) // 8
 
     def test_rejects_nonpositive(self):
         with pytest.raises(CodecError):
-            delta_encode_stream([-1])
+            delta_stream_encode([-1])
 
 
 class TestCodewordInts:
@@ -192,17 +194,17 @@ class TestBitstreamProperties:
     @given(st.lists(st.integers(min_value=1, max_value=1 << 40), max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_gamma_stream_roundtrip(self, values):
-        data = gamma_encode_stream(values)
+        data = gamma_stream_encode(values)
         np.testing.assert_array_equal(
-            gamma_decode_stream(data, len(values)), values
+            gamma_stream_decode(data, len(values)), values
         )
 
     @given(st.lists(st.integers(min_value=1, max_value=(1 << 56) - 1), max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_delta_stream_roundtrip(self, values):
-        data = delta_encode_stream(values)
+        data = delta_stream_encode(values)
         np.testing.assert_array_equal(
-            delta_decode_stream(data, len(values)), values
+            delta_stream_decode(data, len(values)), values
         )
 
     @given(st.lists(st.integers(min_value=1, max_value=(1 << 56) - 1), max_size=80))
@@ -229,7 +231,7 @@ class TestBitstreamProperties:
     )
     @settings(max_examples=500, deadline=None)
     def test_delta_stream_roundtrip_deep(self, values):
-        data = delta_encode_stream(values)
+        data = delta_stream_encode(values)
         np.testing.assert_array_equal(
-            delta_decode_stream(data, len(values)), values
+            delta_stream_decode(data, len(values)), values
         )

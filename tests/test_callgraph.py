@@ -559,7 +559,6 @@ class TestRepositoryGraph:
             },
             "repro.core.server.<module>.Server.process": {
                 step,
-                "repro.core.server.<module>.Server.process_frame",
                 # the oracle's reference runner, pinned codecs, no client
                 "repro.oracle.differential.<module>.run_path",
             },

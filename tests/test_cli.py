@@ -143,3 +143,26 @@ class TestCommands:
         )
         assert code == 0
         assert "trans 0.0%" in capsys.readouterr().out
+
+    def test_faults_huge_retry_budget_quarantines(self, capsys):
+        # 1 100 backoffs run past the float range of 2.0 ** k: the capped
+        # backoff must keep waiting the cap, not raise OverflowError
+        code = main(
+            [
+                "faults",
+                "--query",
+                "q1",
+                "--drop",
+                "1.0",
+                "--max-retries",
+                "1100",
+                "--batches",
+                "1",
+                "--windows",
+                "1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "quarantined=1" in out
+        assert "retransmissions        1100" in out

@@ -91,8 +91,8 @@ class TestTenantQuota:
         intern_fresh(cache, 10, 1, tenant="a")
         intern_fresh(cache, 20, 2, tenant="b")
         intern_fresh(cache, 5, 3, tenant="b")
-        totals = cache.bytes_by_tenant()
-        assert totals == {"a": 80, "b": 200}
+        assert cache.tenant_bytes("a") == 80
+        assert cache.tenant_bytes("b") == 200
         assert cache.total_bytes == 280
 
     def test_quota_larger_than_max_bytes_rejected(self):
@@ -133,6 +133,7 @@ class TestDeterminism:
             return cache
 
         a, b = build(), build()
-        assert a.bytes_by_tenant() == b.bytes_by_tenant()
+        for tenant in ("t0", "t1", "t2"):
+            assert a.tenant_bytes(tenant) == b.tenant_bytes(tenant)
         assert a.evictions == b.evictions
         assert len(a) == len(b)

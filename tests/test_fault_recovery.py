@@ -12,6 +12,7 @@ import pytest
 from repro import CompressStreamDB, EngineConfig
 from repro.compression import get_codec
 from repro.core import Client, StaticSelector
+from repro.core import client as client_module
 from repro.core.selector import SelectorBase
 from repro.datasets import QUERIES, smart_grid
 from repro.errors import CodecError, TransportError
@@ -24,6 +25,7 @@ from repro.net import (
     ReliabilityConfig,
     ReliableTransport,
 )
+from repro.net.faults import STALL_S
 from repro.net.transport import pack_envelope, unpack_envelope
 from repro.sql import plan_query
 from repro.stream import Batch, Field, Schema
@@ -92,22 +94,23 @@ class TestEnvelope:
 
 class TestReliabilityConfig:
     def test_backoff_grows_and_caps(self):
-        cfg = ReliabilityConfig(
-            backoff_base_s=0.01, backoff_factor=2.0, backoff_cap_s=0.05
-        )
+        cfg = ReliabilityConfig(backoff_base_s=0.01, backoff_cap_s=0.05)
         assert cfg.backoff_s(0) == pytest.approx(0.01)
         assert cfg.backoff_s(1) == pytest.approx(0.02)
         assert cfg.backoff_s(2) == pytest.approx(0.04)
         assert cfg.backoff_s(3) == pytest.approx(0.05)  # capped
         assert cfg.backoff_s(20) == pytest.approx(0.05)
 
+    def test_backoff_past_the_float_range_is_the_cap(self):
+        # 2.0 ** 1100 overflows a float; the capped backoff must not
+        cfg = ReliabilityConfig()
+        assert cfg.backoff_s(1100) == cfg.backoff_cap_s
+
     def test_validation(self):
         with pytest.raises(TransportError):
             ReliabilityConfig(max_retries=-1)
         with pytest.raises(TransportError):
             ReliabilityConfig(rto_s=-0.1)
-        with pytest.raises(TransportError):
-            ReliabilityConfig(backoff_factor=0.5)
 
 
 class TestReliableTransport:
@@ -191,12 +194,12 @@ class TestReliableTransport:
         assert transport.report.detected == 0  # a dup is not a failure
 
     def test_stall_charges_virtual_time(self):
-        stalled = make_transport(FaultProfile(stall_rate=1.0, stall_s=0.5))
+        stalled = make_transport(FaultProfile(stall_rate=1.0))
         clean = make_transport()
         compressed = make_compressed()
         slow = stalled.send_batch(compressed)
         fast = clean.send_batch(compressed)
-        assert slow.seconds == pytest.approx(fast.seconds + 0.5)
+        assert slow.seconds == pytest.approx(fast.seconds + STALL_S)
 
     def test_retransmissions_count_bytes_on_wire(self):
         transport = make_transport(
@@ -365,11 +368,9 @@ class _FlakySelector(SelectorBase):
 
 
 class TestCodecDemotion:
-    def make_client(self, **kwargs):
+    def make_client(self):
         plan = plan_query(QUERY, {"S": SCHEMA})
-        return Client(
-            SCHEMA, _FlakySelector(), plan.profile, redecide_every=1, **kwargs
-        )
+        return Client(SCHEMA, _FlakySelector(), plan.profile, redecide_every=1)
 
     def batch(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -383,36 +384,36 @@ class TestCodecDemotion:
         )
 
     def test_failures_fall_back_to_identity_each_batch(self):
-        client = self.make_client(demote_after=3)
+        client = self.make_client()
         outcome = client.compress_batch(self.batch())
         assert all(c == "identity" for c in outcome.choices.values())
         assert not client.demotions  # below the threshold
 
     def test_demotion_at_threshold_and_recorded(self):
-        client = self.make_client(demote_after=3)
-        for i in range(3):
+        client = self.make_client()
+        for i in range(client_module.DEMOTE_AFTER - 1):
             client.compress_batch(self.batch(seed=i))
+        assert not client.demotions
+        client.compress_batch(self.batch(seed=9))
         assert client.demotions  # every column hit the threshold
         demoted = client.demoted_codecs
         assert set(demoted) == {"ts", "k", "v"}
         assert all(codecs == {"flaky"} for codecs in demoted.values())
         incident = client.demotions[0]
         assert incident.codec == "flaky"
-        assert incident.failures == 3
+        assert incident.failures == client_module.DEMOTE_AFTER
         assert "CodecError" in incident.reason
 
     def test_demoted_codec_never_reselected(self):
-        client = self.make_client(demote_after=2)
+        client = self.make_client()
         for i in range(6):
             outcome = client.compress_batch(self.batch(seed=i))
         # redecide_every=1: post-demotion re-decisions must honor excluded
         assert all(c == "identity" for c in outcome.choices.values())
         assert len(client.demotions) == 3  # once per column, never again
 
-    def test_demotions_surface_in_run_report(self, fast_calibration):
-        report = run_engine(
-            FaultProfile(drop_rate=0.1, seed=2), fast_calibration,
-            demote_after=1,
-        )
+    def test_demotions_surface_in_run_report(self, fast_calibration, monkeypatch):
+        monkeypatch.setattr(client_module, "DEMOTE_AFTER", 1)
+        report = run_engine(FaultProfile(drop_rate=0.1, seed=2), fast_calibration)
         # a healthy adaptive run demotes nothing, but the field is wired
         assert report.faults.codec_demotions == []

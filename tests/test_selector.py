@@ -13,6 +13,7 @@ from repro.core import (
     SystemParams,
     column_stats_from_batches,
 )
+from repro.core import selector as selector_module
 from repro.errors import CodecError
 from repro.net import Channel
 from repro.stats import ColumnStats
@@ -114,13 +115,14 @@ class TestColumnStatsFromBatches:
         assert stats["x"].max_value == 19
         assert stats["x"].size_c == 4  # from the schema, not the array
 
-    def test_sample_cap(self):
+    def test_sample_cap(self, monkeypatch):
         schema, batches = self._batches()
-        stats = column_stats_from_batches(batches, schema, max_sample=5)
+        monkeypatch.setattr(selector_module, "MAX_SAMPLE", 5)
+        stats = column_stats_from_batches(batches, schema)
         assert stats["x"].n == 5
         assert stats["x"].min_value == 15  # most recent values kept
 
-        # unequal batches: the sample is the trailing max_sample values of
+        # unequal batches: the sample is the trailing MAX_SAMPLE values of
         # the concatenated lookahead, whichever batches they fall in
         rng = np.random.default_rng(3)
         schema = Schema([Field("x", "int", 4), Field("y", "int", 8)])
@@ -144,19 +146,16 @@ class TestColumnStatsFromBatches:
             28,  # exactly everything
             40,  # more than everything
         ):
-            stats = column_stats_from_batches(batches, schema, max_sample=max_sample)
+            monkeypatch.setattr(selector_module, "MAX_SAMPLE", max_sample)
+            stats = column_stats_from_batches(batches, schema)
             for f in schema:
                 whole = np.concatenate([b.column(f.name) for b in batches])
                 expected = ColumnStats.from_values(whole[-max_sample:], size_c=f.size)
                 assert stats[f.name] == expected, (max_sample, f.name)
         one_large = [Batch(schema, {"x": np.arange(20), "y": np.arange(20)})]
-        stats = column_stats_from_batches(one_large, schema, max_sample=6)
+        monkeypatch.setattr(selector_module, "MAX_SAMPLE", 6)
+        stats = column_stats_from_batches(one_large, schema)
         assert stats["x"] == ColumnStats.from_values(np.arange(14, 20), size_c=4)
-
-    def test_sample_size_must_be_positive(self):
-        schema, batches = self._batches()
-        with pytest.raises(CodecError):
-            column_stats_from_batches(batches, schema, max_sample=0)
 
     def test_requires_batches(self):
         schema, _ = self._batches()

@@ -17,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ServeError
 from repro.net.faults import FaultProfile
-from repro.net.transport import ReliabilityConfig
+from repro.net.transport import ReliabilityConfig, capped_backoff_s
 from repro.oracle.chaos import ChaosConfig, run_chaos_campaign
 from repro.serve import (
     CLOSED,
@@ -26,14 +26,10 @@ from repro.serve import (
     HEALTHY,
     OPEN,
     QUARANTINED,
-    AdmissionConfig,
     AdmissionController,
-    BreakerConfig,
     CheckpointStore,
     CircuitBreaker,
     FileCheckpointStore,
-    RestartPolicy,
-    ServeConfig,
     ServeSupervisor,
     TenantCheckpoint,
     TenantSession,
@@ -43,6 +39,9 @@ from repro.serve import (
     backpressure_frame,
     parse_backpressure_frame,
 )
+from repro.serve import admission as admission_module
+from repro.serve import breaker as breaker_module
+from repro.serve import supervisor as supervisor_module
 from repro.serve.checkpoint import frame_record
 from repro.serve.report import p95
 
@@ -205,15 +204,15 @@ class TestCrashContainment:
         assert report.process_crashes == 0
 
     def test_restart_budget_exhaustion_quarantines_tenant(self):
-        config = ServeConfig(restart=RestartPolicy(max_restarts=2))
         specs = [
             spec("ok"),
-            spec("doomed", seed=12, crash_batches=(0, 1, 2, 3)),
+            spec("doomed", seed=12, crash_batches=(0, 1, 2, 3, 4)),
         ]
-        report = ServeSupervisor(specs, config=config).run()
+        report = ServeSupervisor(specs).run()
         doomed = report.by_tenant()["doomed"]
         assert doomed.health == QUARANTINED
-        assert doomed.crashes == 3  # budget of 2 restarts + the final straw
+        # the budget of MAX_RESTARTS restarts + the final straw
+        assert doomed.crashes == supervisor_module.MAX_RESTARTS + 1
         accounted = (
             doomed.batches_delivered
             + doomed.batches_shed
@@ -226,21 +225,23 @@ class TestCrashContainment:
         assert report.process_crashes == 0
 
     def test_restart_backoff_is_bounded_exponential(self):
-        policy = RestartPolicy(
-            max_restarts=10, backoff_base_s=0.1, backoff_factor=2.0,
-            backoff_cap_s=0.5,
-        )
-        assert policy.backoff_s(0) == pytest.approx(0.1)
-        assert policy.backoff_s(1) == pytest.approx(0.2)
-        assert policy.backoff_s(2) == pytest.approx(0.4)
-        assert policy.backoff_s(3) == pytest.approx(0.5)  # capped
-        assert policy.backoff_s(9) == pytest.approx(0.5)
+        base = supervisor_module.RESTART_BACKOFF_BASE_S
+        cap = supervisor_module.RESTART_BACKOFF_CAP_S
+        assert capped_backoff_s(base, cap, 0) == pytest.approx(0.05)
+        assert capped_backoff_s(base, cap, 1) == pytest.approx(0.1)
+        assert capped_backoff_s(base, cap, 2) == pytest.approx(0.2)
+        assert capped_backoff_s(base, cap, 7) == pytest.approx(5.0)  # capped
+        assert capped_backoff_s(base, cap, 1100) == cap  # no float overflow
 
-    def test_restart_policy_validation(self):
-        with pytest.raises(ServeError):
-            RestartPolicy(max_restarts=-1)
-        with pytest.raises(ServeError):
-            RestartPolicy(backoff_factor=0.5)
+    def test_restart_waits_out_the_backoff(self):
+        specs = [spec("boom", seed=12, crash_batches=(2,))]
+        supervisor = ServeSupervisor(specs)
+        supervisor.run(max_steps=3)  # batches 0 and 1, then the crash
+        runner = supervisor.runners[0]
+        assert runner.restarts == 1
+        assert runner.next_eligible_at == pytest.approx(
+            supervisor.clock.now + supervisor_module.RESTART_BACKOFF_BASE_S
+        )
 
     def test_duplicate_tenants_rejected(self):
         with pytest.raises(ServeError):
@@ -251,61 +252,75 @@ class TestCrashContainment:
 
 
 class TestCircuitBreaker:
-    def config(self, **kwargs):
-        kwargs.setdefault("failure_threshold", 3)
-        kwargs.setdefault("window", 8)
-        kwargs.setdefault("cooldown_s", 1.0)
-        return BreakerConfig(**kwargs)
+    def tripped(self):
+        """A breaker fed FAILURE_THRESHOLD failures at t = 0, 1, ..."""
+        breaker = CircuitBreaker()
+        for t in range(breaker_module.FAILURE_THRESHOLD):
+            breaker.record(float(t), failed=True)
+        return breaker
 
     def test_trips_after_threshold_failures(self):
-        breaker = CircuitBreaker(self.config())
+        breaker = CircuitBreaker()
         assert breaker.state == CLOSED and not breaker.degraded
-        for t in range(3):
+        for t in range(breaker_module.FAILURE_THRESHOLD - 1):
             breaker.record(float(t), failed=True)
+        assert breaker.state == CLOSED
+        breaker.record(3.0, failed=True)
         assert breaker.state == OPEN
         assert breaker.degraded
         assert breaker.trips == 1
 
     def test_successes_keep_it_closed(self):
-        breaker = CircuitBreaker(self.config())
-        for t in range(20):
-            breaker.record(float(t), failed=(t % 4 == 0))  # sparse failures
+        breaker = CircuitBreaker()
+        for t in range(40):
+            # sparse failures: at most 3 in any 16 consecutive steps
+            breaker.record(float(t), failed=(t % 6 == 0))
+        assert breaker.state == CLOSED
+
+    def test_old_failures_slide_out_of_the_window(self):
+        breaker = CircuitBreaker()
+        for t in range(3):
+            breaker.record(float(t), failed=True)
+        for t in range(3, 3 + breaker_module.WINDOW - 3):
+            breaker.record(float(t), failed=False)
+        # the window is full: the next outcome pushes the first failure out
+        breaker.record(100.0, failed=True)
         assert breaker.state == CLOSED
 
     def test_probe_gated_by_cooldown_then_recovers(self):
-        breaker = CircuitBreaker(self.config())
-        for t in range(3):
-            breaker.record(float(t), failed=True)
-        assert not breaker.allow_probe(2.5)  # cooldown ends at 2.0 + 1.0
+        breaker = self.tripped()  # tripped at t = 3.0, cooldown 2.0
+        assert not breaker.allow_probe(4.5)
         assert breaker.state == OPEN
-        assert breaker.allow_probe(3.5)
+        assert breaker.allow_probe(5.0)
         assert breaker.state == HALF_OPEN
-        breaker.record(3.5, failed=False)  # clean probe
+        breaker.record(5.0, failed=False)  # clean probe
         assert breaker.state == CLOSED
         assert breaker.recoveries == 1
 
     def test_failed_probe_escalates_cooldown(self):
-        breaker = CircuitBreaker(self.config())
-        for t in range(3):
-            breaker.record(float(t), failed=True)
+        breaker = self.tripped()
         first_probe_at = breaker.next_probe_at()
         assert breaker.allow_probe(first_probe_at)
         breaker.record(first_probe_at, failed=True)  # probe fails
         assert breaker.state == OPEN
         assert breaker.trips == 2
         second_cooldown = breaker.next_probe_at() - first_probe_at
-        first_cooldown = first_probe_at - 2.0
-        assert second_cooldown > first_cooldown
+        first_cooldown = first_probe_at - 3.0
+        assert first_cooldown == pytest.approx(breaker_module.COOLDOWN_S)
+        assert second_cooldown == pytest.approx(
+            breaker_module.COOLDOWN_S * breaker_module.COOLDOWN_FACTOR
+        )
 
-    def test_config_validation(self):
-        with pytest.raises(ServeError):
-            BreakerConfig(failure_threshold=0)
-        with pytest.raises(ServeError):
-            BreakerConfig(window=2, failure_threshold=4)
-        with pytest.raises(ServeError):
-            BreakerConfig(cooldown_s=0.0)
-        with pytest.raises(ServeError):
-            BreakerConfig(cooldown_cap_s=0.5, cooldown_s=2.0)
+    def test_escalated_cooldown_is_capped(self):
+        breaker = self.tripped()
+        cooldowns = []
+        for _ in range(8):
+            probe_at = breaker.next_probe_at()
+            assert breaker.allow_probe(probe_at)
+            breaker.record(probe_at, failed=True)
+            cooldowns.append(breaker.next_probe_at() - probe_at)
+        assert cooldowns[:4] == pytest.approx([4.0, 8.0, 16.0, 30.0])
+        assert cooldowns[-1] == pytest.approx(breaker_module.COOLDOWN_CAP_S)
 
 
 # ----- graceful degradation ----------------------------------------------
@@ -367,11 +382,11 @@ class TestAdmission:
 
     def test_shed_decisions_are_seeded_deterministic(self):
         offered = [("a", 12), ("b", 12), ("c", 5), ("d", 13)]
-        config = AdmissionConfig(high_watermark=8, seed=3)
-        first = AdmissionController(config).shed(offered)
-        second = AdmissionController(config).shed(offered)
+        first = AdmissionController().shed(offered)
+        second = AdmissionController().shed(offered)
         assert first == second
-        assert ("d", 5) in first  # most backlogged sheds the most
+        # most backlogged sheds the most
+        assert ("d", 13 - admission_module.HIGH_WATERMARK) in first
         assert all(t != "c" for t, _ in first)  # under the watermark
 
     def test_backpressure_frame_round_trip(self):
@@ -387,12 +402,6 @@ class TestAdmission:
         with pytest.raises(TransportError):
             parse_backpressure_frame(backpressure_frame(True)[:-1] + b"x")
 
-    def test_admission_config_validation(self):
-        with pytest.raises(ServeError):
-            AdmissionConfig(bucket_capacity=0.0)
-        with pytest.raises(ServeError):
-            AdmissionConfig(low_watermark=9, high_watermark=8)
-
 
 class TestBackpressureEndToEnd:
     def hot_spec(self):
@@ -405,23 +414,20 @@ class TestBackpressureEndToEnd:
             checkpoint_every=0,
         )
 
-    def config(self):
-        return ServeConfig(
-            admission=AdmissionConfig(high_watermark=4, low_watermark=1)
-        )
-
     def test_overloaded_tenant_sheds_and_pauses(self):
-        report = ServeSupervisor([self.hot_spec()], config=self.config()).run()
+        supervisor = ServeSupervisor([self.hot_spec()])
+        report = supervisor.run()
         tenant = report.by_tenant()["hot"]
         assert tenant.batches_shed > 0
         assert tenant.xoff_frames >= 1
+        assert not supervisor.runners[0].paused  # drained, then XON
         assert tenant.batches_delivered + tenant.batches_shed == 20
         assert tenant.health == HEALTHY
         assert report.process_crashes == 0
 
     def test_shedding_is_deterministic_across_runs(self):
         def run_once():
-            sup = ServeSupervisor([self.hot_spec()], config=self.config())
+            sup = ServeSupervisor([self.hot_spec()])
             report = sup.run()
             return sorted(sup.outputs("hot")), report.by_tenant()["hot"]
 
@@ -433,7 +439,7 @@ class TestBackpressureEndToEnd:
 
     def test_batch_mode_tenants_never_shed(self):
         # tenants without an arrival model are not watermark-managed
-        report = ServeSupervisor([spec("plain")], config=self.config()).run()
+        report = ServeSupervisor([spec("plain")]).run()
         tenant = report.by_tenant()["plain"]
         assert tenant.batches_shed == 0 and tenant.xoff_frames == 0
 
@@ -501,7 +507,10 @@ class TestCheckpointStores:
         # version 4: the lookahead feed and every delivered output inside
         # the payload, before both were rebuilt on restore
         v4 = pickle.dumps({"feed": [np.arange(4)], "outputs": {0: None}})
-        for version, payload in ((1, v1), (2, v2), (3, v3), (4, v4)):
+        # version 5: the client, transport config and fault profile still
+        # carrying the knobs that became module constants
+        v5 = pickle.dumps({"demote_after": 3, "backoff_factor": 2.0, "stall_s": 0.05})
+        for version, payload in ((1, v1), (2, v2), (3, v3), (4, v4), (5, v5)):
             old = TenantCheckpoint(
                 tenant="t", batches_processed=2, payload=payload, version=version
             )
