@@ -201,3 +201,11 @@ def _slice_runs(runs: RunPair, start: int, stop: int) -> RunPair:
 def decoded_column(name: str, values: np.ndarray) -> ExecColumn:
     """An ExecColumn over plain values."""
     return ExecColumn(name, np.ascontiguousarray(values, dtype=np.int64))
+
+
+def first_rows(ids: np.ndarray, count: int) -> np.ndarray:
+    """Each id's first position in ``ids`` (reversed scatter: the last write
+    of a repeated id is its earliest); ids that never occur stay unset."""
+    first = np.empty(count, dtype=np.int64)
+    first[ids[::-1]] = np.arange(ids.size - 1, -1, -1, dtype=np.int64)
+    return first

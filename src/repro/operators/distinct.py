@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import PlanningError
 from ..stats import factorize_rows
 from ..stream.window import expand_ranges
-from .base import ExecColumn
+from .base import ExecColumn, first_rows
 
 
 def distinct_indices(columns: Sequence[ExecColumn], indices: np.ndarray) -> np.ndarray:
@@ -35,10 +35,8 @@ def distinct_indices(columns: Sequence[ExecColumn], indices: np.ndarray) -> np.n
     if indices.size == 0:
         return indices
     ids, count = factorize_rows([col.codes[indices] for col in columns])
-    first = np.full(count, indices.size, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(indices.size, dtype=np.int64))
     keep = np.zeros(indices.size, dtype=bool)
-    keep[first] = True
+    keep[first_rows(ids, count)] = True
     return indices[keep]
 
 

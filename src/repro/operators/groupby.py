@@ -1,24 +1,24 @@
 """Group-by aggregation inside windows, running on compressed codes.
 
-Group keys only need *equality* of codes (bijective encodings), so
-grouping never decodes whole columns: keys are factorized batch-wide once
-into a dense group id, the window id leads it, and every aggregate is one
-bincount or segment reduction over all windows of the batch.  Key values
-are decoded only for the few distinct groups that reach the output.
+Group keys only need *equality* of codes (bijective encodings), so keys
+are numbered batch-wide once, code offsets in mixed radix, and the window
+id leads: slot = window * groups + group.  A dense slot span is aggregated
+whole (one bincount or ufunc.at per aggregate, all windows at once) and its
+present slots kept once; a wide one is factorized.  Only output keys decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import PlanningError
-from ..stats import factorize, factorize_rows
+from ..stats import DENSE_SPAN_FACTOR, factorize, factorize_rows
 from ..stream.window import expand_ranges
 from .aggregation import AGG_FUNCS
-from .base import ExecColumn
+from .base import ExecColumn, first_rows
 
 #: (window, row) pairs one pass expands at most: overlapping windows
 #: repeat rows, so a batch is aggregated a run of windows at a time (a
@@ -79,19 +79,29 @@ def window_group_aggregate(
     groups = int(combined_keys.max()) + 1 if combined_keys.size else 1
     parts = []
     for a, b in zip(cuts, cuts[1:]):
-        # windows a..b-1 as (window, row) pairs, grouped by (window, key)
-        rows = expand_ranges(starts[a:b], sizes[a:b])
-        pair_window = np.repeat(np.arange(b - a, dtype=np.int64), sizes[a:b])
-        slots, slot = factorize(pair_window * groups + combined_keys[rows])
-        counts = np.bincount(slot, minlength=slots.size).astype(np.int64)
+        # windows a..b-1 as (window, row) pairs: a row slice if they tile it
+        if b > a and (starts[a + 1 : b] == ends[a : b - 1]).all():
+            rows: Union[slice, np.ndarray] = slice(starts[a], ends[b - 1])
+        else:
+            rows = expand_ranges(starts[a:b], sizes[a:b])
+        pair_window = np.arange(b - a, dtype=np.int64) * groups
+        slot = np.repeat(pair_window, sizes[a:b]) + combined_keys[rows]
+        span, numbered = (b - a) * groups, None
+        if span >= DENSE_SPAN_FACTOR * slot.size:
+            numbered, slot = factorize(slot)
+            span = numbered.size
+        counts = np.bincount(slot, minlength=span)
+        present = np.flatnonzero(counts)
+        slots = present if numbered is None else numbered
+        counts = counts[present].astype(np.int64)
         # pairs run window by window in row order: a slot's first pair is
         # the group's first row in its window
-        first = np.full(slots.size, rows.size, dtype=np.int64)
-        np.minimum.at(first, slot, np.arange(rows.size, dtype=np.int64))
+        first = first_rows(slot, span)[present]
+        first = first + rows.start if isinstance(rows, slice) else rows[first]
         parts.append(
-            [slots // groups + a, rows[first], counts]
+            [slots // groups + a, first, counts]
             + [
-                _grouped_aggregate(col, func, rows, slot, counts)
+                _grouped_aggregate(col, func, rows, slot, span, present, counts)
                 for col, func in zip(agg_columns, agg_funcs)
             ]
         )
@@ -102,8 +112,10 @@ def window_group_aggregate(
 def _grouped_aggregate(
     column: Optional[ExecColumn],
     func: str,
-    rows: np.ndarray,
+    rows: Union[slice, np.ndarray],
     slot: np.ndarray,
+    span: int,
+    present: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
     if func == "count":
@@ -118,9 +130,7 @@ def _grouped_aggregate(
                 f"sum/avg on group-by column {column.name!r} requires affine codes"
             )
         scale, offset = affine
-        code_sums = np.bincount(
-            slot, weights=codes.astype(np.float64), minlength=counts.size
-        )
+        code_sums = np.bincount(slot, codes.astype(np.float64), span)[present]
         # bincount works in float64; exact for |sum| < 2^53, which the
         # fixed-point domains guarantee in practice.
         sums = scale * code_sums + offset * counts
@@ -132,9 +142,9 @@ def _grouped_aggregate(
             f"max/min on group-by column {column.name!r} requires ordered codes"
         )
     fill = np.iinfo(np.int64).min if func == "max" else np.iinfo(np.int64).max
-    extreme = np.full(counts.size, fill, dtype=np.int64)
+    extreme = np.full(span, fill, dtype=np.int64)
     if func == "max":
         np.maximum.at(extreme, slot, codes)
     else:
         np.minimum.at(extreme, slot, codes)
-    return column.decode(extreme)  # lint: force-decode (one value per group)
+    return column.decode(extreme[present])  # lint: force-decode (one value per group)

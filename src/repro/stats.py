@@ -123,8 +123,8 @@ def value_presence(
     ``present[k]`` tells whether ``lo + k`` occurs; ``lo``/``hi`` are the
     column's min and max.  Dense means ``hi - lo < DENSE_SPAN_FACTOR * n``,
     decided on Python ints, so ``values - lo`` is only formed when it
-    cannot overflow int64.  Both ``Kindnum`` and :func:`factorize`
-    (dictionary coding, group-by keys, distinct) go through here.
+    cannot overflow int64.  ``Kindnum`` counts through here; :func:`factorize`
+    applies the same rule and numbers through :func:`renumber`.
     """
     if hi - lo >= DENSE_SPAN_FACTOR * values.size:
         return None
@@ -134,24 +134,36 @@ def value_presence(
     return offsets, present
 
 
+def renumber(ids: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(present ids ascending, dense id per element) of ids in ``[0, span)``.
+
+    A known span needs no min/max pass: a presence scatter, ``flatnonzero``
+    and a lookup gather.  One wider than ``DENSE_SPAN_FACTOR`` ids per
+    element goes through :func:`factorize`, which sorts unless it is dense.
+    """
+    if span > DENSE_SPAN_FACTOR * ids.size:
+        return factorize(ids)
+    present = np.zeros(span, dtype=bool)
+    present[ids] = True
+    slots = np.flatnonzero(present)
+    # only the slots of present ids are ever read back
+    lut = np.empty(span, dtype=np.int64)
+    lut[slots] = np.arange(slots.size, dtype=np.int64)
+    return slots, lut[ids]
+
+
 def factorize(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(sorted distinct values, dense id per element), ids in value order.
 
-    A dense span (:func:`value_presence`) is numbered through a lookup
-    table indexed by ``value - min``; only a wide span sorts.  Dictionary
-    codes are dense by construction, so factorizing them never sorts.
+    A dense span is :func:`renumber`-ed over ``value - min``; only a wide
+    span sorts, so dictionary codes, dense by construction, never do.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size:
-        lo = int(values.min())
-        dense = value_presence(values, lo, int(values.max()))
-        if dense is not None:
-            offsets, present = dense
-            slots = np.flatnonzero(present)
-            # only the slots of present values are ever read back
-            lut = np.empty(present.size, dtype=np.int64)
-            lut[slots] = np.arange(slots.size, dtype=np.int64)
-            return slots + lo, lut[offsets]
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < DENSE_SPAN_FACTOR * values.size:
+            slots, ids = renumber(values - np.int64(lo), hi - lo + 1)
+            return slots + lo, ids
     uniques, ids = np.unique(values, return_inverse=True)
     return uniques, ids.astype(np.int64).reshape(-1)
 
@@ -159,26 +171,36 @@ def factorize(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def factorize_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
     """Dense ids of the row tuples of equal-length columns, and their count.
 
-    Ids number the tuples in lexicographic order.  Each column is
-    factorized on its own and the ids are combined in mixed radix.  Before
-    the running cardinality product (a Python int) would reach
-    ``DENSE_SPAN_FACTOR`` ids per row, the partial ids are re-densified,
-    which costs no sort while they still span a dense range.  The product
-    so stays below ``8 n^2``: the ids cannot wrap at 2^63.
+    Ids number the tuples in lexicographic order.  Column offsets ``codes -
+    min`` are mixed in radix ``max - min + 1``; before the running span (a
+    Python int) would reach ``DENSE_SPAN_FACTOR`` ids per row, the partial
+    ids are :func:`renumber`-ed.  A column is factorized alone only if its
+    span is wide or, renumbered, the mix would still reach the limit.
+    Mixed spans stay below ``8 n``: ids stay below ``64 n^2``, never wrap.
     """
-    uniques, ids = factorize(columns[0])
-    count = uniques.size
-    for values in columns[1:]:
-        uniques, dense = factorize(values)
-        if count * uniques.size >= DENSE_SPAN_FACTOR * ids.size:
-            partial, ids = factorize(ids)
-            count = partial.size
-        ids = ids * uniques.size + dense
-        count *= uniques.size
-    if len(columns) > 1:
-        uniques, ids = factorize(ids)
-        count = uniques.size
-    return ids, count
+    n = len(columns[0])
+    if not n:
+        return np.zeros(0, dtype=np.int64), 0
+    limit = DENSE_SPAN_FACTOR * n
+    ids: Optional[np.ndarray] = None
+    span = 1
+    for values in columns:
+        values = np.asarray(values, dtype=np.int64)
+        lo, hi = int(values.min()), int(values.max())
+        width = hi - lo + 1
+        if span * width >= limit and ids is not None:
+            slots, ids = renumber(ids, span)
+            span = slots.size
+        if span * width >= limit:
+            uniques, offsets = factorize(values)  # sorts only a wide column
+            width = uniques.size
+        else:
+            offsets = values - np.int64(lo) if lo else values
+        ids = offsets if ids is None else ids * width + offsets
+        span *= width
+    assert ids is not None
+    slots, ids = renumber(ids, span)
+    return ids, int(slots.size)
 
 
 def _distinct_count(values: np.ndarray, lo: int, hi: int) -> int:

@@ -310,4 +310,6 @@ class PartitionWindowState:
         return {name: arr[taken] for name, arr in self.columns.items()}
 
     def __len__(self) -> int:
-        return int(np.unique(self.keys).size)
+        # keys are sorted: the first key plus one per change
+        changes = np.count_nonzero(self.keys[1:] != self.keys[:-1])
+        return int(changes) + 1 if self.keys.size else 0
