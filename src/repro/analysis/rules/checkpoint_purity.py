@@ -47,7 +47,8 @@ DETACHED_ATTRS: Set[Tuple[str, str]] = {
     # dropped by Pipeline.__getstate__; attach() re-pulls the same
     # batches from the seeded source after seeking to the cursor
     ("Pipeline", "feed"),
-    # shared across tenants; state_bytes() detaches it before pickling
+    # one decode/morph point shared across tenants; state_bytes()
+    # detaches it before pickling, restore() re-attaches it
     ("Server", "cache"),
 }
 

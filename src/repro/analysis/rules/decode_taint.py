@@ -4,9 +4,10 @@ The paper's central claim is that operators execute *on compressed
 data*; any stray ``decode()``/``decompress()`` on a hot path silently
 reintroduces the decompress-then-query model the engine exists to
 avoid.  The only sanctioned full-column decode is
-``DecodeCache.decompress`` (content-addressed, accounted as decompress
-time); anything else needs a ``# lint: force-decode`` waiver stating
-why the decode is bounded (e.g. one value per window).
+``DecodeCache.decompress``, the server's one stateless decode point,
+where each decode is counted and booked as decompress time; anything
+else needs a ``# lint: force-decode`` waiver stating why the decode is
+bounded (e.g. one value per window).
 
 A decode site is a :data:`DECODE_METHODS` call on a non-cache receiver.
 The rule checks the direct path (``repro.operators``,
@@ -82,8 +83,9 @@ class DecodeTaintRule(GraphRule):
     rationale = (
         "Direct-on-compressed operators, the server hot loop and the "
         "optimizer may only materialize values through "
-        "DecodeCache.decompress.  The rule flags every other decode "
-        "call in those packages and follows the call graph from them "
+        "DecodeCache.decompress, the server's one counted decode "
+        "point.  The rule flags every other decode call in those "
+        "packages and follows the call graph from them "
         "through any number of helper hops, unless the path "
         "passes through DecodeCache or the codec package; each site "
         "needs a '# lint: force-decode' waiver explaining why the decode "

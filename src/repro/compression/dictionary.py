@@ -76,7 +76,8 @@ class DictionaryCodec(Codec):
         self._check_column(column)
         dictionary = column.meta["dictionary"]
         codes = np.asarray(codes, dtype=np.int64)
-        if codes.size and (codes.min() < 0 or codes.max() >= dictionary.size):
+        # one pass checks both ends: a negative code is huge as unsigned
+        if codes.size and codes.view(np.uint64).max() >= dictionary.size:
             raise CodecError("dictionary code out of range")
         return dictionary[codes]
 

@@ -192,7 +192,9 @@ class CompressStreamDB:
 
     def make_pipeline(self) -> Pipeline:
         """A fresh pipeline (fresh executors, fresh channel counters)."""
-        plan = self._base_plan
+        # Pipeline.run measures the query profile into the plan: hand each
+        # pipeline its own profile so the engine's plan stays immutable
+        plan = replace(self._base_plan, profile=replace(self._base_plan.profile))
         channel = self._make_channel()
         selector = self._make_selector(channel)
         client = Client(

@@ -20,11 +20,10 @@ Both are booked as direct columns: no decompression ran.  When the
 optimizer's morph rule decided a column should be *recompressed* into a
 different layout (run payload -> bit planes for an equality-heavy
 predicate), the server converts it before serving; conversion cost is
-booked as decompression and the column is reported as morphed.  A small
-:class:`~repro.core.decode_cache.DecodeCache` additionally interns
-repeated metadata (dictionaries), memoizes whole-column decodes for
-byte-identical columns across batches, and memoizes the morphed
-intermediates so repeated payloads convert once.
+booked as decompression and the column is reported as morphed.  Every
+decode and morph goes through the server's
+:class:`~repro.core.decode_cache.DecodeCache`, which counts them and
+keeps nothing: a batch's decoded arrays die with the batch.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class ServerReport:
     #: columns the optimizer's morph decisions recompressed into another
     #: layout before serving (mid-pipeline format morphing)
     morphed_columns: Tuple[str, ...] = ()
-    #: morph-store cache activity while processing this batch
-    morph_cache_hits: int = 0
-    morph_cache_misses: int = 0
     #: optimizer decisions carried by the plan (empty when the plan never
     #: went through the optimizer, or the chooser fell back)
     optimizer_rules: Tuple[str, ...] = ()
@@ -79,21 +75,13 @@ class Server:
     decompression from the benefit of transmitting fewer bytes.
     """
 
-    def __init__(
-        self,
-        plan: Plan,
-        force_decode: bool = False,
-        cache: Optional[DecodeCache] = None,
-        tenant: str = "",
-    ):
+    def __init__(self, plan: Plan, force_decode: bool = False):
         self.plan = plan
         self.profile = plan.profile
         self.executor = make_executor(plan)
         self.force_decode = force_decode
-        self.cache = DecodeCache() if cache is None else cache
-        #: owner charged for this server's cache entries when the cache is
-        #: shared across tenants (the serving layer's per-tenant quota)
-        self.tenant = tenant
+        #: the serving layer swaps in one instance shared by its sessions
+        self.cache = DecodeCache()
         opt = plan.opt
         #: morph decisions by column, from the optimizer's FormatMorph rule
         self._morphs = {
@@ -107,12 +95,9 @@ class Server:
         morphed_cols: list = []
         columns: Dict[str, ExecColumn] = {}
         t_query = 0.0
-        hits0 = self.cache.morph_hits
-        misses0 = self.cache.morph_misses
         for name in sorted(self.profile.referenced):
             cc = batch.columns[name]
             codec = get_codec(cc.codec)
-            self.cache.intern_meta(cc, tenant=self.tenant)
             use = self.profile.use_of(name)
             direct = (
                 not self.force_decode
@@ -149,7 +134,7 @@ class Server:
                     direct_cols.append(name)
                     continue
             t0 = time.perf_counter()
-            values = self.cache.decompress(codec, cc, tenant=self.tenant)
+            values = self.cache.decompress(codec, cc)
             decompress_seconds += time.perf_counter() - t0
             columns[name] = decoded_column(name, values)
             decoded.append(name)
@@ -164,8 +149,6 @@ class Server:
             decoded_columns=tuple(decoded),
             direct_columns=tuple(direct_cols),
             morphed_columns=tuple(morphed_cols),
-            morph_cache_hits=self.cache.morph_hits - hits0,
-            morph_cache_misses=self.cache.morph_misses - misses0,
             optimizer_rules=opt.rules_fired if opt is not None else (),
             plan_digest=opt.plan_digest if opt is not None else "",
             estimated_cost=opt.estimated_cost if opt is not None else 0.0,
@@ -191,7 +174,7 @@ class Server:
             and not use.positional
         ):
             target = get_codec(decision.to_codec)
-            morphed = self.cache.morph(codec, cc, target, tenant=self.tenant)
+            morphed = self.cache.morph(codec, cc, target)
             planes = target.plane_view(morphed)
             if planes is not None:
                 return ExecColumn(name, planes=planes)

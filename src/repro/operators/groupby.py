@@ -91,7 +91,8 @@ def window_group_aggregate(
             numbered, slot = factorize(slot)
             span = numbered.size
         counts = np.bincount(slot, minlength=span)
-        present = np.flatnonzero(counts)
+        # nonzero over a bool mask is several times faster than over int64
+        present = np.flatnonzero(counts != 0)
         slots = present if numbered is None else numbered
         counts = counts[present].astype(np.int64)
         # pairs run window by window in row order: a slot's first pair is

@@ -199,9 +199,8 @@ def _node_cost(node: LogicalNode, ctx: CostContext) -> Tuple[float, float]:
     if isinstance(node, MorphNode):
         child_cost, rows = _node_cost(node.child, ctx)
         # conversion pays one pass over the source representation (run
-        # granularity) plus building the target's planes, amortized by the
-        # decode cache across byte-identical re-sent payloads; the global
-        # context still holds the column's *wire* info
+        # granularity) plus building the target's planes, on every batch;
+        # the global context still holds the column's *wire* info
         info = ctx.info(node.column)
         read = float(info.size_c)
         if node.from_codec in RUN_CODECS:

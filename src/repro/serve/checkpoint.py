@@ -55,8 +55,9 @@ from ..sql.executor import QueryResult
 #: 5: the payload has a digest and holds neither the lookahead feed nor
 #: the outputs, which go to the store's per-tenant log; files are framed;
 #: 6: the client, transport config and fault profile lost their
-#: single-valued knobs, now module constants)
-CHECKPOINT_VERSION = 6
+#: single-valued knobs, now module constants;
+#: 7: the server no longer carries the tenant its cache quota charged)
+CHECKPOINT_VERSION = 7
 
 #: a file record's header: body length, then the body's SHA-256
 RECORD_HEADER = struct.Struct(">Q32s")

@@ -22,11 +22,13 @@ lean on.
 Checkpointing pickles the session's attributes (the pipeline and the
 delivery counters) as one object graph, so shared references — the cost
 model's channel handle, the fault injector's RNG position — survive
-intact.  What can be rebuilt stays out: the shared decode cache is
-detached first; the pipeline drops the source iterator and its lookahead
-feed, which ``Pipeline.attach`` re-pulls byte-identically from the
-spec's seeded factory after seeking to the cursor (the virtual-time
-equivalent of a log offset seek); and the delivered ``outputs`` are not
+intact.  What can be rebuilt stays out: the server's
+:class:`~repro.core.decode_cache.DecodeCache`, the stateless decode/morph
+point the supervisor shares across sessions, is detached first; the
+pipeline drops the source iterator and its lookahead feed, which
+``Pipeline.attach`` re-pulls byte-identically from the spec's seeded
+factory after seeking to the cursor (the virtual-time equivalent of a
+log offset seek); and the delivered ``outputs`` are not
 pickled at all — the supervisor hands each checkpoint the outputs
 delivered since the previous one, the checkpoint store logs them once,
 and :meth:`TenantSession.restore` takes the logged outputs below the
@@ -203,7 +205,6 @@ class TenantSession:
         self.pipeline: Pipeline = engine.make_pipeline()
         if cache is not None:
             self.server.cache = cache
-        self.server.tenant = spec.tenant
         #: batch index -> that batch's query output; keyed storage makes
         #: post-restore reprocessing exactly-once (replays overwrite with
         #: identical results instead of duplicating rows).  Not pickled:
@@ -322,8 +323,8 @@ class TenantSession:
         """The session's mutable state, pickled as one object graph."""
         state = {k: v for k, v in vars(self).items() if k not in REBUILT_ON_RESTORE}
         cache = self.server.cache
-        # the decode cache is shared across tenants and rebuilt on restore;
-        # detach it so a checkpoint holds only this tenant's state
+        # the decode/morph point is shared across tenants and re-attached
+        # on restore; detach it so a checkpoint holds only this tenant's state
         self.server.cache = None
         try:
             return pickle.dumps(state, protocol=4)
@@ -356,7 +357,6 @@ class TenantSession:
         session.outputs = dict(outputs or {})
         session.disarmed = set(disarmed or ())
         session.server.cache = cache if cache is not None else DecodeCache()
-        session.server.tenant = spec.tenant
         # log-offset seek: rebuild the seeded source and skip everything
         # the checkpointed pipeline had already pulled
         session.pipeline.attach(spec.make_source())

@@ -38,12 +38,6 @@ from .report import DEGRADED, HEALTHY, QUARANTINED, ServeReport, TenantReport
 from .session import DELIVERED, DONE, QUARANTINED as BATCH_QUARANTINED
 from .session import StepOutcome, TenantSession, TenantSpec
 
-#: shared decode-cache sizing: entries, hard bytes, per-tenant bytes
-CACHE_ENTRIES = 64
-CACHE_MAX_BYTES = 32 * 1024 * 1024
-CACHE_TENANT_QUOTA_BYTES = 4 * 1024 * 1024
-
-
 #: restarts a crashing tenant gets before it is parked as QUARANTINED
 MAX_RESTARTS = 3
 #: backoff before the first restart, and its cap (virtual seconds, CSD010)
@@ -105,7 +99,6 @@ class ServeSupervisor:
         self,
         specs: Sequence[TenantSpec],
         store: Optional[CheckpointStore] = None,
-        cache: Optional[DecodeCache] = None,
         resume: bool = False,
         clock: Optional[VirtualClock] = None,
     ):
@@ -116,11 +109,9 @@ class ServeSupervisor:
             raise ServeError("tenant ids must be unique")
         self.store = store if store is not None else CheckpointStore()
         self.clock = clock or VirtualClock()
-        self.cache = cache or DecodeCache(
-            max_entries=CACHE_ENTRIES,
-            max_bytes=CACHE_MAX_BYTES,
-            tenant_quota_bytes=CACHE_TENANT_QUOTA_BYTES,
-        )
+        #: one decode/morph point shared by every session, so its counters
+        #: cover the whole fleet
+        self.cache = DecodeCache()
         self.admission = AdmissionController()
         self.runners: List[TenantRunner] = []
         for spec in specs:

@@ -321,7 +321,7 @@ class WindowAggExecutor:
             work,
             iter(grouped.aggregates),
             grouped.representatives,
-            last_rows[grouped.window_ids],
+            last_rows,
             grouped.window_ids,
         )
 
@@ -335,7 +335,8 @@ class WindowAggExecutor:
     ) -> QueryResult:
         """One result row per (window, group): aggregates in output order,
         keys from the group's first row, other columns from the window's
-        last row."""
+        last row (``last_rows`` holds one row per window, decoded once and
+        spread over the window's groups)."""
         out: Dict[str, np.ndarray] = {}
         for o in self.plan.outputs + self.plan.hidden_outputs:
             if o.kind == OUT_AGG:
@@ -343,8 +344,10 @@ class WindowAggExecutor:
             elif o.kind in (OUT_LAST, OUT_KEY):
                 col = work[o.source_column]
                 rows = key_rows if o.kind == OUT_KEY else last_rows
-                # lint: force-decode bounded, one value per group and window
+                # lint: force-decode bounded, one value per group or window
                 stored = col.decode(col.codes[rows])
+                if o.kind == OUT_LAST:
+                    stored = stored[window_ids]
             else:
                 raise PlanningError(f"unsupported output kind {o.kind!r} here")
             out[o.name] = _convert_output(o, stored)

@@ -1,5 +1,8 @@
 """Unit tests for the client (compression side) and server (query side)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.core import (
     StaticSelector,
     SystemParams,
 )
+from repro.compression import get_codec
 from repro.net import Channel
 from repro.sql import plan_query
 from repro.stream import Batch, Field, Schema
@@ -117,6 +121,51 @@ class TestServer:
         server = Server(plan)
         report = server.process(client.compress_batch(make_batch()).batch)
         assert report.decoded_columns == ("v",)
+
+    def test_decoded_arrays_die_with_their_batch(self):
+        # the server keeps no decode state: once batch i + 1 is processed,
+        # nothing holds an array the server decoded for batch i
+        client, plan = make_client(StaticSelector("ed"))
+        server = Server(plan)
+        decompress = server.cache.decompress
+        decoded = []
+
+        def recording_decompress(*args, **kwargs):
+            values = decompress(*args, **kwargs)
+            decoded.append(weakref.ref(values))
+            return values
+
+        server.cache.decompress = recording_decompress
+        server.process(client.compress_batch(make_batch(seed=1)).batch)
+        first = list(decoded)
+        server.process(client.compress_batch(make_batch(seed=2)).batch)
+        gc.collect()
+        assert len(first) == 1 and len(decoded) == 2
+        assert first[0]() is None
+
+    def test_window_last_column_decodes_once_per_window(self, monkeypatch):
+        # ts is neither a key nor an aggregate: each window's last row is
+        # decoded once and spread over that window's groups
+        client, plan = make_client(StaticSelector("dict"))
+        dict_codec = type(get_codec("dict"))
+        decode_codes = dict_codec.decode_codes
+        sizes = []
+
+        def spy(self, column, codes):
+            sizes.append(len(codes))
+            return decode_codes(self, column, codes)
+
+        monkeypatch.setattr(dict_codec, "decode_codes", spy)
+        batch = make_batch()
+        report = Server(plan).process(client.compress_batch(batch).batch)
+        assert {"ts", "k"} <= set(report.direct_columns)
+        keys = batch.column("k")
+        groups = [np.unique(keys[w : w + 8]).size for w in range(0, 64, 8)]
+        assert sorted(sizes) == [len(groups), sum(groups)]
+        last_ts = np.arange(len(groups)) * 8 + 107
+        np.testing.assert_array_equal(
+            report.result.columns["ts"], np.repeat(last_ts, groups)
+        )
 
     def test_results_match_uncompressed(self):
         batch = make_batch(64, seed=3)

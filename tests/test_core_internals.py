@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import CompressStreamDB
 from repro.core.metrics import RunReport
 from repro.core.pipeline import measure_query_profile, name_is_eager
 from repro.core.profiler import STAGES, BatchTiming, Profiler
@@ -111,6 +112,28 @@ class TestMeasureQueryProfile:
             plan.profile.mem_seconds + plan.profile.op_seconds
         )
         assert ratio == pytest.approx(0.6, rel=1e-6)
+
+
+class TestPipelineProfile:
+    def test_run_measures_its_own_copy_not_the_engine_plan(self):
+        engine = CompressStreamDB(
+            CATALOG, "select k, avg(v) as m from S [range 8 slide 8] group by k"
+        )
+        batch = Batch.from_values(
+            SCHEMA,
+            {"ts": np.arange(64), "k": np.arange(64) % 4, "v": np.arange(64)},
+        )
+        earlier = engine.make_pipeline()
+        engine.run([batch, batch])
+        # neither the engine's plan nor a pipeline made before the run
+        # prices with that run's stopwatch
+        assert engine.plan.profile.mem_seconds == 0.0
+        assert earlier.client.profile.mem_seconds == 0.0
+        pipeline = engine.make_pipeline()
+        pipeline.run([batch, batch])
+        assert pipeline.client.profile is pipeline.plan.profile
+        assert pipeline.client.profile.mem_seconds > 0.0
+        assert engine.plan.profile.mem_seconds == 0.0
 
 
 class TestNameIsEager:

@@ -115,6 +115,19 @@ def test_dict_decode_rejects_out_of_range(rng):
         codec.decode_codes(cc, np.array([99]))
 
 
+@pytest.mark.parametrize("bad", [3, -1, -3, np.iinfo(np.int64).min])
+def test_dict_decode_range_check_covers_both_ends(bad):
+    codec = get_codec("dict")
+    cc = codec.compress(np.array([1, 2, 3], dtype=np.int64))
+    from repro.errors import CodecError
+
+    # a negative code would index the dictionary from its end; the one
+    # unsigned range check rejects it like a code past the end
+    with pytest.raises(CodecError):
+        codec.decode_codes(cc, np.array([0, bad, 2]))
+    np.testing.assert_array_equal(codec.decode_codes(cc, np.array([2, 0])), [3, 1])
+
+
 def test_ed_codes_not_affine():
     codec = get_codec("ed")
     assert CAP_AFFINE not in codec.capabilities

@@ -202,6 +202,9 @@ class TestCrashContainment:
         ok = report.by_tenant()["ok"]
         assert ok.crashes == 0 and ok.batches_delivered == 6
         assert report.process_crashes == 0
+        # the restarted session decodes through the one shared instance too
+        for runner in supervisor.runners:
+            assert runner.session.server.cache is supervisor.cache
 
     def test_restart_budget_exhaustion_quarantines_tenant(self):
         specs = [
@@ -483,6 +486,7 @@ class TestCheckpointStores:
             store.save(bad)
 
     def test_version_1_file_rejected_on_load_and_restore(self, tmp_path):
+        from repro.core.server import Server
         from repro.sql.executor import WindowAggExecutor
         from repro.stream import PartitionWindowState, WindowScheduler, WindowSpec
 
@@ -510,7 +514,14 @@ class TestCheckpointStores:
         # version 5: the client, transport config and fault profile still
         # carrying the knobs that became module constants
         v5 = pickle.dumps({"demote_after": 3, "backoff_factor": 2.0, "stall_s": 0.05})
-        for version, payload in ((1, v1), (2, v2), (3, v3), (4, v4), (5, v5)):
+        # version 6: the server carrying the tenant its decode-cache quota
+        # charged, before the cache stopped storing anything
+        server = Server.__new__(Server)
+        server.__dict__.update(force_decode=False, tenant="t")
+        v6 = pickle.dumps({"cursor": 2, "server": server})
+        for version, payload in (
+            (1, v1), (2, v2), (3, v3), (4, v4), (5, v5), (6, v6)
+        ):
             old = TenantCheckpoint(
                 tenant="t", batches_processed=2, payload=payload, version=version
             )
