@@ -22,6 +22,11 @@ Each case runs through four paths and the results must agree:
     simplification must all be answer-preserving on the generator's full
     widened grammar.
 
+Windowed plans (joins and window aggregates) also run a **one-batch**
+leg: path (a) over the case's batches concatenated, since where batches
+are cut must not change a windowed answer.  ``[range unbounded]`` plans
+sit it out: their ``distinct`` is per batch by design.
+
 Columns where the pinned codec is not applicable (e.g. EG on negatives)
 fall back to identity, exactly like the engine's selector fallback, and
 are credited to identity — not the pinned codec — in the coverage matrix.
@@ -67,6 +72,7 @@ PATH_DECODE = "decode"
 PATH_DIRECT = "direct"
 PATH_SCALAR = "scalar-reference"
 PATH_OPTIMIZED = "optimized"
+PATH_ONE_BATCH = "one-batch"
 
 #: mutation hook: (result, codec, path) -> result; used to self-test the
 #: oracle (inject a comparator-visible fault and watch it get caught)
@@ -90,7 +96,7 @@ class Mismatch:
 
     case_id: int
     codec: str
-    path: str  # PATH_DECODE | PATH_DIRECT
+    path: str  # one of the PATH_* legs
     detail: str
     sql: str
 
@@ -294,13 +300,20 @@ def record_coverage(
 def run_case(
     case: OracleCase, config: DifferentialConfig = DifferentialConfig()
 ) -> CaseOutcome:
-    """Run one case through all three paths for every configured codec."""
+    """Run one case through every leg, the codec legs once per codec."""
     plan = case.plan()
     batches = case.to_batches()
     coverage = CoverageMatrix()
     mismatches: List[Mismatch] = []
 
     baseline = run_path(plan, batches, None, force_decode=True)
+    if isinstance(plan, (JoinPlan, WindowAggPlan)) and batches:
+        whole = run_path(plan, [Batch.concat(batches)], None, force_decode=True)
+        detail = compare_results(baseline.result, whole.result)
+        if detail is not None:
+            mismatches.append(
+                Mismatch(case.case_id, "identity", PATH_ONE_BATCH, detail, case.sql)
+            )
 
     # leg d (PATH_SCALAR) re-runs the direct path on scalar-reference kernels
     paths = [(PATH_DECODE, True), (PATH_DIRECT, False), (PATH_SCALAR, False)]

@@ -56,8 +56,9 @@ from ..sql.executor import QueryResult
 #: the outputs, which go to the store's per-tenant log; files are framed;
 #: 6: the client, transport config and fault profile lost their
 #: single-valued knobs, now module constants;
-#: 7: the server no longer carries the tenant its cache quota charged)
-CHECKPOINT_VERSION = 7
+#: 7: the server no longer carries the tenant its cache quota charged;
+#: 8: a join's lone self-keyed ``rows 1`` side keeps no partition state)
+CHECKPOINT_VERSION = 8
 
 #: a file record's header: body length, then the body's SHA-256
 RECORD_HEADER = struct.Struct(">Q32s")

@@ -477,7 +477,8 @@ class JoinExecutor:
     own key, any per-key depth) and the explicit ``JOIN ... ON`` form
     alike: the distinct probe tuples of every window, one latest-row
     lookup per side over its state plus the batch, and NaN/probe-value
-    fills for LEFT OUTER misses.
+    fills for LEFT OUTER misses.  A lone ``rows 1`` side probed on its own
+    key (Q3) keeps no state: it answers from the window's own rows.
     """
 
     def __init__(self, plan: JoinPlan):
@@ -485,7 +486,19 @@ class JoinExecutor:
         self.derived = PassthroughExecutor(plan.derived) if plan.derived else None
         self.buffer = BatchBuffer(plan.window)
         self.sides = plan.sides
-        self.states = [PartitionWindowState(side.window) for side in self.sides]
+        only = self.sides[0]
+        # one side probing its own key for its latest row: that row is the
+        # key's last occurrence in the window itself, so no state is kept
+        self.self_keyed = (
+            len(self.sides) == 1
+            and only.probe_column == only.key_column
+            and only.window.rows == 1
+        )
+        self.states = (
+            []
+            if self.self_keyed
+            else [PartitionWindowState(side.window) for side in self.sides]
+        )
         self._absorbed = 0       # global count of rows absorbed into state
         self._merged_start = 0   # global index of merged[0]
         # columns the join consumes from the (derived) stream
@@ -514,6 +527,17 @@ class JoinExecutor:
             if layout.starts.size
             else QueryResult.empty(plan.outputs)
         )
+        # rows the buffer drops unread (between sampling windows) still
+        # arrived: absorb them before they leave
+        drop = self._merged_start + layout.retain_start
+        if drop > self._absorbed:
+            lo = self._absorbed - self._merged_start
+            pending = {
+                name: merged[name][lo : layout.retain_start] for name in self._needed
+            }
+            for state in self.states:
+                state.update(pending)
+            self._absorbed = drop
         self._merged_start += layout.retain_start
         return result
 
@@ -522,16 +546,23 @@ class JoinExecutor:
     ) -> QueryResult:
         """Every window of the batch against the state as of its end."""
         plan = self.plan
-        # the state absorbs [lo, last end) once; a sampling window (slide >
-        # size) discards rows between batches before they are ever
-        # absorbed, so resume from the earliest retained row
-        lo = max(self._absorbed - self._merged_start, 0)
         hi = int(ends[-1])
+        probe_columns = [merged[side.probe_column][:hi] for side in self.sides]
+        pair_window, pair_row = window_distinct(probe_columns, starts, ends)
+        if self.self_keyed:
+            # pair_row is the key's last row in the window: its latest row
+            if not pair_row.size:
+                return QueryResult.empty(plan.outputs)
+            out = {
+                o.name: _convert_output(o, merged[o.source_column][pair_row])
+                for o in plan.outputs
+            }
+            return QueryResult(columns=out, n_rows=int(pair_row.size))
+        # the state absorbs [lo, last end) once
+        lo = self._absorbed - self._merged_start
         self._absorbed = max(self._absorbed, self._merged_start + hi)
         pending = {name: merged[name][lo:hi] for name in self._needed}
         parts = [state.merge(pending) for state in self.states]
-        probe_columns = [merged[side.probe_column][:hi] for side in self.sides]
-        pair_window, pair_row = window_distinct(probe_columns, starts, ends)
         probes = [col[pair_row] for col in probe_columns]
         probe_of, rows = semi_join_latest(
             parts,

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import PlanningError
-from .batch import Batch
 
 MODE_COUNT = "count"
 MODE_TIME = "time"
@@ -292,10 +291,9 @@ class PartitionWindowState:
         kept = rows.order[keep]
         self.columns = {name: arr[kept] for name, arr in rows.columns.items()}
 
-    def update(self, batch: Batch) -> None:
-        """Absorb a batch, retaining the latest ``rows`` tuples per key."""
-        pending = {name: batch.column(name) for name in batch.schema.names}
-        self.retain(self.merge(pending))
+    def update(self, columns: Dict[str, np.ndarray]) -> None:
+        """Absorb rows in arrival order, retaining the latest ``rows`` per key."""
+        self.retain(self.merge(columns))
 
     def lookup(self, keys: np.ndarray) -> Dict[str, np.ndarray]:
         """Retained rows of the given keys, key by key, oldest first.

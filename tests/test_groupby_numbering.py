@@ -298,6 +298,6 @@ def test_partition_state_len_counts_distinct_keys(rows):
     source = QUERIES["q2"].make_source(batch_size=500, batches=2, seed=2)
     seen = set()
     for batch in source:
-        state.update(batch)
+        state.update(batch.columns)
         seen.update(batch.column("plug").tolist())
         assert len(state) == len(seen)

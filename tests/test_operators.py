@@ -18,7 +18,7 @@ from repro.operators import (
     window_aggregate,
     window_group_aggregate,
 )
-from repro.stream import Batch, Field, PartitionWindowState, Schema, WindowSpec
+from repro.stream import PartitionWindowState, WindowSpec
 
 
 def extents(starts, ends):
@@ -257,9 +257,8 @@ class TestDistinct:
 
 class TestSemiJoin:
     def test_latest_rows_for_window_keys(self):
-        schema = Schema([Field("k"), Field("v")])
         state = PartitionWindowState(WindowSpec.partition("k", 1))
-        state.update(Batch(schema, {"k": np.array([1, 2]), "v": np.array([10, 20])}))
+        state.update({"k": np.array([1, 2]), "v": np.array([10, 20])})
         part = state.merge({"k": np.array([1, 1]), "v": np.array([11, 12])})
         # probe key 1 before pending row 1, and keys 1 and 3 after both
         probe_of, (rows,) = semi_join_latest(

@@ -487,7 +487,7 @@ class TestCheckpointStores:
 
     def test_version_1_file_rejected_on_load_and_restore(self, tmp_path):
         from repro.core.server import Server
-        from repro.sql.executor import WindowAggExecutor
+        from repro.sql.executor import JoinExecutor, WindowAggExecutor
         from repro.stream import PartitionWindowState, WindowScheduler, WindowSpec
 
         # version 1: the 13-key state dict, before the payload became the
@@ -519,8 +519,16 @@ class TestCheckpointStores:
         server = Server.__new__(Server)
         server.__dict__.update(force_decode=False, tenant="t")
         v6 = pickle.dumps({"cursor": 2, "server": server})
+        # version 7: Q3's join executor keeping a partition state for its
+        # lone self-keyed side, before that side answered from its window
+        join = JoinExecutor.__new__(JoinExecutor)
+        join.__dict__.update(
+            states=[PartitionWindowState(WindowSpec.partition("k", 1))],
+            _absorbed=0,
+        )
+        v7 = pickle.dumps({"cursor": 2, "executor": join})
         for version, payload in (
-            (1, v1), (2, v2), (3, v3), (4, v4), (5, v5), (6, v6)
+            (1, v1), (2, v2), (3, v3), (4, v4), (5, v5), (6, v6), (7, v7)
         ):
             old = TenantCheckpoint(
                 tenant="t", batches_processed=2, payload=payload, version=version

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PlanningError
-from repro.stream import (
-    Batch,
-    Field,
-    PartitionWindowState,
-    Schema,
-    WindowScheduler,
-    WindowSpec,
-)
+from repro.stream import PartitionWindowState, WindowScheduler, WindowSpec
 
 
 def assert_extents(layout, starts, ends):
@@ -97,47 +90,41 @@ class TestWindowScheduler:
 
 
 class TestPartitionWindowState:
-    def _schema(self):
-        return Schema([Field("key"), Field("val")])
-
-    def _batch(self, keys, vals):
-        return Batch(
-            self._schema(),
-            {
-                "key": np.asarray(keys, dtype=np.int64),
-                "val": np.asarray(vals, dtype=np.int64),
-            },
-        )
+    def _rows(self, keys, vals):
+        return {
+            "key": np.asarray(keys, dtype=np.int64),
+            "val": np.asarray(vals, dtype=np.int64),
+        }
 
     def test_latest_row_per_key(self):
         state = PartitionWindowState(WindowSpec.partition("key", 1))
-        state.update(self._batch([1, 2, 1], [10, 20, 11]))
+        state.update(self._rows([1, 2, 1], [10, 20, 11]))
         rows = state.lookup(np.array([1, 2]))
         np.testing.assert_array_equal(rows["val"], [11, 20])
 
     def test_latest_rows_cross_batches(self):
         state = PartitionWindowState(WindowSpec.partition("key", 2))
-        state.update(self._batch([1, 1, 1], [10, 11, 12]))
-        state.update(self._batch([1], [13]))
+        state.update(self._rows([1, 1, 1], [10, 11, 12]))
+        state.update(self._rows([1], [13]))
         rows = state.lookup(np.array([1]))
         np.testing.assert_array_equal(rows["val"], [12, 13])
 
     def test_partial_refill_keeps_older_rows(self):
         state = PartitionWindowState(WindowSpec.partition("key", 3))
-        state.update(self._batch([5], [1]))
-        state.update(self._batch([5], [2]))
+        state.update(self._rows([5], [1]))
+        state.update(self._rows([5], [2]))
         rows = state.lookup(np.array([5]))
         np.testing.assert_array_equal(rows["val"], [1, 2])
 
     def test_unknown_keys_skipped(self):
         state = PartitionWindowState(WindowSpec.partition("key", 1))
-        state.update(self._batch([1], [10]))
+        state.update(self._rows([1], [10]))
         assert state.lookup(np.array([99])) == {}
         assert state.lookup(np.array([])) == {}
 
     def test_len_counts_keys(self):
         state = PartitionWindowState(WindowSpec.partition("key", 1))
-        state.update(self._batch([1, 2, 3, 1], [0, 0, 0, 0]))
+        state.update(self._rows([1, 2, 3, 1], [0, 0, 0, 0]))
         assert len(state) == 3
 
     def test_requires_partition_window(self):
