@@ -6,7 +6,8 @@ and the original per-value loops (``scalar_reference_mode``, the
 correctness oracle) — and reports the speedups.  The check locks in the
 rewrite: the batch kernels must beat the scalar loops by >= 3x on the
 decode paths (>= 2x for Elias Delta, whose pointer-doubling decode
-sits nearer the scalar loop and whose scalar timing is noisier).
+sits nearer the scalar loop and whose scalar timing is noisier), and on
+the one-pass BD and DICT packers (dense and sort+lookup-table spans).
 """
 
 import time
@@ -43,6 +44,10 @@ def collect(n=100_000, repeats=3):
     words = kernels.plwah_encode(bits)
     signed = rng.integers(-(2**20), 2**20, n).astype(np.int64)
     desc, data = kernels.nsv_pack(signed, True)
+    # dictionary spans on both sides of the dense rule, both under the
+    # lookup-table budget: a presence scatter vs a sort finds the codes
+    dense = rng.integers(0, 2 * n, n).astype(np.int64)
+    sparse = rng.integers(0, 30 * n, n).astype(np.int64)
 
     cases = {
         "gamma_encode": (n, lambda: kernels.gamma_stream_encode(values)),
@@ -53,6 +58,9 @@ def collect(n=100_000, repeats=3):
         "plwah_decode": (bits.size, lambda: kernels.plwah_decode(words, bits.size)),
         "nsv_pack": (n, lambda: kernels.nsv_pack(signed, True)),
         "nsv_unpack": (n, lambda: kernels.nsv_unpack(desc, data, n, True)),
+        "bd_pack": (n, lambda: kernels.bd_pack(values)),
+        "dict_pack_dense": (n, lambda: kernels.dict_pack(dense)),
+        "dict_pack_sort": (n, lambda: kernels.dict_pack(sparse)),
     }
     rows = {}
     for name, (tuples, fn) in cases.items():
@@ -94,6 +102,9 @@ FLOORS = {
     "delta_decode": 2.0,
     "plwah_decode": 3.0,
     "nsv_unpack": 3.0,
+    "bd_pack": 3.0,
+    "dict_pack_dense": 3.0,
+    "dict_pack_sort": 3.0,
 }
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..stats import ColumnStats
-from ..types import bytes_for_unsigned
 from .base import AffineCodec, CompressedColumn
-from .kernels import bd_deltas, pack_ints, unpack_ints
+from .kernels import bd_pack, unpack_ints
 
 
 class BaseDeltaCodec(AffineCodec):
@@ -29,9 +28,7 @@ class BaseDeltaCodec(AffineCodec):
 
     def compress(self, values: np.ndarray) -> CompressedColumn:
         values = self._as_int64(values)
-        base, deltas = bd_deltas(values)
-        width = bytes_for_unsigned(int(deltas.max()))
-        payload = pack_ints(deltas, width, signed=False)
+        base, width, payload = bd_pack(values)
         return CompressedColumn(
             codec=self.name,
             n=int(values.size),

@@ -52,11 +52,17 @@ class BitmapCodec(Codec):
             source_size_c=8,
         )
 
-    def decompress(self, column: CompressedColumn) -> np.ndarray:
+    def _planes(self, column: CompressedColumn) -> Tuple[np.ndarray, np.ndarray]:
+        """(dictionary, packed planes of shape (kindnum, ceil(n / 8)))."""
         self._check_column(column)
         dictionary = column.meta["dictionary"]
-        row_bytes = int(column.meta["row_bytes"])
-        packed = column.payload.reshape(dictionary.size, row_bytes)
+        planes, width = dictionary.size, (column.n + 7) // 8
+        if column.meta["row_bytes"] != width or column.payload.size != planes * width:
+            raise CodecError("bitmap payload size does not match its planes")
+        return dictionary, column.payload.reshape(planes, width)
+
+    def decompress(self, column: CompressedColumn) -> np.ndarray:
+        dictionary, packed = self._planes(column)
         planes = np.unpackbits(packed, axis=1)[:, : column.n]
         if not (planes.sum(axis=0) == 1).all():
             raise CodecError("bitmap planes are not a partition of positions")
@@ -65,10 +71,7 @@ class BitmapCodec(Codec):
 
     def plane_view(self, column: CompressedColumn) -> PlaneView:
         """Equality predicates unpack one plane; the rest stay packed."""
-        self._check_column(column)
-        dictionary = column.meta["dictionary"]
-        row_bytes = int(column.meta["row_bytes"])
-        packed = column.payload.reshape(dictionary.size, row_bytes)
+        dictionary, packed = self._planes(column)
         n = column.n
 
         def mask_fn(idx: int) -> np.ndarray:

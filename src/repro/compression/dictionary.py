@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import CodecError
 from ..stats import ColumnStats
 from .base import CAP_EQUALITY, CAP_ORDER, Codec, CompressedColumn
-from .kernels import dict_encode, pack_ints, unpack_ints
+from .kernels import dict_pack, unpack_ints
 
 
 class DictionaryCodec(Codec):
@@ -29,9 +29,7 @@ class DictionaryCodec(Codec):
 
     def compress(self, values: np.ndarray) -> CompressedColumn:
         values = self._as_int64(values)
-        dictionary, codes = dict_encode(values)
-        width = self._code_width(dictionary.size)
-        payload = pack_ints(codes, width, signed=False)
+        dictionary, width, payload = dict_pack(values)
         nbytes = payload.nbytes + dictionary.nbytes
         return CompressedColumn(
             codec=self.name,
@@ -44,8 +42,7 @@ class DictionaryCodec(Codec):
 
     def decompress(self, column: CompressedColumn) -> np.ndarray:
         self._check_column(column)
-        codes = self.direct_codes(column)
-        return column.meta["dictionary"][codes]
+        return _lookup(column.meta["dictionary"], self.direct_codes(column))
 
     def estimate_ratio(self, stats: ColumnStats) -> float:
         # Eq. 16: r = Size_C / ceil(log2(Kindnum) / 8)
@@ -74,16 +71,12 @@ class DictionaryCodec(Codec):
 
     def decode_codes(self, column: CompressedColumn, codes: np.ndarray) -> np.ndarray:
         self._check_column(column)
-        dictionary = column.meta["dictionary"]
-        codes = np.asarray(codes, dtype=np.int64)
-        # one pass checks both ends: a negative code is huge as unsigned
-        if codes.size and codes.view(np.uint64).max() >= dictionary.size:
-            raise CodecError("dictionary code out of range")
-        return dictionary[codes]
+        return _lookup(column.meta["dictionary"], np.asarray(codes, dtype=np.int64))
 
-    @staticmethod
-    def _code_width(kindnum: int) -> int:
-        if kindnum <= 1:
-            return 1
-        bits = (kindnum - 1).bit_length()
-        return max((bits + 7) // 8, 1)
+
+def _lookup(dictionary: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``dictionary[codes]``, with every int64 code checked in range first."""
+    # one pass checks both ends: a negative code is huge as unsigned
+    if codes.size and codes.view(np.uint64).max() >= dictionary.size:
+        raise CodecError("dictionary code out of range")
+    return dictionary[codes]

@@ -42,11 +42,15 @@ class GzipCodec(Codec):
 
     def decompress(self, column: CompressedColumn) -> np.ndarray:
         self._check_column(column)
-        raw = zlib.decompress(column.payload.tobytes())
-        out = np.frombuffer(raw, dtype=np.int64).copy()
-        if out.size != column.n:
+        stream = zlib.decompressobj()
+        try:
+            # inflate at most one byte past the column the stream claims
+            raw = stream.decompress(column.payload.tobytes(), 8 * column.n + 1)
+        except zlib.error as exc:
+            raise CodecError(f"gzip payload is corrupt: {exc}") from None
+        if len(raw) != 8 * column.n or not stream.eof or stream.unused_data:
             raise CodecError("gzip payload does not reconstruct the column")
-        return out
+        return np.frombuffer(raw, dtype=np.int64).copy()
 
     def estimate_ratio(self, stats: ColumnStats) -> float:
         """Heuristic only — Gzip has no closed-form ratio.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import CodecError
 from ..stats import ColumnStats
 from .base import AffineCodec, CompressedColumn
 
@@ -36,6 +37,11 @@ class IdentityCodec(AffineCodec):
 
     def estimate_ratio(self, stats: ColumnStats) -> float:
         return 1.0
+
+    def _check_column(self, column: CompressedColumn) -> None:
+        super()._check_column(column)
+        if column.payload.size != 8 * column.n:
+            raise CodecError("identity payload must hold 8 bytes per value")
 
     def direct_codes(self, column: CompressedColumn) -> np.ndarray:
         self._check_column(column)

@@ -16,8 +16,8 @@ Kernel techniques (after MorphStore's vectorized compressed processing):
 
 * exact-width integer packing rides :mod:`..types` (little-endian narrow
   dtypes at widths 1, 2 and 4, byte-slicing views otherwise);
-* dictionary coding maps a dense value span through a lookup table and
-  sorts only a wide one;
+* DICT and BD write codes at their packed width in one pass: a gather
+  through a code-width lookup table, a subtraction into the narrow dtype;
 * unaligned Elias Gamma/Delta streams are built by bit-scattering all
   codeword payloads into one bit array (``np.packbits``) and decoded by
   computing every codeword start via pointer doubling over the
@@ -36,7 +36,9 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from ..errors import CodecError
-from ..stats import factorize, value_domain
+from ..stats import DENSE_SPAN_FACTOR, factorize, value_domain
+from ..stats import present_slots, slot_ranks
+from ..types import bytes_for_unsigned, narrow_int_array, unsigned_dtype
 from ..types import pack_int_array, unpack_int_array
 from . import scalar_ref
 from .bitstream import (
@@ -45,6 +47,10 @@ from .bitstream import (
     delta_codeword_invert as _delta_codeword_invert,
     gamma_codeword_ints as _gamma_codeword_ints,
 )
+
+#: Up to this many span values per element, DICT codes gather through a
+#: lookup table; a wider span takes ``np.unique``.
+DICT_LUT_SPAN_FACTOR = 64
 
 # ----- dispatch ---------------------------------------------------------
 
@@ -130,13 +136,53 @@ def dict_encode(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return factorize(values)
 
 
-def bd_deltas(values: np.ndarray) -> Tuple[int, np.ndarray]:
-    """(base, per-element deltas) for Base-Delta."""
+def dict_pack(values: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
+    """(sorted dictionary, code width, codes packed at that width).
+
+    Codes gather through a lookup table over ``value - min`` typed at the
+    code width.  Its slots come from a presence scatter over a dense span
+    (:data:`~repro.stats.DENSE_SPAN_FACTOR`), else from a sort; past
+    :data:`DICT_LUT_SPAN_FACTOR` the table is too large and ``np.unique`` codes.
+    """
     if using_scalar_reference():
-        return scalar_ref.bd_deltas(values)
+        return scalar_ref.dict_pack(values)
+    values = np.asarray(values, dtype=np.int64)
+    n = int(values.size)
+    lo, hi = (int(values.min()), int(values.max())) if n else (0, -1)
+    span = hi - lo + 1
+    if span > DICT_LUT_SPAN_FACTOR * n:
+        dictionary, codes = np.unique(values, return_inverse=True)
+        width = bytes_for_unsigned(dictionary.size - 1)
+        return dictionary, width, narrow_int_array(codes.reshape(-1), width)
+    offsets = values - np.int64(lo) if lo else values
+    if span <= DENSE_SPAN_FACTOR * n:
+        slots = present_slots(offsets, span)
+    else:
+        ordered = np.sort(offsets)
+        slots = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    width = bytes_for_unsigned(max(slots.size - 1, 0))
+    codes = slot_ranks(slots, span, offsets, unsigned_dtype(width))
+    return slots + lo, width, narrow_int_array(codes, width)
+
+
+def bd_pack(values: np.ndarray) -> Tuple[int, int, np.ndarray]:
+    """(base, delta width, deltas from the base packed at that width).
+
+    One min and one max choose the width; the deltas are subtracted straight
+    into its unsigned NumPy dtype, exact because the span proves ``0 <= v -
+    base < 2^(8 width)``.  Widths 3, 5, 6 and 7 then keep their low bytes.
+    """
+    if using_scalar_reference():
+        return scalar_ref.bd_pack(values)
     values = np.asarray(values, dtype=np.int64)
     base = int(values.min())
-    return base, values - base
+    span = int(values.max()) - base
+    if span >= 1 << 63:
+        raise CodecError("base-delta span exceeds the int64 code domain")
+    width = bytes_for_unsigned(span)
+    deltas = np.empty(values.size, dtype=unsigned_dtype(width))
+    np.subtract(values, np.int64(base), out=deltas, casting="unsafe")
+    return base, width, narrow_int_array(deltas, width)
 
 
 def bitmap_planes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

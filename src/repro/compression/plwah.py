@@ -15,6 +15,8 @@ Deliège & Pedersen [41].  We use 32-bit words:
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..errors import CodecError
@@ -77,11 +79,19 @@ class PLWAHCodec(Codec):
             source_size_c=8,
         )
 
-    def decompress(self, column: CompressedColumn) -> np.ndarray:
+    def _streams(self, column: CompressedColumn) -> Tuple[np.ndarray, ...]:
+        """(dictionary, per-plane word counts, payload words), size-checked."""
         self._check_column(column)
         dictionary = column.meta["dictionary"]
-        lengths = column.meta["plane_words"]
-        words = column.payload.view(np.uint32)
+        lengths = np.asarray(column.meta["plane_words"], dtype=np.int64)
+        if lengths.size != dictionary.size or (lengths < 0).any() or (
+            column.payload.size != 4 * int(lengths.sum())
+        ):
+            raise CodecError("PLWAH payload size does not match its planes")
+        return dictionary, lengths, column.payload.view(np.uint32)
+
+    def decompress(self, column: CompressedColumn) -> np.ndarray:
+        dictionary, lengths, words = self._streams(column)
         out = np.full(column.n, -1, dtype=np.int64)
         offset = 0
         for code, count in enumerate(lengths):
@@ -95,11 +105,8 @@ class PLWAHCodec(Codec):
 
     def plane_view(self, column: CompressedColumn) -> PlaneView:
         """Equality predicates decode one PLWAH stream; the rest stay packed."""
-        self._check_column(column)
-        dictionary = column.meta["dictionary"]
-        lengths = np.asarray(column.meta["plane_words"], dtype=np.int64)
+        dictionary, lengths, words = self._streams(column)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
-        words = column.payload.view(np.uint32)
         n = column.n
 
         def mask_fn(idx: int) -> np.ndarray:

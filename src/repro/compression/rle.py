@@ -49,26 +49,22 @@ class RunLengthCodec(Codec):
         )
 
     def decompress(self, column: CompressedColumn) -> np.ndarray:
-        self._check_column(column)
-        runs = int(column.meta["runs"])
-        values_part = column.payload[: runs * 8].view(np.int64)
-        lengths_part = column.payload[runs * 8 :].view(np.int32).astype(np.int64)
-        out = np.repeat(values_part, lengths_part)
-        if out.size != column.n:
-            raise CodecError("run lengths do not reconstruct the original column")
-        return out
+        return np.repeat(*self.run_view(column))
 
     def run_view(self, column: CompressedColumn) -> Tuple[np.ndarray, np.ndarray]:
         """Expose the payload's (values, lengths) without expanding runs.
 
         Operators filter/aggregate at run granularity and the expansion to
-        per-row values happens lazily, only when an operator needs it.
+        per-row values happens lazily, only when an operator needs it.  The
+        layout is checked before anything is expanded.
         """
         self._check_column(column)
         runs = int(column.meta["runs"])
+        if runs < 0 or column.payload.size != runs * (8 + RUN_LENGTH_BYTES):
+            raise CodecError("rle payload size does not match its run count")
         run_values = column.payload[: runs * 8].view(np.int64)
         run_lengths = column.payload[runs * 8 :].view(np.int32).astype(np.int64)
-        if int(run_lengths.sum()) != column.n:
+        if run_lengths.min(initial=1) < 1 or int(run_lengths.sum()) != column.n:
             raise CodecError("run lengths do not reconstruct the original column")
         return run_values, run_lengths
 

@@ -226,6 +226,24 @@ def bd_deltas(values: np.ndarray) -> Tuple[int, np.ndarray]:
     return int(base), deltas
 
 
+def dict_pack(values: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
+    """:func:`dict_encode` codes packed at the dictionary's code width."""
+    dictionary, codes = dict_encode(values)
+    width = max(((dictionary.size - 1).bit_length() + 7) // 8, 1)
+    return dictionary, width, pack_int_array(codes, width)
+
+
+def bd_pack(values: np.ndarray) -> Tuple[int, int, np.ndarray]:
+    """:func:`bd_deltas` packed at the width of the span: (base, width, payload)."""
+    items = np.asarray(values, dtype=np.int64).tolist()
+    span = max(items) - min(items)
+    if span >= 1 << 63:
+        raise CodecError("base-delta span exceeds the int64 code domain")
+    base, deltas = bd_deltas(values)
+    width = max((span.bit_length() + 7) // 8, 1)
+    return base, width, pack_int_array(deltas, width)
+
+
 # ----- bitmap planes ----------------------------------------------------
 
 

@@ -7,9 +7,10 @@ payload — this is the direct-processing speedup of Sec. IV-B.  min/max run
 on order-preserving codes and decode one result per window.
 
 Windows arrive as two int64 arrays, window w spanning
-``[starts[w], ends[w])``.  Sliding sums use prefix sums (O(n) for any
-number of windows); sliding extrema use block prefix/suffix scans for
-overlapping windows, segment reduction (``reduceat``) for all others.
+``[starts[w], ends[w])``.  Disjoint windows (tumbling, sampling, ragged
+time windows) are one segment reduction (``reduceat``) for sums and
+extrema alike; overlapping windows use prefix sums for sums and block
+prefix/suffix scans for extrema, O(n) for any number of windows.
 
 Run-structured columns (RLE served without expansion) aggregate at run
 granularity: prefix sums weighted by run lengths answer sum/avg, and
@@ -30,7 +31,17 @@ AGG_FUNCS = ("avg", "sum", "count", "max", "min")
 def sliding_code_sums(
     codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Sum of codes per window via prefix sums."""
+    """Sum of codes per window: one segment reduction when the windows are
+    pairwise disjoint (empty ones sum to 0), else a differenced prefix sum.
+    int64 addition wraps the same way on both paths."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if (starts[1:] >= ends[:-1]).all():
+        nonempty = ends > starts
+        sums = np.zeros(starts.size, dtype=np.int64)
+        sums[nonempty] = _segment_reduce(
+            np.add, codes, starts[nonempty], ends[nonempty]
+        )
+        return sums
     prefix = np.zeros(codes.size + 1, dtype=np.int64)
     np.cumsum(codes, out=prefix[1:])
     return prefix[ends] - prefix[starts]
@@ -61,8 +72,8 @@ def sliding_extreme(
     Overlapping count windows (one size, a constant stride below it) use
     block prefix/suffix scans, O(n) where a reduction per window would be
     O(n·size).  Every other layout — tumbling, sampling, ragged time
-    windows — is one interleaved ``reduceat``, O(n) whenever the windows
-    do not overlap.
+    windows — is one ``reduceat`` (:func:`_segment_reduce`), O(n)
+    whenever the windows do not overlap.
     """
     if (ends <= starts).any():
         raise PlanningError("sliding_extreme requires non-empty windows")
@@ -74,22 +85,25 @@ def sliding_extreme(
             and (np.diff(starts) == stride).all()
         ):
             return _block_extreme(codes, starts, size, take_max=take_max)
-    return _ragged_extreme(codes, starts, ends, take_max=take_max)
+    return _segment_reduce(np.maximum if take_max else np.minimum, codes, starts, ends)
 
 
-def _ragged_extreme(
-    codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, *, take_max: bool
+def _segment_reduce(
+    op: np.ufunc, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Per-window reduction for windows of arbitrary extents.
+    """``op`` over each non-empty window of arbitrary extents: one ``reduceat``.
 
-    One ``reduceat`` over interleaved (start, end) boundaries: the even
-    segments are the windows, the odd segments (between windows, possibly
-    empty or reversed) are computed but discarded.  A one-element sentinel
-    keeps ``end == codes.size`` a valid reduceat index.
+    Tiling windows (each starting where the last ended) reduce one slice
+    at their starts.  Otherwise (start, end) boundaries interleave: the
+    even segments are the windows, the odd segments (between windows,
+    possibly empty or reversed) are computed but discarded, and a
+    one-element sentinel keeps ``end == codes.size`` a valid index.
     """
     if starts.size == 0:
         return np.zeros(0, dtype=np.int64)
-    op = np.maximum if take_max else np.minimum
+    if (starts[1:] == ends[:-1]).all():
+        lo = int(starts[0])
+        return op.reduceat(codes[lo : int(ends[-1])], starts - lo)
     idx = np.empty(2 * starts.size, dtype=np.int64)
     idx[0::2] = starts
     idx[1::2] = ends
@@ -170,9 +184,8 @@ def window_aggregate(
         run_ends = np.cumsum(run_lengths)
         first = np.searchsorted(run_ends, starts, side="right")
         last = np.searchsorted(run_ends, ends - 1, side="right")
-        extreme_codes = _ragged_extreme(
-            run_values, first, last + 1, take_max=(func == "max")
-        )
+        op = np.maximum if func == "max" else np.minimum
+        extreme_codes = _segment_reduce(op, run_values, first, last + 1)
         # lint: force-decode (one extreme per window, never the column)
         return column.decode(extreme_codes)
     extreme_codes = sliding_extreme(

@@ -143,13 +143,25 @@ def renumber(ids: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     if span > DENSE_SPAN_FACTOR * ids.size:
         return factorize(ids)
+    slots = present_slots(ids, span)
+    return slots, slot_ranks(slots, span, ids)
+
+
+def present_slots(ids: np.ndarray, span: int) -> np.ndarray:
+    """The distinct ids in ``[0, span)``, ascending: a presence scatter."""
     present = np.zeros(span, dtype=bool)
     present[ids] = True
-    slots = np.flatnonzero(present)
+    return np.flatnonzero(present)
+
+
+def slot_ranks(
+    slots: np.ndarray, span: int, ids: np.ndarray, dtype: type = np.int64
+) -> np.ndarray:
+    """Rank of each id among ``slots``: one gather through a ``dtype`` table."""
     # only the slots of present ids are ever read back
-    lut = np.empty(span, dtype=np.int64)
-    lut[slots] = np.arange(slots.size, dtype=np.int64)
-    return slots, lut[ids]
+    lut = np.empty(span, dtype=dtype)
+    lut[slots] = np.arange(slots.size, dtype=dtype)
+    return lut[ids]
 
 
 def factorize(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -301,10 +313,7 @@ class ColumnStats:
     @property
     def dict_code_bytes(self) -> int:
         """Bytes per Dictionary code: ceil(log2(Kindnum) / 8), at least 1."""
-        if self.kindnum <= 1:
-            return 1
-        bits = (self.kindnum - 1).bit_length()
-        return max((bits + 7) // 8, 1)
+        return bytes_for_unsigned(max(self.kindnum - 1, 0))
 
     @property
     def bitmap_bits_per_element(self) -> int:

@@ -98,11 +98,18 @@ def pack_int_array(
         bad = (values < 0) | (values >= (np.int64(1) << np.int64(8 * width)))
     if bad.any():
         raise CodecError(f"value out of range for {width}-byte packing")
+    return narrow_int_array(values, width)
+
+
+def narrow_int_array(values: np.ndarray, width: int) -> np.ndarray:
+    """:func:`pack_int_array` without its range check, for values of any
+    integer dtype already proven to fit ``width`` bytes.  The low bytes are
+    kept, so one unsigned cast serves signed values too."""
+    values = np.ascontiguousarray(values)
     if width in NUMPY_WIDTHS:
-        # in range, so the narrowing cast is exact
-        return values.astype(_little_endian(width, signed)).view(np.uint8)
-    as_bytes = values.view(np.uint8).reshape(-1, 8)
-    return np.ascontiguousarray(as_bytes[:, :width]).reshape(-1)
+        return values.astype(_little_endian(width, False), copy=False).view(np.uint8)
+    rows = values.view(np.uint8).reshape(values.size, values.itemsize)
+    return np.ascontiguousarray(rows[:, :width]).reshape(-1)
 
 
 def unpack_int_array(

@@ -211,7 +211,8 @@ class TestStructureKernels:
         for fn in (
             kernels.rle_runs,
             kernels.dict_encode,
-            kernels.bd_deltas,
+            kernels.dict_pack,
+            kernels.bd_pack,
             kernels.bitmap_planes,
         ):
             vec, ref = _both_modes(lambda fn=fn: fn(values))
@@ -229,9 +230,10 @@ class TestStructureKernels:
             np.array([0, 5, 3], dtype=np.int64),          # zero base
             np.array([-(2**40), -(2**40) + 7], dtype=np.int64),
         ):
-            vec, ref = _both_modes(lambda v=base_values: kernels.bd_deltas(v))
-            _assert_identical(vec, ref, "bd_deltas")
-            base, deltas = vec
+            vec, ref = _both_modes(lambda v=base_values: kernels.bd_pack(v))
+            _assert_identical(vec, ref, "bd_pack")
+            base, width, payload = vec
+            deltas = kernels.unpack_ints(payload, width, base_values.size)
             np.testing.assert_array_equal(base + deltas, base_values)
 
     @given(
@@ -335,13 +337,164 @@ class TestStructureKernels:
 
     def test_empty_batches(self):
         empty = np.zeros(0, dtype=np.int64)
-        for fn in (kernels.rle_runs, kernels.dict_encode, kernels.bitmap_planes):
+        for fn in (
+            kernels.rle_runs,
+            kernels.dict_encode,
+            kernels.dict_pack,
+            kernels.bitmap_planes,
+        ):
             vec, ref = _both_modes(lambda fn=fn: fn(empty))
             _assert_identical(vec, ref, fn.__name__)
         vec, ref = _both_modes(lambda: kernels.plwah_encode(np.zeros(0, dtype=bool)))
         _assert_identical(vec, ref, "plwah_encode")
         vec, ref = _both_modes(lambda: kernels.pack_ints(empty, 4))
         _assert_identical(vec, ref, "pack_ints")
+
+
+def _two_pass_pack(codes, width):
+    """The layout the one-pass packers must reproduce: codes, then a pack."""
+    return scalar_ref.pack_int_array(np.asarray(codes, dtype=np.int64), width)
+
+
+class TestOnePassPacking:
+    """``bd_pack``/``dict_pack`` write codes at their width in one pass.
+
+    Both must equal their scalar references and the two-pass layout
+    (int64 codes, then ``pack_int_array``) byte for byte, on both sides
+    of every width step and every algorithm cutoff.
+    """
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("base", [-(2**62), -12345, -1, 0, 2**40])
+    def test_bd_pack_at_width_steps(self, k, base):
+        rng = np.random.default_rng(k)
+        for top, width in (((1 << (8 * k)) - 1, k), (1 << (8 * k), k + 1)):
+            values = np.int64(base) + (
+                rng.integers(0, 2, 40) * np.int64(top)
+            )
+            values[:2] = base, base + top
+            vec, ref = _both_modes(lambda v=values: kernels.bd_pack(v))
+            _assert_identical(vec, ref, f"bd_pack span {top}")
+            assert vec[:2] == (base, width)
+            assert vec[2].dtype == np.uint8
+            assert bytes(vec[2]) == bytes(_two_pass_pack(values - base, width))
+
+    @pytest.mark.parametrize("value", [-(2**63), -1, 0, 2**63 - 1])
+    def test_bd_pack_constant_column(self, value):
+        values = np.full(9, value, dtype=np.int64)
+        vec, ref = _both_modes(lambda: kernels.bd_pack(values))
+        _assert_identical(vec, ref, "bd_pack constant")
+        assert vec[:2] == (value, 1) and bytes(vec[2]) == bytes(9)
+
+    def test_bd_pack_widest_span_fits(self):
+        values = np.array([-(2**63), -1, -(2**62)], dtype=np.int64)
+        vec, ref = _both_modes(lambda: kernels.bd_pack(values))
+        _assert_identical(vec, ref, "bd_pack span 2^63 - 1")
+        assert vec[1] == 8
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-(2**63), 0],
+            [-1, 2**63 - 1],
+            [-(2**63), -(2**62), 2**63 - 1],
+            [-(2**63), 2**63 - 1],
+        ],
+    )
+    def test_bd_span_past_int64_raises_in_both_modes(self, values):
+        values = np.asarray(values, dtype=np.int64)
+        for mode in (False, True):
+            with scalar_reference_mode(enabled=mode):
+                with pytest.raises(CodecError, match="span"):
+                    kernels.bd_pack(values)
+                with pytest.raises(CodecError, match="span"):
+                    get_codec("bd").compress(values)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=2000),
+        st.sampled_from([DENSE_SPAN_FACTOR, kernels.DICT_LUT_SPAN_FACTOR]),
+        st.integers(min_value=-1, max_value=1),
+        st.sampled_from([-(2**63), -5000, 0, 2**40, 2**63 - 1]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dict_pack_both_sides_of_each_cutoff(
+        self, seed, n, factor, nudge, anchor, few
+    ):
+        # max - min = factor * n + {-1, 0, +1}: presence below the dense
+        # cutoff, sort + lookup table up to the table budget, np.unique past it
+        rng = np.random.default_rng(seed)
+        span = factor * n + nudge
+        lo = min(max(anchor, -(2**63)), 2**63 - 1 - span)
+        pool = rng.integers(0, span + 1, 3 if few else n)
+        offsets = rng.choice(pool, n)
+        offsets[0], offsets[-1] = 0, span
+        values = np.int64(lo) + offsets.astype(np.int64)
+        vec, ref = _both_modes(lambda: kernels.dict_pack(values))
+        _assert_identical(vec, ref, "dict_pack")
+        dictionary, inverse = np.unique(values, return_inverse=True)
+        width = max(((dictionary.size - 1).bit_length() + 7) // 8, 1)
+        _assert_identical(
+            vec, (dictionary, width, _two_pass_pack(inverse, width)), "np.unique"
+        )
+
+    @pytest.mark.parametrize("kinds", [256, 257, 65536, 65537])
+    @pytest.mark.parametrize("stride", [1, 20, 100])
+    def test_dict_pack_code_width_steps(self, kinds, stride):
+        # stride 1 is dense, 20 sorts into a lookup table, 100 is np.unique
+        rng = np.random.default_rng(kinds + stride)
+        values = rng.permutation(kinds).astype(np.int64) * stride - 7
+        dictionary, width, payload = kernels.dict_pack(values)
+        assert width == (1 if kinds <= 256 else 2 if kinds <= 65536 else 3)
+        _assert_identical(
+            (dictionary, width, payload), scalar_ref.dict_pack(values), "dict_pack"
+        )
+
+    @pytest.mark.parametrize("nudge, sorts", [(-1, False), (0, True)])
+    def test_dict_pack_dense_cutoff_decides_the_sort(self, monkeypatch, nudge, sorts):
+        n = 500
+        values = np.arange(n, dtype=np.int64) * 3
+        values[-1] = DENSE_SPAN_FACTOR * n + nudge
+        calls = []
+        real_sort = np.sort
+        monkeypatch.setattr(
+            np, "sort", lambda *a, **k: calls.append(1) or real_sort(*a, **k)
+        )
+        kernels.dict_pack(values)
+        assert bool(calls) == sorts
+
+    @pytest.mark.parametrize("nudge, uniques", [(-1, False), (0, True)])
+    def test_dict_pack_table_budget_decides_unique(self, monkeypatch, nudge, uniques):
+        n = 500
+        values = np.arange(n, dtype=np.int64)
+        values[-1] = kernels.DICT_LUT_SPAN_FACTOR * n + nudge
+        calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k)
+        )
+        kernels.dict_pack(values)
+        assert bool(calls) == uniques
+
+    def test_codecs_reach_the_scalar_packers(self, monkeypatch):
+        calls = []
+        for name in ("bd_pack", "dict_pack"):
+            real = getattr(scalar_ref, name)
+
+            def spy(values, real=real, name=name):
+                calls.append(name)
+                return real(values)
+
+            monkeypatch.setattr(scalar_ref, name, spy)
+        values = np.array([5, 9, 5, 7], dtype=np.int64)
+        for codec in ("bd", "dict"):
+            get_codec(codec).compress(values)
+        assert calls == []
+        with scalar_reference_mode():
+            for codec in ("bd", "dict"):
+                get_codec(codec).compress(values)
+        assert calls == ["bd_pack", "dict_pack"]
 
 
 class TestNamedScalarOracles:

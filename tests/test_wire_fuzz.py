@@ -7,12 +7,17 @@ mangled frame would crash the receiver instead of triggering a
 retransmission.
 """
 
+import contextlib
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.compression import get_codec
+from repro.compression.base import CompressedColumn
+from repro.compression.registry import all_codec_names
 from repro.core import Client, StaticSelector
+from repro.errors import CodecError
 from repro.sql import plan_query
 from repro.stream import Batch, CompressedBatch, Field, Schema
 from repro.wire.format import WireFormatError, deserialize_batch, serialize_batch
@@ -133,3 +138,107 @@ class TestResealedBodyFuzz:
                 deserialize_batch(reseal(bytes(mangled)), SCHEMA)
             except WireFormatError:
                 pass
+
+
+@contextlib.contextmanager
+def address_space_cap(headroom=1 << 30):
+    """Cap this process's address space ``headroom`` bytes above its size.
+
+    A decoder that trusts a lying length may ask for gigabytes; under the
+    cap that surfaces as a ``MemoryError`` (a test failure) instead of
+    exhausting the host.  A no-op where the limit cannot be read.
+    """
+    try:
+        import resource
+
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def mangle(payload: bytes, rng: np.random.Generator, kind: int) -> bytes:
+    """Truncate, flip three bytes of, or append bytes to a payload."""
+    buf = bytearray(payload)
+    if kind == 0:
+        return bytes(buf[: int(rng.integers(0, max(len(buf), 1)))])
+    if kind == 1:
+        for _ in range(3):
+            pos = int(rng.integers(0, len(buf)))
+            buf[pos] ^= int(rng.integers(1, 256))
+        return bytes(buf)
+    return bytes(buf) + rng.bytes(int(rng.integers(1, 16)))
+
+
+def check_views(codec, column: CompressedColumn) -> None:
+    """Every decode of a hostile column is a CodecError or a length-n answer."""
+    n = column.n
+    with contextlib.suppress(CodecError):
+        out = codec.decompress(column)
+        assert isinstance(out, np.ndarray) and out.shape == (n,), codec.name
+    with contextlib.suppress(CodecError):
+        runs = codec.run_view(column)
+        if runs is not None:
+            run_values, run_lengths = runs
+            assert run_values.size == run_lengths.size, codec.name
+            assert (run_lengths >= 1).all() and run_lengths.sum() == n, codec.name
+    with contextlib.suppress(CodecError):
+        planes = codec.plane_view(column)
+        if planes is not None:
+            for value in planes.dictionary.tolist():
+                with contextlib.suppress(CodecError):
+                    assert planes.mask_of_value(value).shape == (n,), codec.name
+
+
+class TestHostileCodecPayloads:
+    """A resealed frame can carry any payload: decoders must hold on their own.
+
+    The frame CRC and parser only vouch for the framing; the payload
+    bytes of a column are whatever the sender wrote.  Every codec's
+    decoder (and its run/plane views) must check the layout against the
+    column's meta before it allocates or gathers, and fail typed.
+    """
+
+    @pytest.mark.parametrize("name", all_codec_names())
+    def test_mangled_payloads_decode_or_fail_typed(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        values = np.repeat(rng.integers(1, 40, 150), 4).astype(np.int64)
+        codec = get_codec(name)
+        column = codec.compress(values)
+        payload = bytes(column.payload)
+        with address_space_cap():
+            for i in range(90):
+                mangled = mangle(payload, rng, i % 3)
+                check_views(
+                    codec,
+                    CompressedColumn(
+                        codec=name,
+                        n=column.n,
+                        payload=np.frombuffer(mangled, dtype=np.uint8).copy(),
+                        meta=column.meta,
+                        nbytes=column.nbytes,
+                    ),
+                )
+
+    def test_negative_run_lengths_are_rejected(self):
+        codec = get_codec("rle")
+        payload = np.concatenate(
+            [
+                np.array([1, 2, 3], dtype=np.int64).view(np.uint8),
+                np.array([5, -2, 3], dtype=np.int32).view(np.uint8),
+            ]
+        )
+        column = CompressedColumn("rle", 6, payload, {"runs": 3}, nbytes=36)
+        for view in (codec.run_view, codec.decompress):
+            with pytest.raises(CodecError):
+                view(column)
