@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -133,6 +133,10 @@ class Codec(ABC):
     needs_decompression: ClassVar[bool] = False
     #: Direct-processing capabilities (empty when β = 1).
     capabilities: ClassVar[FrozenSet[str]] = frozenset()
+    #: Meta entries every column of this codec carries, with their value
+    #: types (``int``, ``bool``, or ``np.ndarray`` of int64); the wire
+    #: parser rejects a column that lacks one or carries another type.
+    meta_types: ClassVar[Mapping[str, type]] = {}
 
     # ----- lifecycle ------------------------------------------------------
 

@@ -20,6 +20,7 @@ class BaseDeltaCodec(AffineCodec):
     """Delta-from-base encoding (the paper's BD / TerseCades)."""
 
     name = "bd"
+    meta_types = {"width": int, "offset": int}
     is_lazy = True
     needs_decompression = False
 

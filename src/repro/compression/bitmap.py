@@ -29,6 +29,7 @@ class BitmapCodec(Codec):
     """One bitmap per distinct value (the paper's Bitmap)."""
 
     name = "bitmap"
+    meta_types = {"dictionary": np.ndarray, "row_bytes": int}
     is_lazy = True
     needs_decompression = True
     capabilities = frozenset()

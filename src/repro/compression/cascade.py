@@ -29,7 +29,7 @@ both views exact.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,8 @@ class StageTransform(ABC):
     """Stage 1 of a cascade: an exact, cheap value→code transform."""
 
     name: ClassVar[str] = ""
+    #: Stage-1 meta entries and their value types (see ``Codec.meta_types``).
+    meta_types: ClassVar[Mapping[str, type]] = {}
 
     @abstractmethod
     def encode(self, values: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
@@ -89,6 +91,7 @@ class DictStage(StageTransform):
     """Sorted-dictionary codes: order-preserving, codes are 0..Kindnum-1."""
 
     name = "dict"
+    meta_types = {"dictionary": np.ndarray}
 
     def encode(self, values: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
         dictionary, codes = dict_encode(values)
@@ -135,6 +138,7 @@ class DeltaStage(StageTransform):
     """
 
     name = "delta"
+    meta_types = {"first": int}
 
     def encode(self, values: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
         codes = np.zeros(values.size, dtype=np.int64)
@@ -172,6 +176,7 @@ class BaseDeltaStage(StageTransform):
     """Deltas from the batch minimum: codes are non-negative and narrow."""
 
     name = "bd"
+    meta_types = {"base": int}
 
     def encode(self, values: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
         base = int(values.min())
@@ -217,6 +222,16 @@ class CascadeCodec(Codec):
     #: stage 1 transform and stage 2 codec, set by each concrete cascade
     stage1: ClassVar[StageTransform]
     stage2: ClassVar[Codec]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.meta_types = {
+            **cls.stage1.meta_types,
+            **{
+                STAGE2_META_PREFIX + key: kind
+                for key, kind in cls.stage2.meta_types.items()
+            },
+        }
 
     # ----- lifecycle ------------------------------------------------------
 

@@ -25,6 +25,7 @@ class DeltaChainCodec(Codec):
     """Successive-difference encoding with fixed-width deltas."""
 
     name = "deltachain"
+    meta_types = {"first": int, "width": int}
     is_lazy = True
     needs_decompression = True
     capabilities = frozenset()
@@ -58,10 +59,11 @@ class DeltaChainCodec(Codec):
         self._check_column(column)
         first = int(column.meta["first"])
         width = int(column.meta["width"])
+        # the payload vouches for n before n values are allocated
+        deltas = unpack_ints(column.payload, width, max(column.n - 1, 0), signed=True)
         out = np.empty(column.n, dtype=np.int64)
-        out[0] = first
-        if column.n > 1:
-            deltas = unpack_ints(column.payload, width, column.n - 1, signed=True)
+        if column.n:
+            out[0] = first
             np.cumsum(deltas, out=out[1:])
             out[1:] += first
         return out

@@ -23,6 +23,7 @@ class DictionaryCodec(Codec):
     """Order-preserving dictionary encoding (the paper's DICT)."""
 
     name = "dict"
+    meta_types = {"dictionary": np.ndarray, "width": int}
     is_lazy = True
     needs_decompression = False
     capabilities = frozenset({CAP_EQUALITY, CAP_ORDER})

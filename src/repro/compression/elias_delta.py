@@ -24,6 +24,7 @@ class EliasDeltaCodec(Codec):
     """Aligned Elias Delta encoding (the paper's ED)."""
 
     name = "ed"
+    meta_types = {"width": int}
     is_lazy = False
     needs_decompression = False
     capabilities = frozenset({CAP_EQUALITY, CAP_ORDER})

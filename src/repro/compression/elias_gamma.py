@@ -25,6 +25,7 @@ class EliasGammaCodec(AffineCodec):
     """Aligned Elias Gamma encoding (the paper's EG)."""
 
     name = "eg"
+    meta_types = {"width": int, "offset": int}
     is_lazy = False
     needs_decompression = False
 

@@ -18,6 +18,7 @@ class IdentityCodec(AffineCodec):
     """Stores the column verbatim (r = 1, eager, no decompression)."""
 
     name = "identity"
+    meta_types = {"offset": int}
     is_lazy = False
     needs_decompression = False
 

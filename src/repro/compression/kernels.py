@@ -15,7 +15,8 @@ speedup benchmarks obtain their baseline.
 Kernel techniques (after MorphStore's vectorized compressed processing):
 
 * exact-width integer packing rides :mod:`..types` (little-endian narrow
-  dtypes at widths 1, 2 and 4, byte-slicing views otherwise);
+  dtypes at widths 1, 2 and 4, overlapping words of the next width
+  otherwise);
 * DICT and BD write codes at their packed width in one pass: a gather
   through a code-width lookup table, a subtraction into the narrow dtype;
 * unaligned Elias Gamma/Delta streams are built by bit-scattering all

@@ -20,6 +20,7 @@ class NullSuppressionCodec(AffineCodec):
     """Fixed-width leading-zero suppression (the paper's NS)."""
 
     name = "ns"
+    meta_types = {"width": int, "signed": bool, "offset": int}
     is_lazy = False
     needs_decompression = False
 

@@ -26,6 +26,7 @@ class NullSuppressionVariableCodec(Codec):
     """Per-element-width leading-zero suppression (the paper's NSV)."""
 
     name = "nsv"
+    meta_types = {"signed": bool, "desc_nbytes": int}
     is_lazy = False
     needs_decompression = True
     capabilities = frozenset()

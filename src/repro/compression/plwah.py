@@ -55,6 +55,7 @@ class PLWAHCodec(Codec):
     """Bitmap planes compressed with PLWAH (Sec. VII-D extension)."""
 
     name = "plwah"
+    meta_types = {"dictionary": np.ndarray, "plane_words": np.ndarray}
     is_lazy = True
     needs_decompression = True
     capabilities = frozenset()
@@ -88,7 +89,19 @@ class PLWAHCodec(Codec):
             column.payload.size != 4 * int(lengths.sum())
         ):
             raise CodecError("PLWAH payload size does not match its planes")
-        return dictionary, lengths, column.payload.view(np.uint32)
+        words = column.payload.view(np.uint32)
+        # each plane's words must cover n bits before anything n long exists
+        fill = (words & _FILL_FLAG) != 0
+        absorbed = fill & (((words >> _POS_SHIFT) & _POS_MASK) != 0)
+        groups = np.where(fill, words & MAX_FILL, 1) + absorbed
+        covered = np.concatenate([[0], np.cumsum(groups, dtype=np.int64)])
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        per_plane = covered[bounds[1:]] - covered[bounds[:-1]]
+        if (per_plane != -(-column.n // GROUP_BITS)).any() or (
+            column.n and not lengths.size
+        ):
+            raise CodecError("PLWAH planes do not cover the column's n rows")
+        return dictionary, lengths, words
 
     def decompress(self, column: CompressedColumn) -> np.ndarray:
         dictionary, lengths, words = self._streams(column)

@@ -24,6 +24,7 @@ class RunLengthCodec(Codec):
     """Run-length encoding (the paper's RLE)."""
 
     name = "rle"
+    meta_types = {"runs": int}
     is_lazy = True
     needs_decompression = True
     capabilities = frozenset()

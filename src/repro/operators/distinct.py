@@ -52,8 +52,26 @@ def window_distinct(
     next occurrence (the row count if none).  Window starts and ends are
     both non-decreasing, so the windows of one row form an interval and
     the work is proportional to the output.
+
+    Pairwise disjoint windows (tumbling, sampling) hold each row at most
+    once and need no ``next(i)``: one stable sort of the in-window rows by
+    (window, id) puts each pair's rows in ascending order, and the last of
+    each run is the pair's row.  Its keys take the narrowest unsigned
+    type that holds them: below 2^16 ids and windows, a radix sort.
     """
     ids, count = factorize_rows(columns)
+    if bool((starts[1:] >= ends[:-1]).all()):
+        lengths = ends - starts
+        windows = np.repeat(np.arange(starts.size, dtype=np.int64), lengths)
+        rows = expand_ranges(starts, lengths)
+        row_ids = ids[rows]
+        key = np.min_scalar_type(max(count, starts.size))
+        order = np.lexsort((row_ids.astype(key), windows.astype(key)))
+        pairs = (windows * count + row_ids)[order]
+        last = np.ones(pairs.size, dtype=bool)
+        last[:-1] = pairs[1:] != pairs[:-1]
+        order = order[last]
+        return windows[order], rows[order]
     n = ids.size
     order = np.argsort(ids, kind="stable")
     following = np.full(n, n, dtype=np.int64)

@@ -74,6 +74,11 @@ def bytes_for_range(min_value: int, max_value: int) -> int:
     return bytes_for_signed(min_value, max_value)
 
 
+#: Words narrowed per step at widths 3, 5, 6 and 7, in bytes: the step's
+#: temporaries stay cache-sized and below the allocator's fresh-mapping size.
+_NARROW_STEP_BYTES = 1 << 16
+
+
 def _little_endian(width: int, signed: bool) -> np.dtype:
     """Explicit little-endian integer dtype of a NumPy width (``<u2``, ``<i4``...)."""
     return np.dtype(f"<{'i' if signed else 'u'}{width}")
@@ -98,7 +103,7 @@ def pack_int_array(
         bad = (values < 0) | (values >= (np.int64(1) << np.int64(8 * width)))
     if bad.any():
         raise CodecError(f"value out of range for {width}-byte packing")
-    return narrow_int_array(values, width)
+    return narrow_int_array(values if signed else values.view(np.uint64), width)
 
 
 def narrow_int_array(values: np.ndarray, width: int) -> np.ndarray:
@@ -106,16 +111,36 @@ def narrow_int_array(values: np.ndarray, width: int) -> np.ndarray:
     integer dtype already proven to fit ``width`` bytes.  The low bytes are
     kept, so one unsigned cast serves signed values too."""
     values = np.ascontiguousarray(values)
+    word = _little_endian(numpy_width(width), False)
     if width in NUMPY_WIDTHS:
-        return values.astype(_little_endian(width, False), copy=False).view(np.uint8)
-    rows = values.view(np.uint8).reshape(values.size, values.itemsize)
-    return np.ascontiguousarray(rows[:, :width]).reshape(-1)
+        return values.astype(word, copy=False).view(np.uint8)
+    # Widths 3, 5, 6 and 7: one word of the next NumPy width per element,
+    # written ``width`` bytes apart.  Word i carries element i + 1's low
+    # bytes above element i's, so overlapping words agree on every byte
+    # they share and the write order does not matter.
+    n = values.size
+    bits = 8 * width
+    mask = word.type((1 << bits) - 1)
+    step = _NARROW_STEP_BYTES // word.itemsize
+    out = np.empty(n * width + word.itemsize - width, dtype=np.uint8)
+    for lo in range(0, n, step):
+        low = values[lo : lo + step + 1].astype(word, copy=False)
+        if values.dtype.kind == "i":
+            low &= mask  # a copy: the cast changed the kind
+        words = low[1:] << bits
+        words |= low[:-1]
+        np.copyto(_strided_words(out[lo * width :], word, words.size, width), words)
+    if n:
+        last = values[-1:].astype(word) & mask
+        np.copyto(_strided_words(out[(n - 1) * width :], word, 1, width), last)
+    return out[: n * width]
 
 
 def unpack_int_array(
     payload: np.ndarray, width: int, count: int, *, signed: bool = False
 ) -> np.ndarray:
     """Inverse of :func:`pack_int_array`; returns an int64 array."""
+    numpy_width(width)
     payload = np.ascontiguousarray(payload, dtype=np.uint8)
     if payload.size != count * width:
         raise CodecError(
@@ -126,14 +151,29 @@ def unpack_int_array(
         return payload.view(np.int64).copy()
     if width in NUMPY_WIDTHS:
         return payload.view(_little_endian(width, signed)).astype(np.int64)
-    wide = np.zeros((count, 8), dtype=np.uint8)
-    wide[:, :width] = payload.reshape(count, width)
-    if signed:
-        # Sign-extend: replicate the top bit of the most significant stored
-        # byte into the padding bytes.
-        negative = (wide[:, width - 1] & 0x80).astype(bool)
-        wide[negative, width:] = 0xFF
-    return wide.reshape(-1).view(np.int64).copy()
+    # Widths 3, 5, 6 and 7: read element i as the 8-byte word that ends at
+    # its last byte, so its bytes sit on top; one shift drops the bytes
+    # below and sign-extends (arithmetic) or zero-fills (logical).  The
+    # first elements' words would start before the payload: they are read
+    # from a zero-padded copy of their bytes.
+    word = _little_endian(8, signed)
+    pad = 8 - width
+    head = min(-(-pad // width), count)
+    out = np.empty(count, dtype=word)
+    padded = np.zeros(pad + head * width, dtype=np.uint8)
+    padded[pad:] = payload[: head * width]
+    np.copyto(out[:head], _strided_words(padded, word, head, width))
+    body = _strided_words(payload[head * width - pad :], word, count - head, width)
+    np.copyto(out[head:], body)
+    out >>= 64 - 8 * width
+    return out.view(np.int64)
+
+
+def _strided_words(
+    buffer: np.ndarray, word: np.dtype, count: int, stride: int
+) -> np.ndarray:
+    """``count`` (possibly overlapping) words of ``buffer`` ``stride`` bytes apart."""
+    return np.ndarray((count,), dtype=word, buffer=buffer, strides=(stride,))
 
 
 def exact_nbytes(count: int, width: int) -> int:

@@ -36,6 +36,7 @@ from typing import Any, Dict, Tuple
 import numpy as np
 
 from ..compression.base import CompressedColumn
+from ..compression.registry import get_codec
 from ..errors import CodecError, SchemaError
 from ..stream.batch import CompressedBatch
 from ..stream.schema import Schema
@@ -191,6 +192,7 @@ def _deserialize_column(buf: memoryview, pos: int, n: int):
         (tag,) = struct.unpack_from("<B", buf, pos)
         pos += 1
         meta[key], pos = _unpack_meta_value(tag, buf, pos)
+    _check_meta(codec, meta)
     (payload_len,) = struct.unpack_from("<Q", buf, pos)
     pos += 8
     if pos + payload_len > len(buf):
@@ -206,6 +208,27 @@ def _deserialize_column(buf: memoryview, pos: int, n: int):
         source_size_c=int(size_c),
     )
     return name, cc, pos
+
+
+def _check_meta(codec_name: str, meta: Dict[str, Any]) -> None:
+    """The column names a registered codec and carries every meta entry
+    that codec's decoders read, each with its declared value type."""
+    try:
+        codec = get_codec(codec_name)
+    except CodecError as exc:
+        raise WireFormatError(str(exc)) from None
+    for key, kind in codec.meta_types.items():
+        if key not in meta:
+            raise WireFormatError(f"{codec_name} column lacks meta entry {key!r}")
+        value = meta[key]
+        if kind is np.ndarray:
+            ok = isinstance(value, np.ndarray) and value.dtype == np.int64
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise WireFormatError(
+                f"{codec_name} meta entry {key!r} is not of type {kind.__name__}"
+            )
 
 
 def frame_size(batch: CompressedBatch) -> int:

@@ -10,11 +10,13 @@ suite asserts exact schedules and exact shed sets, not tolerances.
 import dataclasses
 import io
 import pickle
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.server import Server
 from repro.errors import ServeError
 from repro.net.faults import FaultProfile
 from repro.net.transport import ReliabilityConfig, capped_backoff_s
@@ -44,6 +46,7 @@ from repro.serve import breaker as breaker_module
 from repro.serve import supervisor as supervisor_module
 from repro.serve.checkpoint import frame_record
 from repro.serve.report import p95
+from repro.wire.format import deserialize_batch, serialize_batch
 
 
 def spec(tenant, **kwargs):
@@ -205,6 +208,33 @@ class TestCrashContainment:
         # the restarted session decodes through the one shared instance too
         for runner in supervisor.runners:
             assert runner.session.server.cache is supervisor.cache
+
+    def test_frame_with_a_mangled_meta_key_is_contained(self, monkeypatch):
+        # a resealed frame whose first meta key lost a bit reaches one
+        # tenant's server once: a typed error, contained like a poison batch
+        process = Server.process
+        hits = []
+
+        def hostile(server, batch):
+            if not hits:
+                name = next(n for n, c in batch.columns.items() if c.meta)
+                key = min(batch.columns[name].meta).encode()
+                body = bytearray(serialize_batch(batch)[:-4])
+                body[body.index(key)] ^= 1
+                hits.append(name)
+                batch = deserialize_batch(
+                    bytes(body) + zlib.crc32(body).to_bytes(4, "little"),
+                    batch.schema,
+                )
+            return process(server, batch)
+
+        monkeypatch.setattr(Server, "process", hostile)
+        report = ServeSupervisor([spec("a"), spec("b", seed=12)]).run()
+        assert hits and report.process_crashes == 0
+        tenants = report.by_tenant()
+        assert sum(t.crashes for t in tenants.values()) == 1
+        assert sum(t.restarts for t in tenants.values()) == 1
+        assert all(t.batches_delivered == 6 for t in tenants.values())
 
     def test_restart_budget_exhaustion_quarantines_tenant(self):
         specs = [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compression import kernels
 from repro.errors import CodecError
 from repro.types import (
     NUMPY_WIDTHS,
@@ -10,6 +11,7 @@ from repro.types import (
     bytes_for_signed,
     bytes_for_unsigned,
     exact_nbytes,
+    narrow_int_array,
     numpy_width,
     pack_int_array,
     signed_dtype,
@@ -140,3 +142,64 @@ class TestPacking:
         copy = values.copy()
         pack_int_array(values, 2)
         np.testing.assert_array_equal(values, copy)
+
+
+def _range_ends(width, signed):
+    """Each end of a width's range, its neighbours and zero."""
+    if signed:
+        lo, hi = -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
+    else:
+        lo, hi = 0, min((1 << (8 * width)) - 1, (1 << 63) - 1)
+    return [lo, lo + 1, 0, hi - 1, hi]
+
+
+class TestEveryWidth:
+    """Widths without a NumPy dtype (3, 5, 6, 7) pack through overlapping
+    words; every width must equal the per-value reference byte for byte in
+    both dispatch modes, at the ends of its range and across the steps the
+    packer works in."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 40_000])
+    def test_range_ends_in_both_modes(self, width, signed, n, rng):
+        ends = _range_ends(width, signed)
+        values = np.resize(np.array(ends, dtype=np.int64), n)
+        if n > 5:
+            values[5:] = rng.integers(ends[0], ends[-1], n - 5, endpoint=True)
+        packed = kernels.pack_ints(values, width, signed=signed)
+        with kernels.scalar_reference_mode():
+            reference = kernels.pack_ints(values, width, signed=signed)
+            back_ref = kernels.unpack_ints(reference, width, n, signed=signed)
+        assert packed.dtype == np.uint8 and bytes(packed) == bytes(reference)
+        back = kernels.unpack_ints(packed, width, n, signed=signed)
+        assert back.dtype == np.int64
+        np.testing.assert_array_equal(back, values)
+        np.testing.assert_array_equal(back, back_ref)
+
+    @pytest.mark.parametrize("width", [3, 5, 6, 7])
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+    )
+    def test_narrow_takes_any_integer_dtype(self, width, dtype, rng):
+        info = np.iinfo(dtype)
+        top = min(int(info.max), (1 << (8 * width - 1)) - 1)
+        values = rng.integers(max(int(info.min), -top), top, 20_000, endpoint=True)
+        typed = values.astype(dtype)
+        want = pack_int_array(values, width, signed=bool(values.min() < 0))
+        assert bytes(narrow_int_array(typed, width)) == bytes(want)
+        # the input is read, never written
+        np.testing.assert_array_equal(typed, values.astype(dtype))
+
+    @pytest.mark.parametrize("width", [3, 5, 6, 7])
+    def test_unpack_reads_only_its_payload(self, width):
+        # the payload is a slice: bytes around it must not leak in
+        whole = np.full(3 * width + 16, 0xAB, dtype=np.uint8)
+        payload = whole[8 : 8 + 3 * width]
+        payload[:] = pack_int_array(np.array([1, 2, 3]), width)
+        assert unpack_int_array(payload, width, 3).tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("width", [0, 9, -3])
+    def test_unpack_rejects_impossible_widths(self, width):
+        with pytest.raises(CodecError):
+            unpack_int_array(np.zeros(0, dtype=np.uint8), width, 0)

@@ -242,3 +242,93 @@ class TestHostileCodecPayloads:
         for view in (codec.run_view, codec.decompress):
             with pytest.raises(CodecError):
                 view(column)
+
+
+ONE_COLUMN = Schema([Field("v", "int", 8)])
+
+
+def one_column_body(name: str, rng: np.random.Generator) -> bytes:
+    """A frame body (no CRC) carrying one column compressed with ``name``."""
+    values = np.repeat(rng.integers(1, 40, 16), 4).astype(np.int64)
+    column = get_codec(name).compress(values)
+    batch = CompressedBatch(ONE_COLUMN, values.size, {"v": column})
+    return serialize_batch(batch)[:-4]
+
+
+def first_meta_key_offset(name: str) -> int:
+    """Byte offset of the first meta key of a one-column frame."""
+    header = 4 + 8
+    return header + 2 + len("v") + 1 + len(name) + 9 + 2 + 1
+
+
+class TestHostileMeta:
+    """Behind a valid CRC the meta can name anything: the parser checks each
+    codec's required entries and their types, so decoders never index a
+    missing key, and only typed ``CodecError``s leave the decode surface."""
+
+    @pytest.mark.parametrize("name", all_codec_names())
+    def test_resealed_mutations_fail_typed(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        body = one_column_body(name, rng)
+        with address_space_cap():
+            for _ in range(400):
+                mangled = bytearray(body)
+                for _ in range(int(rng.integers(1, 4))):
+                    pos = int(rng.integers(0, len(mangled)))
+                    mangled[pos] ^= int(rng.integers(1, 256))
+                try:
+                    batch = deserialize_batch(reseal(bytes(mangled)), ONE_COLUMN)
+                except WireFormatError:
+                    continue
+                column = batch.columns["v"]
+                check_views(get_codec(column.codec), column)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in all_codec_names() if get_codec(n).meta_types]
+    )
+    def test_flipped_meta_key_is_a_wire_error(self, name):
+        body = bytearray(one_column_body(name, np.random.default_rng(0)))
+        body[first_meta_key_offset(name)] ^= 1
+        with pytest.raises(WireFormatError, match="lacks meta entry"):
+            deserialize_batch(reseal(bytes(body)), ONE_COLUMN)
+
+    @pytest.mark.parametrize("name", all_codec_names())
+    def test_declared_meta_matches_what_compress_writes(self, name):
+        values = np.repeat(np.arange(1, 17), 4).astype(np.int64)
+        column = get_codec(name).compress(values)
+        frame = serialize_batch(CompressedBatch(ONE_COLUMN, values.size, {"v": column}))
+        meta = deserialize_batch(frame, ONE_COLUMN).columns["v"].meta
+        assert {key: type(value) for key, value in meta.items()} == dict(
+            get_codec(name).meta_types
+        )
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"width": True, "offset": 0}, "'width' is not of type int"),
+            ({"width": 1, "offset": np.zeros(2, dtype=np.int64)}, "'offset'"),
+            ({"offset": 0}, "lacks meta entry 'width'"),
+        ],
+    )
+    def test_wrong_meta_type_is_a_wire_error(self, meta, message):
+        column = CompressedColumn("bd", 2, np.zeros(2, dtype=np.uint8), meta)
+        frame = serialize_batch(CompressedBatch(ONE_COLUMN, 2, {"v": column}))
+        with pytest.raises(WireFormatError, match=message):
+            deserialize_batch(frame, ONE_COLUMN)
+
+    def test_array_meta_must_hold_int64(self):
+        column = CompressedColumn(
+            "dict",
+            2,
+            np.zeros(2, dtype=np.uint8),
+            {"dictionary": np.zeros(3, dtype=np.uint8), "width": 1},
+        )
+        frame = serialize_batch(CompressedBatch(ONE_COLUMN, 2, {"v": column}))
+        with pytest.raises(WireFormatError, match="'dictionary'"):
+            deserialize_batch(frame, ONE_COLUMN)
+
+    def test_unknown_codec_is_a_wire_error(self):
+        column = CompressedColumn("nope", 2, np.zeros(2, dtype=np.uint8), {})
+        frame = serialize_batch(CompressedBatch(ONE_COLUMN, 2, {"v": column}))
+        with pytest.raises(WireFormatError, match="unknown codec"):
+            deserialize_batch(frame, ONE_COLUMN)
