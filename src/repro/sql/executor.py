@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +97,18 @@ def _convert_output(out: OutputColumn, stored: np.ndarray) -> np.ndarray:
     if out.out_field.kind == KIND_FLOAT:
         return dequantize(np.asarray(stored), out.src_decimals)
     return np.asarray(stored, dtype=np.int64)
+
+
+def _window_last(
+    col: ExecColumn, last_rows: np.ndarray
+) -> Tuple[ExecColumn, np.ndarray]:
+    """The column and codes of one row per window.  A run view reads them
+    through :meth:`ExecColumn.take`, which maps rows to runs, instead of
+    expanding every row, unless there are more windows than rows."""
+    if col.pending_runs is not None and last_rows.size <= len(col):
+        col = col.take(last_rows)
+        return col, col.codes
+    return col, col.codes[last_rows]
 
 
 def _eval_expr(expr: Expr, values: Dict[str, np.ndarray]) -> np.ndarray:
@@ -300,7 +312,6 @@ class WindowAggExecutor:
     ) -> QueryResult:
         plan = self.plan
         aggs = [o for o in plan.outputs + plan.hidden_outputs if o.kind == OUT_AGG]
-        last_rows = ends - 1
         if not plan.group_keys:
             aggregates = (
                 ends - starts  # count(*)
@@ -309,9 +320,10 @@ class WindowAggExecutor:
                 for o in aggs
             )
             window_ids = np.arange(starts.size, dtype=np.int64)
-            return self._assemble(work, aggregates, last_rows, last_rows, window_ids)
+            return self._assemble(work, aggregates, ends - 1, window_ids)
+        keys = combine_keys([work[k] for k in plan.group_keys])
         grouped = window_group_aggregate(
-            combine_keys([work[k] for k in plan.group_keys]),
+            keys,
             [None if o.source_column is None else work[o.source_column] for o in aggs],
             [o.agg_func for o in aggs],
             starts,
@@ -320,34 +332,39 @@ class WindowAggExecutor:
         return self._assemble(
             work,
             iter(grouped.aggregates),
-            grouped.representatives,
-            last_rows,
+            ends - 1,
             grouped.window_ids,
+            dict(zip(plan.group_keys, keys.column_codes())),
+            grouped.groups,
         )
 
     def _assemble(
         self,
         work: Dict[str, ExecColumn],
         aggregates: Iterator[np.ndarray],
-        key_rows: np.ndarray,
         last_rows: np.ndarray,
         window_ids: np.ndarray,
+        key_codes: Optional[Dict[str, np.ndarray]] = None,
+        groups: Optional[np.ndarray] = None,
     ) -> QueryResult:
         """One result row per (window, group): aggregates in output order,
-        keys from the group's first row, other columns from the window's
-        last row (``last_rows`` holds one row per window, decoded once and
-        spread over the window's groups)."""
+        keys from the group's code tuple (``key_codes[name][g]`` for group
+        ``groups[row]``), other columns from the window's last row
+        (``last_rows`` holds one row per window).  Each is decoded once per
+        group or window and spread over the rows."""
         out: Dict[str, np.ndarray] = {}
         for o in self.plan.outputs + self.plan.hidden_outputs:
             if o.kind == OUT_AGG:
                 stored = next(aggregates)
-            elif o.kind in (OUT_LAST, OUT_KEY):
+            elif o.kind in (OUT_KEY, OUT_LAST):
                 col = work[o.source_column]
-                rows = key_rows if o.kind == OUT_KEY else last_rows
+                if o.kind == OUT_KEY:
+                    assert key_codes is not None
+                    codes, spread = key_codes[o.source_column], groups
+                else:
+                    (col, codes), spread = _window_last(col, last_rows), window_ids
                 # lint: force-decode bounded, one value per group or window
-                stored = col.decode(col.codes[rows])
-                if o.kind == OUT_LAST:
-                    stored = stored[window_ids]
+                stored = col.decode(codes)[spread]
             else:
                 raise PlanningError(f"unsupported output kind {o.kind!r} here")
             out[o.name] = _convert_output(o, stored)

@@ -12,7 +12,7 @@ is wide, and no floating-point logarithm anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,39 +180,113 @@ def factorize(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return uniques, ids.astype(np.int64).reshape(-1)
 
 
-def factorize_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
-    """Dense ids of the row tuples of equal-length columns, and their count.
+@dataclass(frozen=True)
+class _Digit:
+    """One column's place in a mixed-radix row id.
 
-    Ids number the tuples in lexicographic order.  Column offsets ``codes -
-    min`` are mixed in radix ``max - min + 1``; before the running span (a
-    Python int) would reach ``DENSE_SPAN_FACTOR`` ids per row, the partial
-    ids are :func:`renumber`-ed.  A column is factorized alone only if its
-    span is wide or, renumbered, the mix would still reach the limit.
-    Mixed spans stay below ``8 n``: ids stay below ``64 n^2``, never wrap.
+    The column's offset runs over ``[0, width)`` and stands for code
+    ``lo + offset``, or ``uniques[offset]`` when the column was factorized.
+    ``renumbered`` holds the present ids of the columns before it when
+    they were renumbered first: dense id d stood for mixed id
+    ``renumbered[d]``.
+    """
+
+    width: int
+    lo: int = 0
+    uniques: Optional[np.ndarray] = None
+    renumbered: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class RowNumbering:
+    """Dense lexicographic ids of row tuples, and each tuple read back.
+
+    Array-like as its per-row ``ids``, so it stands in wherever the ids do.
+    """
+
+    #: per row, its tuple's number in ``[0, count)``
+    ids: np.ndarray
+    #: number of distinct tuples
+    count: int
+    #: per number, the mixed-radix id it renumbers
+    slots: np.ndarray = field(repr=False)
+    digits: Tuple[_Digit, ...] = field(repr=False)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        ids = self.ids if dtype is None else self.ids.astype(dtype)
+        return ids.copy() if copy else ids
+
+    def column_codes(self) -> List[np.ndarray]:
+        """Per column, the code of each tuple number: ``count`` values unmixed
+        from the numbering by divmod, without going back to the rows."""
+        mixed = self.slots
+        codes = []
+        for digit in reversed(self.digits):
+            mixed, offsets = np.divmod(mixed, digit.width)
+            codes.append(
+                offsets + np.int64(digit.lo)
+                if digit.uniques is None
+                else digit.uniques[offsets]
+            )
+            if digit.renumbered is not None:
+                mixed = digit.renumbered[mixed]
+        return codes[::-1]
+
+
+def number_rows(columns: Sequence[np.ndarray]) -> RowNumbering:
+    """Number the row tuples of equal-length columns in lexicographic order.
+
+    Column offsets ``codes - min`` are mixed in radix ``max - min + 1``,
+    in place; before the running span (a Python int) would reach
+    ``DENSE_SPAN_FACTOR`` ids per row, the partial ids are
+    :func:`renumber`-ed.  A column is factorized alone only if its span is
+    wide or, renumbered, the mix would still reach the limit.  Mixed spans
+    stay below ``8 n``: ids stay below ``64 n^2``, never wrap.
     """
     n = len(columns[0])
     if not n:
-        return np.zeros(0, dtype=np.int64), 0
+        empty = np.zeros(0, dtype=np.int64)
+        return RowNumbering(empty, 0, empty, (_Digit(1),) * len(columns))
     limit = DENSE_SPAN_FACTOR * n
     ids: Optional[np.ndarray] = None
+    owned = False  # ids is not a caller's array, so it may mix in place
+    digits = []
     span = 1
     for values in columns:
         values = np.asarray(values, dtype=np.int64)
         lo, hi = int(values.min()), int(values.max())
         width = hi - lo + 1
+        renumbered = uniques = None
         if span * width >= limit and ids is not None:
-            slots, ids = renumber(ids, span)
-            span = slots.size
+            renumbered, ids = renumber(ids, span)
+            span, owned = renumbered.size, True
         if span * width >= limit:
             uniques, offsets = factorize(values)  # sorts only a wide column
-            width = uniques.size
+            width, lo = uniques.size, 0
         else:
             offsets = values - np.int64(lo) if lo else values
-        ids = offsets if ids is None else ids * width + offsets
+        if ids is None:
+            ids, owned = offsets, offsets is not values
+        else:
+            if owned:
+                ids *= width
+            else:
+                ids, owned = ids * width, True
+            ids += offsets
+        digits.append(_Digit(width, lo, uniques, renumbered))
         span *= width
     assert ids is not None
     slots, ids = renumber(ids, span)
-    return ids, int(slots.size)
+    return RowNumbering(ids, int(slots.size), slots, tuple(digits))
+
+
+def factorize_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """Dense ids of the row tuples of equal-length columns, and their count.
+
+    Ids number the tuples in lexicographic order (:func:`number_rows`).
+    """
+    numbering = number_rows(columns)
+    return numbering.ids, numbering.count
 
 
 def _distinct_count(values: np.ndarray, lo: int, hi: int) -> int:

@@ -96,13 +96,13 @@ def pack_int_array(
     values = np.ascontiguousarray(values, dtype=np.int64)
     if width == 8:
         return values.view(np.uint8).copy()
-    if signed:
-        bound = np.int64(1) << np.int64(8 * width - 1)
-        bad = (values < -bound) | (values >= bound)
-    else:
-        bad = (values < 0) | (values >= (np.int64(1) << np.int64(8 * width)))
-    if bad.any():
-        raise CodecError(f"value out of range for {width}-byte packing")
+    numpy_width(width)  # a CodecError for widths outside [1, 8]
+    if values.size:
+        # one min/max pair, no n-long comparison masks
+        bits = 8 * width - 1 if signed else 8 * width
+        lo = -(1 << bits) if signed else 0
+        if int(values.min()) < lo or int(values.max()) >= 1 << bits:
+            raise CodecError(f"value out of range for {width}-byte packing")
     return narrow_int_array(values if signed else values.view(np.uint64), width)
 
 

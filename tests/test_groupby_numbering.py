@@ -47,20 +47,23 @@ def reference(keys, values, starts, ends):
             rows = groups[key]
             vals = [int(values[i]) for i in rows]
             total, size = sum(vals), len(rows)
-            out.append((w, rows[0], size, total, total / size, max(vals), min(vals)))
+            out.append((w, key, size, total, total / size, max(vals), min(vals)))
     return out
 
 
 def check(keys, values, starts, ends):
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
+    numbering = combine_keys([decoded_column("k", keys)])
     got = window_group_aggregate(
-        keys, [None, *[value_column(values)] * 4], FUNCS, starts, ends
+        numbering, [None, *[value_column(values)] * 4], FUNCS, starts, ends
     )
     want = reference(keys, values, starts, ends)
     columns = list(zip(*want)) if want else [()] * 7
     assert got.window_ids.tolist() == list(columns[0])
-    assert got.representatives.tolist() == list(columns[1])
+    # each row's key, read back from its group number
+    (codes,) = numbering.column_codes()
+    assert codes[got.groups].tolist() == list(columns[1])
     assert got.counts.tolist() == list(columns[2])
     count, total, mean, high, low = got.aggregates
     assert count.tolist() == list(columns[2])
@@ -78,8 +81,8 @@ def batches(draw, max_rows=60):
         draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n)),
         dtype=np.int64,
     )
-    # dense ids, as combine_keys returns them
-    keys = np.unique(keys, return_inverse=True)[1].astype(np.int64).reshape(-1)
+    # spread over a span past 8 n at times, so the key column is factorized
+    keys = keys * draw(st.sampled_from([1, -3, 1 << 40]))
     values = np.asarray(
         draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n)),
         dtype=np.int64,
@@ -166,7 +169,7 @@ def test_empty_input():
     columns = [None, decoded_column("v", keys)]
     got = window_group_aggregate(keys, columns, ["count", "avg"], none, none)
     for array, dtype in zip(
-        [got.window_ids, got.representatives, got.counts, *got.aggregates],
+        [got.window_ids, got.groups, got.counts, *got.aggregates],
         [np.int64, np.int64, np.int64, np.int64, np.float64],
     ):
         assert array.dtype == dtype and array.size == 0
@@ -263,10 +266,15 @@ def test_q2_geometry_groups_without_a_sort(monkeypatch):
 
     for name in ("unique", "sort", "argsort", "lexsort"):
         monkeypatch.setattr(np, name, refuse)
-    ids = combine_keys(keys)
-    got = window_group_aggregate(ids, [value], ["count"], starts, starts + 1024)
+    numbering = combine_keys(keys)
+    got = window_group_aggregate(numbering, [value], ["count"], starts, starts + 1024)
+    codes = numbering.column_codes()
     monkeypatch.undo()
-    assert ids.tolist() == lexicographic_ranks([batch.column(k) for k in names])[0]
+    want = lexicographic_ranks([batch.column(k) for k in names])[0]
+    assert numbering.ids.tolist() == want
+    first = np.unique(numbering.ids, return_index=True)[1]
+    for name, column_codes in zip(names, codes):
+        np.testing.assert_array_equal(column_codes, batch.column(name)[first])
     assert got.counts.sum() == 102400
     assert np.array_equal(np.unique(got.window_ids), np.arange(100))
 

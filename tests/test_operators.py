@@ -156,10 +156,17 @@ class TestGroupBy:
         res = window_group_aggregate(keys, [col], ["max"], *extents([0], [4]))
         np.testing.assert_array_equal(res.aggregates[0], [9, 50])
 
-    def test_representatives_are_first_occurrences(self):
-        keys = np.array([7, 8, 7, 9], dtype=np.int64)
-        res = window_group_aggregate(keys, [None], ["count"], *extents([0], [4]))
-        np.testing.assert_array_equal(res.representatives, [0, 1, 3])
+    def test_keys_decode_from_group_numbers(self):
+        col = direct("k", [7, 8, 7, 9, 8], "dict")
+        numbering = combine_keys([col])
+        res = window_group_aggregate(
+            numbering, [None], ["count"], *extents([0, 2], [3, 5])
+        )
+        (codes,) = numbering.column_codes()
+        # one code per group, decoded once and gathered per result row
+        assert codes.size == 3
+        np.testing.assert_array_equal(col.decode(codes)[res.groups], [7, 8, 7, 8, 9])
+        np.testing.assert_array_equal(res.window_ids, [0, 0, 1, 1, 1])
 
     def test_windows_isolated(self):
         keys = np.array([0, 0, 1, 1], dtype=np.int64)

@@ -203,3 +203,31 @@ class TestEveryWidth:
     def test_unpack_rejects_impossible_widths(self, width):
         with pytest.raises(CodecError):
             unpack_int_array(np.zeros(0, dtype=np.uint8), width, 0)
+
+
+class TestRangeCheck:
+    """``pack_int_array`` rejects exactly the values past its width's range:
+    the last value inside each end packs, the first one outside raises."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_bounds_in_both_modes(self, width, signed):
+        if signed:
+            lo, hi = -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
+        else:
+            lo, hi = 0, (1 << (8 * width)) - 1
+        inside = np.array([lo, 0, hi], dtype=np.int64)
+        packed = pack_int_array(inside, width, signed=signed)
+        np.testing.assert_array_equal(
+            unpack_int_array(packed, width, 3, signed=signed), inside
+        )
+        for outside in (lo - 1, hi + 1):
+            values = np.array([0, outside, 0], dtype=np.int64)
+            with pytest.raises(CodecError, match="out of range"):
+                pack_int_array(values, width, signed=signed)
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_impossible_widths(self, width):
+        for values in (np.zeros(0, dtype=np.int64), np.ones(3, dtype=np.int64)):
+            with pytest.raises(CodecError):
+                pack_int_array(values, width)
