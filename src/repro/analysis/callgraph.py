@@ -42,9 +42,9 @@ from typing import (
 )
 
 from .project import Project
-from .summaries import SummaryCache, summarize_project
+from .summaries import summarize_file
 
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
 
 #: method names resolved by CHA only when nothing better is known; these
 #: ambient names (dict/list/str/set/file protocol) would otherwise tie
@@ -294,11 +294,8 @@ class CallGraph:
             "edges": len(self.edges),
         }
 
-    def to_doc(
-        self, taints: Optional[Dict[Tuple[str, str], List[str]]] = None
-    ) -> Dict[str, Any]:
+    def to_doc(self) -> Dict[str, Any]:
         """Schema-versioned JSON document of the whole graph."""
-        taints = taints or {}
         return {
             "schema_version": GRAPH_SCHEMA_VERSION,
             "modules": sorted(self.modules),
@@ -328,41 +325,9 @@ class CallGraph:
                 }
                 for c in sorted(self.classes.values(), key=lambda c: c.qualname)
             ],
-            "edges": [
-                dict(
-                    e.to_doc(),
-                    taints=sorted(taints.get((e.caller, e.callee), [])),
-                )
-                for e in self.edges
-            ],
+            "edges": [e.to_doc() for e in self.edges],
             "coverage": self.coverage(),
         }
-
-    def to_dot(
-        self, taints: Optional[Dict[Tuple[str, str], List[str]]] = None
-    ) -> str:
-        """GraphViz rendering; tainted edges are colored and labelled."""
-        taints = taints or {}
-        lines = [
-            "digraph callgraph {",
-            "  rankdir=LR;",
-            '  node [shape=box, fontsize=9, fontname="monospace"];',
-        ]
-        for node in sorted(self.functions.values(), key=lambda n: n.qualname):
-            attrs = [f'label="{node.qualname}"']
-            if node.dynamic:
-                attrs.append('style=dashed color=orange')
-            lines.append(f'  "{node.qualname}" [{", ".join(attrs)}];')
-        for edge in self.edges:
-            marks = sorted(taints.get((edge.caller, edge.callee), []))
-            attrs = [f'label="{edge.kind}"', "fontsize=8"]
-            if marks:
-                attrs = [f'label="{",".join(marks)}"', "color=red", "fontsize=8"]
-            lines.append(
-                f'  "{edge.caller}" -> "{edge.callee}" [{", ".join(attrs)}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
 
 
 class _Linker:
@@ -802,14 +767,9 @@ class _Linker:
             self._add_edge(qualname, target, line, "cha")
 
 
-def build_callgraph(
-    project: Project, cache: Optional[SummaryCache] = None
-) -> CallGraph:
-    """Summarize (through ``cache`` if given) and link one project."""
-    summaries = summarize_project(project.files, cache)
-    graph = _Linker(summaries).build()
-    if cache is not None:
-        cache.save()
+def build_callgraph(project: Project) -> CallGraph:
+    """Summarize and link one project."""
+    graph = _Linker([summarize_file(sf) for sf in project.files]).build()
     defined = 0
     for sf in project.files:
         if sf.tree is not None and sf.relpath.startswith("src/repro/"):

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -38,9 +36,6 @@ from .callgraph import CallGraph, FunctionNode
 
 #: a sink fact: (detail, line) — what fired at the reached node
 SinkFact = Tuple[str, int]
-
-#: accumulated per-edge taint tags for graph export
-EdgeTaints = Dict[Tuple[str, str], Set[str]]
 
 
 @dataclass
@@ -89,12 +84,6 @@ def find_flows(
                 )
             )
     return flows
-
-
-def mark_flow_edges(taints: EdgeTaints, flow: TaintFlow, tag: str) -> None:
-    """Record ``tag`` on every call edge along a flow's witness path."""
-    for caller, callee in zip(flow.path, flow.path[1:]):
-        taints.setdefault((caller, callee), set()).add(tag)
 
 
 def external_sink(
@@ -209,11 +198,9 @@ def attribute_closure(
 
 __all__ = [
     "AttributeFinding",
-    "EdgeTaints",
     "SinkFact",
     "TaintFlow",
     "attribute_closure",
     "external_sink",
     "find_flows",
-    "mark_flow_edges",
 ]

@@ -1,11 +1,11 @@
 """Analysis engine: run rules over a project and classify findings.
 
-The pipeline is: load every source file once, run each rule's per-file
-and per-project hooks, then classify raw findings into *waived*
-(silenced by a ``# lint:`` comment), *baselined* (grandfathered in the
-committed baseline) and *new*.  Parse failures and stale baseline
-entries surface as findings of the meta-rule ``CSD000`` so neither can
-rot silently.  Exit-code contract: 0 clean, 1 findings, 2 usage error.
+The pipeline is: load every source file once, link the call graph if a
+selected rule needs it, run each rule's per-file and per-project hooks,
+then split raw findings into *waived* (silenced by a ``# lint:`` comment
+carrying the rule's tag) and *new*.  Files that do not parse surface as
+findings of the meta-rule ``CSD000`` so they cannot hide from the rules.
+Exit-code contract: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,23 +15,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import AnalysisError
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-)
 from .callgraph import CallGraph, build_callgraph
 from .findings import Finding
-from .project import DEFAULT_ROOTS, Project, load_project
+from .project import DEFAULT_ROOTS, load_project
 from .rules import get_rules
 from .rules.base import Rule
-from .summaries import SummaryCache
 
 META_RULE = "CSD000"
-
-#: default on-disk summary cache, relative to the project root
-DEFAULT_CACHE_NAME = ".lint-cache.json"
 
 
 @dataclass
@@ -42,16 +32,10 @@ class AnalysisReport:
     rules: List[str]
     files_scanned: int
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     waived: List[Finding] = field(default_factory=list)
-    stale_entries: List[BaselineEntry] = field(default_factory=list)
     #: linked call graph, present when a graph rule ran or an export
     #: was requested
     graph: Optional[CallGraph] = None
-    #: (caller, callee) -> rule titles that tainted the edge
-    edge_taints: Dict[Any, Any] = field(default_factory=dict)
-    #: summary-cache hit/miss counts of this run (None: cache disabled)
-    cache_stats: Optional[Dict[str, int]] = None
 
     @property
     def clean(self) -> bool:
@@ -66,13 +50,8 @@ class AnalysisReport:
             "rules": self.rules,
             "files_scanned": self.files_scanned,
             "findings": [f.to_doc() for f in self.findings],
-            "baselined": [f.to_doc() for f in self.baselined],
             "waived": len(self.waived),
-            "stale_baseline_entries": [
-                e.to_doc() for e in self.stale_entries
-            ],
             "clean": self.clean,
-            "cache": self.cache_stats,
             "graph_coverage": (
                 self.graph.coverage() if self.graph is not None else None
             ),
@@ -86,75 +65,29 @@ class AnalysisReport:
                 lines.append(f"    {finding.snippet}")
         counts = (
             f"{self.files_scanned} files, {len(self.rules)} rules: "
-            f"{len(self.findings)} finding(s), "
-            f"{len(self.baselined)} baselined, {len(self.waived)} waived"
+            f"{len(self.findings)} finding(s), {len(self.waived)} waived"
         )
         lines.append(("FAIL " if self.findings else "OK ") + counts)
         return lines
 
 
-def _meta_findings(project: Project, baseline: Baseline) -> List[Finding]:
-    findings = []
-    for sf in project.files:
-        if sf.parse_error is not None:
-            findings.append(
-                Finding(
-                    rule=META_RULE,
-                    path=sf.relpath,
-                    line=1,
-                    message=f"file does not parse: {sf.parse_error}",
-                )
-            )
-    for entry in baseline.stale_entries():
-        findings.append(
-            Finding(
-                rule=META_RULE,
-                path=entry.path,
-                line=1,
-                message=(
-                    f"stale baseline entry for {entry.rule} "
-                    f"({entry.snippet!r}) no longer matches anything; "
-                    "remove it from the baseline"
-                ),
-                snippet=entry.snippet,
-            )
-        )
-    return findings
-
-
 def run_analysis(
     root: Union[str, Path],
     rule_ids: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Union[str, Path]] = None,
     roots: Sequence[str] = DEFAULT_ROOTS,
-    cache_path: Optional[Union[str, Path]] = None,
-    use_cache: bool = True,
     build_graph: bool = False,
 ) -> AnalysisReport:
     """Run the analyzer over one checkout and classify its findings.
 
-    The call graph is linked lazily: only when a selected rule declares
-    ``needs_graph`` or the caller forces ``build_graph`` (e.g. for a
-    ``--graph`` export).  Summaries come through the digest-keyed
-    on-disk cache unless ``use_cache`` is off; ``cache_path`` overrides
-    the default ``<root>/.lint-cache.json`` location.
+    The call graph is linked only when a selected rule declares
+    ``needs_graph`` or the caller forces ``build_graph`` (``lint
+    --graph``).
     """
     root = Path(root).resolve()
     project = load_project(root, roots=roots)
     rules: List[Rule] = get_rules(rule_ids)
-    if baseline_path is None:
-        baseline_path = root / DEFAULT_BASELINE_NAME
-    baseline = load_baseline(baseline_path)
-
-    cache: Optional[SummaryCache] = None
     if build_graph or any(rule.needs_graph for rule in rules):
-        if use_cache:
-            cache = SummaryCache(
-                Path(cache_path)
-                if cache_path is not None
-                else root / DEFAULT_CACHE_NAME
-            )
-        project.graph = build_callgraph(project, cache)
+        project.graph = build_callgraph(project)
 
     raw: List[Finding] = []
     for rule in rules:
@@ -168,25 +101,24 @@ def run_analysis(
         rules=[rule.rule_id for rule in rules],
         files_scanned=len(project),
         graph=project.graph if isinstance(project.graph, CallGraph) else None,
-        edge_taints=project.edge_taints,
-        cache_stats=(
-            {"hits": cache.hits, "misses": cache.misses}
-            if cache is not None
-            else None
-        ),
     )
     for finding in raw:
-        sf = project.file(finding.path)
-        if sf is not None and sf.waived(
-            finding.line, finding.rule, finding.waiver
-        ):
+        source = project.file(finding.path)
+        tags = source.waivers.get(finding.line, set()) if source else set()
+        if finding.waiver and finding.waiver in tags:
             report.waived.append(finding)
-        elif baseline.covers(finding):
-            report.baselined.append(finding)
         else:
             report.findings.append(finding)
-    report.findings.extend(_meta_findings(project, baseline))
-    report.stale_entries = baseline.stale_entries()
+    report.findings.extend(
+        Finding(
+            rule=META_RULE,
+            path=sf.relpath,
+            line=1,
+            message=f"file does not parse: {sf.parse_error}",
+        )
+        for sf in project.files
+        if sf.parse_error is not None
+    )
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return report
 

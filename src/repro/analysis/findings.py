@@ -1,14 +1,9 @@
-"""Findings: what a rule reports, and how findings are keyed.
-
-A finding is anchored to a file and line but *matched* (against waivers
-and the committed baseline) by its stripped source snippet, so findings
-survive unrelated edits that only shift line numbers.
-"""
+"""Findings: what a rule reports, anchored to one file and line."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
@@ -22,10 +17,6 @@ class Finding:
     snippet: str = ""
     #: waiver tag that silences this finding (set by the emitting rule)
     waiver: str = ""
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching."""
-        return (self.rule, self.path, self.snippet)
 
     def to_doc(self) -> Dict[str, Any]:
         return {

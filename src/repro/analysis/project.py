@@ -4,8 +4,8 @@ Every rule sees the same :class:`SourceFile` objects — one parse and one
 comment scan per file, shared across rules.  Waivers are comments of the
 form ``# lint: <tag>[, <tag>...]`` (anything after the tags, e.g. a
 justification, is ignored); a waiver silences matching findings on its
-own line and, for comment-only lines, on the line below.  The generic
-tag ``disable=CSD00X`` silences one rule id regardless of its tag.
+own line and, for comment-only lines, on the line below.  Each rule has
+exactly one tag (``Rule.waiver_tag``); there is no per-id form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..errors import AnalysisError
 DEFAULT_ROOTS: Tuple[str, ...] = ("src/repro", "benchmarks", "tests")
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*(?P<rest>.*)$")
-_TAG_RE = re.compile(r"^(?:[a-z][a-z0-9-]*|disable=CSD\d{3})$")
+_TAG_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
 
 def parse_waiver_tags(comment: str) -> Set[str]:
@@ -69,13 +69,6 @@ class SourceFile:
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
         return ""
-
-    def waived(self, line: int, rule_id: str, tag: str) -> bool:
-        """Whether a finding of ``rule_id``/``tag`` on ``line`` is waived."""
-        tags = self.waivers.get(line, set())
-        if f"disable={rule_id}" in tags:
-            return True
-        return bool(tag) and tag in tags
 
 
 def _scan_waivers(text: str) -> Dict[int, Set[str]]:
@@ -123,13 +116,10 @@ class Project:
         self.root = root
         self.files = list(files)
         self._by_relpath = {sf.relpath: sf for sf in self.files}
-        # linked interprocedural model; the engine populates these
-        # before any graph rule runs (None/empty for pure syntactic
-        # runs).  Typed loosely to avoid a circular import with
-        # repro.analysis.callgraph.
+        # linked interprocedural model; the engine sets it before any
+        # graph rule runs (None for pure syntactic runs).  Typed loosely
+        # to avoid a circular import with repro.analysis.callgraph.
         self.graph: Optional[object] = None
-        #: (caller, callee) -> rule-tag set, for ``--graph`` export
-        self.edge_taints: Dict[Tuple[str, str], Set[str]] = {}
 
     def file(self, relpath: str) -> Optional[SourceFile]:
         return self._by_relpath.get(relpath)

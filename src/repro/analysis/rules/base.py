@@ -3,13 +3,13 @@
 A rule is a stateless-per-run object with two hooks: :meth:`visit` runs
 once per applicable file, :meth:`finish` once per project (for
 cross-file contracts such as scalar parity).  Rules emit findings via
-:meth:`flag`; the engine handles waivers and the baseline.
+:meth:`flag`; the engine handles waivers.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Dict, Iterable, Iterator, Optional, Set, Union
+from typing import ClassVar, Iterable, Iterator, Set, Union
 
 from ..findings import Finding
 from ..project import Project, SourceFile
@@ -59,9 +59,8 @@ class GraphRule(Rule):
 
     Graph rules run whole-project in :meth:`finish`; the engine
     guarantees ``project.graph`` is a linked
-    :class:`~repro.analysis.callgraph.CallGraph` and
-    ``project.edge_taints`` an edge-tag accumulator before ``finish``
-    is called.  Per-file visiting is off by default; a rule that also
+    :class:`~repro.analysis.callgraph.CallGraph` before ``finish`` is
+    called.  Per-file visiting is off by default; a rule that also
     needs syntax the summaries do not keep (import statements) opts in
     by overriding :meth:`applies`.
     """
@@ -87,54 +86,6 @@ class GraphRule(Rule):
 
 
 # ----- shared AST helpers ----------------------------------------------
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> canonical dotted path, from a module's imports.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from datetime import
-    datetime as dt`` maps ``dt -> datetime.datetime``.  Star imports are
-    ignored.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                canonical = alias.name if alias.asname else local
-                aliases[local] = canonical
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            module = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{module}.{alias.name}" if module else alias.name
-    return aliases
-
-
-def canonical_call_path(
-    func: ast.AST, aliases: Dict[str, str]
-) -> Optional[str]:
-    """The canonical dotted path of a call target, resolving aliases."""
-    path = dotted_name(func)
-    if path is None:
-        return None
-    head, _, rest = path.partition(".")
-    head = aliases.get(head, head)
-    return f"{head}.{rest}" if rest else head
 
 
 def walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:

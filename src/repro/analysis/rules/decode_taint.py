@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Tuple
 
 from ..callgraph import CallGraph, FunctionNode
-from ..dataflow import find_flows, mark_flow_edges
+from ..dataflow import find_flows
 from ..findings import Finding
 from ..project import Project
 from .base import GraphRule
@@ -99,7 +99,6 @@ class DecodeTaintRule(GraphRule):
         entries = [n.qualname for n in graph.functions_in(ENTRY_PATHS)]
         sanitizers = {n.qualname for n in graph.functions_in(SANCTIONED_PATHS)}
         for flow in find_flows(graph, entries, _decode_sites, sanitizers):
-            mark_flow_edges(project.edge_taints, flow, self.title)
             node = graph.function(flow.node)
             assert node is not None
             yield self.flag_at(

@@ -19,7 +19,13 @@ from typing import Dict, Iterable
 
 from ..findings import Finding
 from ..project import Project, SourceFile
-from .base import Rule, canonical_call_path, import_aliases
+from ..summaries import (
+    canonical_path,
+    dotted_name,
+    module_imports,
+    module_name_for,
+)
+from .base import Rule
 
 #: call targets that read the wall clock or ambient entropy.  CSD003
 #: keeps them out of computed results, CSD010 out of the virtual-time
@@ -80,7 +86,11 @@ class DeterminismRule(Rule):
     def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
         if sf.tree is None:
             return
-        aliases = import_aliases(sf.tree)
+        aliases = module_imports(
+            sf.tree,
+            module_name_for(sf.relpath),
+            sf.relpath.endswith("/__init__.py"),
+        )
         for node in ast.walk(sf.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 yield self.flag(
@@ -92,9 +102,10 @@ class DeterminismRule(Rule):
                 continue
             if not isinstance(node, ast.Call):
                 continue
-            path = canonical_call_path(node.func, aliases)
+            path = dotted_name(node.func)
             if path is None:
                 continue
+            path = canonical_path(path, aliases)
             if is_wall_clock_call(path):
                 yield self.flag(
                     sf,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Set, Tuple
 
 from ..callgraph import CallGraph, FunctionNode
-from ..dataflow import find_flows, mark_flow_edges
+from ..dataflow import find_flows
 from ..findings import Finding
 from ..project import Project
 from .base import GraphRule
@@ -114,7 +114,6 @@ class ExceptionFlowRule(GraphRule):
             if key in seen:
                 continue
             seen.add(key)
-            mark_flow_edges(project.edge_taints, flow, self.title)
             package = _package_of(node)
             if package:
                 message = (

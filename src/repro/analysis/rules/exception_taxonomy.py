@@ -18,7 +18,8 @@ from typing import Iterable, List
 
 from ..findings import Finding
 from ..project import Project, SourceFile
-from .base import Rule, dotted_name
+from ..summaries import dotted_name
+from .base import Rule
 
 _SWALLOW_BODIES = (ast.Pass, ast.Continue)
 _BROAD_HANDLERS = frozenset({"Exception", "BaseException"})

@@ -18,8 +18,9 @@ import ast
 from typing import Iterable, Optional, Set
 
 from ..findings import Finding
-from ..project import Project, SourceFile
-from .base import Rule, dotted_name, identifier_set, walk_functions
+from ..project import Project
+from ..summaries import dotted_name
+from .base import Rule, identifier_set, walk_functions
 
 KERNELS_PATH = "src/repro/compression/kernels.py"
 SCALAR_REF_PATH = "src/repro/compression/scalar_ref.py"

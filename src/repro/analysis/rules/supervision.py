@@ -19,7 +19,8 @@ from typing import Iterable, Optional
 
 from ..findings import Finding
 from ..project import Project, SourceFile
-from .base import Rule, dotted_name
+from ..summaries import dotted_name
+from .base import Rule
 
 SERVE_PREFIX = "src/repro/serve/"
 

@@ -25,7 +25,7 @@ import ast
 from typing import Iterable, Tuple
 
 from ..callgraph import CallGraph
-from ..dataflow import external_sink, find_flows, mark_flow_edges
+from ..dataflow import external_sink, find_flows
 from ..findings import Finding
 from ..project import Project, SourceFile
 from .base import GraphRule
@@ -89,7 +89,6 @@ class WallClockEscapeRule(GraphRule):
         }
         facts = external_sink(is_wall_clock_call)
         for flow in find_flows(graph, entries, facts, sanitizers):
-            mark_flow_edges(project.edge_taints, flow, self.title)
             node = graph.function(flow.node)
             assert node is not None
             yield self.flag_at(

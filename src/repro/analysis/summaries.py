@@ -1,44 +1,35 @@
 """Per-file function summaries: the unit the interprocedural engine links.
 
-The call-graph and dataflow engines never re-walk a file's AST on a warm
-run.  Instead every source file is distilled once into a JSON-safe
-*summary* — its module name, resolved imports, every function definition
-(with the call sites, raises and attribute writes the flow rules care
-about) and every class (bases plus an attribute→type map for the
-checkpoint-reachability rule).  Summaries are pure data, so they cache
-cleanly: :class:`SummaryCache` keys them by a content digest of the file
-text and the summary format version, and the engine only summarizes
-files whose digest changed since the cached run.
+Every source file is distilled once into a plain-data *summary*: its
+module name, resolved imports, every function definition (with the call
+sites, raises and attribute writes the flow rules care about) and every
+class (bases plus an attribute→type map for the checkpoint-reachability
+rule).
 
 Name resolution is deliberately split: summaries canonicalize what can
 be resolved *locally* (import aliases, relative imports against the
 module's package) and leave cross-file resolution (class hierarchies,
 method dispatch) to :mod:`repro.analysis.callgraph`, which links the
-summaries of the whole project.
+summaries of the whole project.  The local half (:func:`dotted_name`,
+:func:`module_imports`, :func:`canonical_path`) is shared with the
+per-file rules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from .project import SourceFile
 
-#: bump when the summary shape changes; cached entries invalidate
-SUMMARY_VERSION = 1
-
-#: call-site kinds emitted by the summarizer (resolution happens at link
-#: time in callgraph.py):
-#:   name      bare-name call          ``helper(x)``
-#:   attr      dotted-path call        ``self.cache.decompress(...)``
-#:   method    unknown-receiver call   ``make().close()``
-#:   partial   functools.partial(...)  target recorded for a later call
-#:   ref       a name *reference* to a function (tables, callbacks)
-#:   dynamic   importlib/getattr indirection — documented as imprecise
-SITE_KINDS = ("name", "attr", "method", "partial", "ref", "dynamic")
+# call-site kinds emitted by the summarizer (resolution happens at link
+# time in callgraph.py):
+#   name      bare-name call          ``helper(x)``
+#   attr      dotted-path call        ``self.cache.decompress(...)``
+#   method    unknown-receiver call   ``make().close()``
+#   partial   functools.partial(...)  target recorded for a later call
+#   ref       a name *reference* to a function (tables, callbacks)
+#   dynamic   importlib/getattr indirection — documented as imprecise
 
 #: canonical call paths that mark dynamic, statically-unresolvable dispatch
 _DYNAMIC_CALLS = frozenset(
@@ -88,12 +79,8 @@ def module_name_for(relpath: str) -> str:
     return ".".join(parts)
 
 
-def file_digest(text: str) -> str:
-    payload = f"{SUMMARY_VERSION}\n".encode() + text.encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -140,6 +127,13 @@ def module_imports(
     return aliases
 
 
+def canonical_path(path: str, aliases: Dict[str, str]) -> str:
+    """``path`` with its head name replaced by what it was imported as."""
+    head, _, rest = path.partition(".")
+    head = aliases.get(head, head)
+    return f"{head}.{rest}" if rest else head
+
+
 def _annotation_names(node: Optional[ast.AST]) -> List[str]:
     """Class-looking identifiers inside a type annotation."""
     if node is None:
@@ -147,7 +141,7 @@ def _annotation_names(node: Optional[ast.AST]) -> List[str]:
     names: List[str] = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute):
-            path = _dotted(sub)
+            path = dotted_name(sub)
             if path is not None:
                 names.append(path)
         elif isinstance(sub, ast.Name):
@@ -163,26 +157,18 @@ def _annotation_names(node: Optional[ast.AST]) -> List[str]:
     return out
 
 
-class _Scope:
-    """One executable scope (module body, function or lambda)."""
-
-    def __init__(self, qualname: str, doc: Dict[str, Any]):
-        self.qualname = qualname
-        self.doc = doc
-
-
 class _Summarizer(ast.NodeVisitor):
     """Single-pass AST walk producing the summary document."""
 
-    def __init__(self, sf: SourceFile, module: str, aliases: Dict[str, str]):
-        self.sf = sf
+    def __init__(self, module: str, aliases: Dict[str, str]):
         self.module = module
         self.aliases = aliases
         self.functions: List[Dict[str, Any]] = []
         self.classes: List[Dict[str, Any]] = []
-        self._scopes: List[_Scope] = []
+        #: summary docs of the enclosing executable scopes (module body,
+        #: functions, lambdas), innermost last
+        self._scopes: List[Dict[str, Any]] = []
         self._classes: List[Dict[str, Any]] = []
-        self._params: List[Dict[str, List[str]]] = []
         self._used_qualnames: Set[str] = set()
         #: qualname parents: functions AND classes interleave here, so a
         #: method's qualname is class-qualified (``mod.<module>.C.run``)
@@ -195,7 +181,7 @@ class _Summarizer(ast.NodeVisitor):
         name: str,
         node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda],
         is_lambda: bool = False,
-    ) -> _Scope:
+    ) -> None:
         parent = self._namespace[-1] if self._namespace else self.module
         qualname = f"{parent}.{name}"
         # property/setter pairs, conditional redefinitions and same-name
@@ -212,9 +198,9 @@ class _Summarizer(ast.NodeVisitor):
         if not is_lambda:
             for dec in getattr(node, "decorator_list", []):
                 target = dec.func if isinstance(dec, ast.Call) else dec
-                path = _dotted(target)
+                path = dotted_name(target)
                 if path is not None:
-                    decorators.append(self._canonical(path))
+                    decorators.append(canonical_path(path, self.aliases))
         doc: Dict[str, Any] = {
             "qualname": qualname,
             "name": name,
@@ -229,21 +215,12 @@ class _Summarizer(ast.NodeVisitor):
             "dynamic": False,
         }
         self.functions.append(doc)
-        scope = _Scope(qualname, doc)
-        self._scopes.append(scope)
-        self._params.append(doc["params"])
+        self._scopes.append(doc)
         self._namespace.append(qualname)
-        return scope
 
     def _pop_function(self) -> None:
         self._scopes.pop()
-        self._params.pop()
         self._namespace.pop()
-
-    def _canonical(self, path: str) -> str:
-        head, _, rest = path.partition(".")
-        head = self.aliases.get(head, head)
-        return f"{head}.{rest}" if rest else head
 
     def _param_types(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
@@ -254,7 +231,8 @@ class _Summarizer(ast.NodeVisitor):
         args = node.args
         for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
             names = [
-                self._canonical(n) for n in _annotation_names(arg.annotation)
+                canonical_path(n, self.aliases)
+                for n in _annotation_names(arg.annotation)
             ]
             if names:
                 types[arg.arg] = names
@@ -262,7 +240,7 @@ class _Summarizer(ast.NodeVisitor):
 
     def _site(self, doc: Dict[str, Any]) -> None:
         if self._scopes:
-            self._scopes[-1].doc["sites"].append(doc)
+            self._scopes[-1]["sites"].append(doc)
 
     # ----- definitions --------------------------------------------------
 
@@ -281,8 +259,7 @@ class _Summarizer(ast.NodeVisitor):
             "dynamic": False,
         }
         self.functions.append(doc)
-        self._scopes.append(_Scope(doc["qualname"], doc))
-        self._params.append({})
+        self._scopes.append(doc)
         self._namespace.append(doc["qualname"])
         self.generic_visit(node)
         self._pop_function()
@@ -312,8 +289,8 @@ class _Summarizer(ast.NodeVisitor):
             "name": node.name,
             "line": node.lineno,
             "bases": [
-                self._canonical(p)
-                for p in (_dotted(b) for b in node.bases)
+                canonical_path(p, self.aliases)
+                for p in (dotted_name(b) for b in node.bases)
                 if p is not None
             ],
             "attrs": {},
@@ -335,7 +312,7 @@ class _Summarizer(ast.NodeVisitor):
                 stmt.target, ast.Name
             ):
                 types = [
-                    self._canonical(n)
+                    canonical_path(n, self.aliases)
                     for n in _annotation_names(stmt.annotation)
                 ]
                 self._record_attr(
@@ -372,15 +349,15 @@ class _Summarizer(ast.NodeVisitor):
     def _value_types(self, value: Optional[ast.AST]) -> List[str]:
         """Constructor-call types of an attribute's assigned value."""
         if isinstance(value, ast.Call):
-            path = _dotted(value.func)
+            path = dotted_name(value.func)
             if path is not None:
-                canonical = self._canonical(path)
+                canonical = canonical_path(path, self.aliases)
                 leaf = canonical.split(".")[-1]
                 if leaf[:1].isupper():
                     return [canonical]
         elif isinstance(value, ast.Name):
             # ``self.x = param`` picks up the parameter's annotation
-            params = self._params[-1] if self._params else {}
+            params = self._scopes[-1]["params"] if self._scopes else {}
             return list(params.get(value.id, []))
         elif isinstance(value, (ast.List, ast.Tuple, ast.Set)):
             out: List[str] = []
@@ -399,8 +376,8 @@ class _Summarizer(ast.NodeVisitor):
         elif isinstance(value, ast.GeneratorExp):
             markers.append(_MARKER_GENERATOR)
         elif isinstance(value, ast.Call):
-            path = _dotted(value.func)
-            canonical = self._canonical(path) if path else None
+            path = dotted_name(value.func)
+            canonical = canonical_path(path, self.aliases) if path else None
             if canonical == "open":
                 markers.append(_MARKER_OPEN_FILE)
             elif canonical == "iter":
@@ -427,7 +404,8 @@ class _Summarizer(ast.NodeVisitor):
             and node.target.value.id == "self"
         ):
             types = [
-                self._canonical(n) for n in _annotation_names(node.annotation)
+                canonical_path(n, self.aliases)
+                for n in _annotation_names(node.annotation)
             ]
             self._record_attr(
                 self._classes[-1],
@@ -462,23 +440,23 @@ class _Summarizer(ast.NodeVisitor):
             canonical = self.aliases.get(func.id, func.id)
             if canonical in _DYNAMIC_CALLS:
                 if self._scopes:
-                    self._scopes[-1].doc["dynamic"] = True
+                    self._scopes[-1]["dynamic"] = True
                 self._site({"kind": "dynamic", "line": line})
             elif canonical == "partial" or canonical == "functools.partial":
                 self._partial_site(node, line)
             else:
                 self._site({"kind": "name", "name": func.id, "line": line})
         elif isinstance(func, ast.Attribute):
-            path = _dotted(func)
+            path = dotted_name(func)
             if path is None:
                 self._site(
                     {"kind": "method", "method": func.attr, "line": line}
                 )
             else:
-                canonical = self._canonical(path)
+                canonical = canonical_path(path, self.aliases)
                 if canonical in _DYNAMIC_CALLS:
                     if self._scopes:
-                        self._scopes[-1].doc["dynamic"] = True
+                        self._scopes[-1]["dynamic"] = True
                     self._site({"kind": "dynamic", "line": line})
                 elif canonical == "functools.partial":
                     self._partial_site(node, line)
@@ -499,9 +477,12 @@ class _Summarizer(ast.NodeVisitor):
             if isinstance(inner, ast.Name):
                 target = {"kind": "name", "name": inner.id}
             else:
-                path = _dotted(inner)
+                path = dotted_name(inner)
                 if path is not None:
-                    target = {"kind": "attr", "path": self._canonical(path)}
+                    target = {
+                        "kind": "attr",
+                        "path": canonical_path(path, self.aliases),
+                    }
         site: Dict[str, Any] = {"kind": "partial", "line": line}
         if target is not None:
             site["target"] = target
@@ -528,15 +509,15 @@ class _Summarizer(ast.NodeVisitor):
             exc = node.exc
             if isinstance(exc, ast.Call):
                 exc = exc.func
-            path = _dotted(exc)
+            path = dotted_name(exc)
             if path is not None:
                 name = path.split(".")[-1]
                 # re-raising a caught lowercase variable is not a new type
                 if name[:1].isupper():
-                    self._scopes[-1].doc["raises"].append(
+                    self._scopes[-1]["raises"].append(
                         {
                             "name": name,
-                            "path": self._canonical(path),
+                            "path": canonical_path(path, self.aliases),
                             "line": node.lineno,
                         }
                     )
@@ -548,7 +529,7 @@ class _Summarizer(ast.NodeVisitor):
         # Deduped per scope; most never resolve to a function and are
         # dropped at link time.
         if isinstance(node.ctx, ast.Load) and self._scopes:
-            refs = self._scopes[-1].doc["refs"]
+            refs = self._scopes[-1]["refs"]
             if node.id not in refs:
                 refs.append(node.id)
         self.generic_visit(node)
@@ -558,7 +539,6 @@ def summarize_file(sf: SourceFile) -> Dict[str, Any]:
     """Summarize one parsed source file (empty doc if it fails to parse)."""
     module = module_name_for(sf.relpath)
     doc: Dict[str, Any] = {
-        "version": SUMMARY_VERSION,
         "path": sf.relpath,
         "module": module,
         "imports": {},
@@ -569,7 +549,7 @@ def summarize_file(sf: SourceFile) -> Dict[str, Any]:
         return doc
     is_package = sf.relpath.endswith("/__init__.py")
     aliases = module_imports(sf.tree, module, is_package)
-    walker = _Summarizer(sf, module, aliases)
+    walker = _Summarizer(module, aliases)
     walker.visit(sf.tree)
     doc["imports"] = aliases
     doc["functions"] = walker.functions
@@ -577,74 +557,10 @@ def summarize_file(sf: SourceFile) -> Dict[str, Any]:
     return doc
 
 
-class SummaryCache:
-    """Digest-keyed summary store persisted as one JSON file.
-
-    The cache maps ``relpath -> {"digest": ..., "summary": ...}``; a
-    lookup hits only when the file's current digest matches, so edits
-    invalidate per file and version bumps invalidate everything (the
-    digest covers :data:`SUMMARY_VERSION`).
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None):
-        self.path = Path(path) if path is not None else None
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self.hits = 0
-        self.misses = 0
-        self._dirty = False
-        if self.path is not None and self.path.is_file():
-            try:
-                doc = json.loads(self.path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, OSError):
-                doc = {}
-            if (
-                isinstance(doc, dict)
-                and doc.get("version") == SUMMARY_VERSION
-                and isinstance(doc.get("files"), dict)
-            ):
-                self._entries = doc["files"]
-
-    def summary(self, sf: SourceFile) -> Dict[str, Any]:
-        digest = file_digest(sf.text)
-        entry = self._entries.get(sf.relpath)
-        if entry is not None and entry.get("digest") == digest:
-            self.hits += 1
-            return entry["summary"]
-        self.misses += 1
-        summary = summarize_file(sf)
-        self._entries[sf.relpath] = {"digest": digest, "summary": summary}
-        self._dirty = True
-        return summary
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        doc = {"version": SUMMARY_VERSION, "files": self._entries}
-        try:
-            self.path.write_text(
-                json.dumps(doc, sort_keys=True), encoding="utf-8"
-            )
-        except OSError:
-            # a read-only checkout still lints; it just stays cold
-            return
-        self._dirty = False
-
-
-def summarize_project(
-    files: Sequence[SourceFile], cache: Optional[SummaryCache] = None
-) -> List[Dict[str, Any]]:
-    """Summaries for every file, through the cache when one is given."""
-    if cache is None:
-        return [summarize_file(sf) for sf in files]
-    return [cache.summary(sf) for sf in files]
-
-
 __all__ = [
-    "SUMMARY_VERSION",
-    "SummaryCache",
-    "file_digest",
+    "canonical_path",
+    "dotted_name",
     "module_imports",
     "module_name_for",
     "summarize_file",
-    "summarize_project",
 ]

@@ -218,10 +218,6 @@ class PassthroughPlan:
     #: optimizer decision record; None when lowered with zero rules
     opt: Optional[OptimizerInfo] = None
 
-    @property
-    def output_schema(self) -> Schema:
-        return Schema([out.out_field for out in self.outputs])
-
 
 @dataclass
 class JoinPlan:

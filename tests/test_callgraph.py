@@ -5,9 +5,8 @@ that defeat naive resolution — decorated functions, ``functools.
 partial`` bindings, methods dispatched through the ``Codec`` ABC,
 lambdas parked in ``RULES`` tables, and ``importlib`` indirection
 (documented as a known-imprecise edge and asserted as such).  On top:
-summary-cache hit/invalidation behavior, the taint engine's sanitizer
-cut, the class-attribute closure, and the real repository's graph
-coverage floor (the ``--graph`` acceptance bar).
+the taint engine's sanitizer cut, the class-attribute closure, and the
+real repository's graph coverage floor (the ``--graph`` acceptance bar).
 """
 
 import json
@@ -25,8 +24,6 @@ from repro.analysis.dataflow import (
     find_flows,
 )
 from repro.analysis.summaries import (
-    SummaryCache,
-    file_digest,
     module_imports,
     module_name_for,
     summarize_file,
@@ -120,47 +117,6 @@ class TestSummaries:
         flags = {s["path"]: s.get("strcodec", False) for s in sites}
         assert flags["raw.decode"] is True
         assert flags["col.decode"] is False
-
-    def test_digest_covers_version(self):
-        assert file_digest("x = 1\n") != file_digest("x = 2\n")
-
-
-class TestSummaryCache:
-    def test_hit_miss_and_invalidation(self, tmp_path):
-        project = make_project(
-            tmp_path, {"src/repro/core/x.py": "def f():\n    return 1\n"}
-        )
-        cache_path = tmp_path / "cache.json"
-        cache = SummaryCache(cache_path)
-        build_callgraph(project, cache)
-        assert cache.misses == len(project.files)
-        assert cache.hits == 0
-        cache.save()
-        assert cache_path.is_file()
-
-        # warm run: everything hits
-        warm = SummaryCache(cache_path)
-        build_callgraph(load_project(tmp_path), warm)
-        assert warm.hits == len(project.files)
-        assert warm.misses == 0
-
-        # edit one file: only that file re-summarizes
-        (tmp_path / "src/repro/core/x.py").write_text(
-            "def f():\n    return 2\n"
-        )
-        edited = SummaryCache(cache_path)
-        build_callgraph(load_project(tmp_path), edited)
-        assert edited.misses == 1
-        assert edited.hits == len(project.files) - 1
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path):
-        project = make_project(tmp_path, {})
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{ not json")
-        cache = SummaryCache(cache_path)
-        build_callgraph(project, cache)
-        assert cache.hits == 0
-        assert cache.misses == len(project.files)
 
 
 # ----- call-graph construction -----------------------------------------
@@ -453,21 +409,6 @@ class TestGraphExports:
         for key in ("qualname", "module", "path", "line", "kind", "dynamic"):
             assert key in fn
         assert doc["coverage"]["ratio"] == 1.0
-
-    def test_dot_export_renders_taints(self, tmp_path):
-        graph = graph_of(tmp_path, TestGraphQueries.FILES)
-        a, b = node(graph, ".a"), node(graph, ".b")
-        dot = graph.to_dot({(a, b): {"decode-taint"}})
-        assert dot.startswith("digraph callgraph {")
-        assert "decode-taint" in dot
-        assert "color=red" in dot
-
-    def test_edge_taints_in_json(self, tmp_path):
-        graph = graph_of(tmp_path, TestGraphQueries.FILES)
-        a, b = node(graph, ".a"), node(graph, ".b")
-        doc = graph.to_doc({(a, b): {"wall-clock-escape"}})
-        tainted = [e for e in doc["edges"] if e["taints"]]
-        assert tainted and tainted[0]["taints"] == ["wall-clock-escape"]
 
 
 # ----- dataflow ---------------------------------------------------------
