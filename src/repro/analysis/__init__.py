@@ -11,12 +11,13 @@ them mechanically: a rule-driven analyzer over Python ``ast`` (one
 :class:`Rule` subclass per contract, ids ``CSD0xx``), run as
 ``python -m repro lint`` and gated in CI.
 
-Syntactic rules (CSD002-CSD008) walk one file at a time; flow-sensitive
-rules (CSD009-CSD012) run over a project-wide call graph linked from
-per-file summaries (:mod:`.summaries` -> :mod:`.callgraph`) with a small
-forward taint engine on top (:mod:`.dataflow`).  Each contract has
-exactly one rule: the graph rules also check the sites written inside
-their entry packages, so no per-file rule repeats them.
+Syntactic rules (CSD002-CSD004, CSD007) walk one file at a time;
+flow-sensitive rules (CSD009, CSD011, CSD012) run over a project-wide
+call graph linked from per-file summaries (:mod:`.summaries` ->
+:mod:`.callgraph`) with a small forward taint engine on top
+(:mod:`.dataflow`).  Each contract has exactly one rule: the graph
+rules also check the sites written inside their entry packages, so no
+per-file rule repeats them.
 ``python -m repro lint --graph`` prints the linked graph as JSON.
 
 See ``docs/static-analysis.md`` for the rule catalog and the

@@ -18,11 +18,8 @@ method of that name, minus an ambient-name blocklist (``get``, ``items``
 …) that would otherwise wire every dict lookup into the graph.
 ``importlib``/``getattr`` indirection is not resolved at all — the
 calling function is marked ``dynamic`` and exported as a known-imprecise
-edge of the analysis.
-
-Unresolved call paths whose head is not a project module are kept per
-node as *external calls* (``time.time``, ``os.urandom`` …); the taint
-rules treat those as sink facts.
+edge of the analysis.  Class names resolve in one place,
+:meth:`CallGraph.resolve_class`, for the linker and the rules alike.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from typing import (
 from .project import Project
 from .summaries import summarize_file
 
-GRAPH_SCHEMA_VERSION = 2
+GRAPH_SCHEMA_VERSION = 3
 
 #: method names resolved by CHA only when nothing better is known; these
 #: ambient names (dict/list/str/set/file protocol) would otherwise tie
@@ -126,8 +123,6 @@ class FunctionNode:
     is_lambda: bool
     dynamic: bool
     summary: Dict[str, Any]
-    #: unresolved canonical call paths (``time.time``) with lines
-    externals: List[Tuple[str, int]] = field(default_factory=list)
 
     @property
     def kind(self) -> str:
@@ -163,6 +158,13 @@ class CallGraph:
         self._out: Dict[str, List[Edge]] = {}
         self._in: Dict[str, List[Edge]] = {}
         self.modules: Set[str] = set()
+        #: module -> {top-level name -> function/class qualname}
+        self.scopes: Dict[str, Dict[str, str]] = {}
+        #: module -> {local name -> canonical dotted path it imports}
+        self.imports: Dict[str, Dict[str, str]] = {}
+        #: class qualname -> qualnames of its direct subclasses, built on
+        #: first use (every class is indexed before anything resolves)
+        self._children: Optional[Dict[str, List[str]]] = None
         #: independent AST count of defs under ``src/repro`` (coverage
         #: denominator, set by :func:`build_callgraph`)
         self.defined_src_functions = 0
@@ -188,41 +190,48 @@ class CallGraph:
             )
         ]
 
-    def class_descendants(self, root_names: Iterable[str]) -> Set[str]:
-        """Leaf names of classes deriving (by name) from ``root_names``."""
-        allowed = set(root_names)
-        parents = {
-            cls.name: [b.split(".")[-1] for b in cls.bases]
-            for cls in self.classes.values()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for name, bases in parents.items():
-                if name not in allowed and any(b in allowed for b in bases):
-                    allowed.add(name)
-                    changed = True
-        return allowed
+    def resolve_class(self, module: str, path: str) -> Optional[str]:
+        """A class path as written in ``module`` -> class qualname.
 
-    def subclasses(self, qualname: str) -> Set[str]:
-        """Qualnames of classes transitively deriving from ``qualname``."""
-        by_base: Dict[str, List[str]] = {}
-        for cls in self.classes.values():
-            for base in cls.bases:
-                by_base.setdefault(base, []).append(cls.qualname)
-                leaf = base.split(".")[-1]
-                if leaf != base:
-                    by_base.setdefault(leaf, []).append(cls.qualname)
+        Tries a qualname, then the top-level names of the module the
+        path names (``module`` itself for a bare name), following that
+        module's imports through re-exports; only then the one project
+        class with the path's leaf name.
+        """
+        leaf = path.split(".")[-1]
         seen: Set[str] = set()
-        root = self.classes.get(qualname)
-        frontier = deque([qualname] + ([root.name] if root else []))
+        while path not in seen:
+            seen.add(path)
+            if path in self.classes:
+                return path
+            owner, _, name = path.rpartition(".")
+            owner = owner or module
+            found = self.scopes.get(owner, {}).get(name)
+            if found in self.classes:
+                return found
+            alias = self.imports.get(owner, {}).get(name)
+            if alias is None:
+                break
+            path = alias
+        matches = [q for q, c in self.classes.items() if c.name == leaf]
+        return matches[0] if len(matches) == 1 else None
+
+    def subclasses(self, roots: Iterable[str]) -> Set[str]:
+        """Qualnames of classes transitively deriving from ``roots``."""
+        if self._children is None:
+            self._children = {}
+            for cls in self.classes.values():
+                for base in cls.bases:
+                    parent = self.resolve_class(cls.module, base)
+                    if parent is not None:
+                        self._children.setdefault(parent, []).append(cls.qualname)
+        seen: Set[str] = set()
+        frontier = deque(roots)
         while frontier:
-            current = frontier.popleft()
-            for sub in by_base.get(current, []):
+            for sub in self._children.get(frontier.popleft(), []):
                 if sub not in seen:
                     seen.add(sub)
                     frontier.append(sub)
-                    frontier.append(self.classes[sub].name)
         return seen
 
     def reachable(
@@ -307,9 +316,6 @@ class CallGraph:
                     "line": n.line,
                     "kind": n.kind,
                     "dynamic": n.dynamic,
-                    "externals": [
-                        {"path": p, "line": line} for p, line in n.externals
-                    ],
                 }
                 for n in sorted(
                     self.functions.values(), key=lambda n: n.qualname
@@ -336,16 +342,8 @@ class _Linker:
     def __init__(self, summaries: Sequence[Dict[str, Any]]):
         self.summaries = summaries
         self.graph = CallGraph()
-        #: module -> {local top-level name -> qualname}
-        self._module_scope: Dict[str, Dict[str, str]] = {}
-        #: module -> import alias map
-        self._imports: Dict[str, Dict[str, str]] = {}
         #: method name -> [method qualnames] (CHA index)
         self._methods_named: Dict[str, List[str]] = {}
-        #: class qualname by canonical path and by (module, name)
-        self._class_by_path: Dict[str, str] = {}
-        #: function qualname by canonical dotted path
-        self._func_by_path: Dict[str, str] = {}
         #: parent scope of each function (lexical)
         self._parent: Dict[str, str] = {}
 
@@ -365,8 +363,8 @@ class _Linker:
         # top-level names live in the synthetic module-body node's scope
         module_body = f"{module}.<module>"
         self.graph.modules.add(module)
-        self._imports[module] = doc.get("imports", {})
-        scope = self._module_scope.setdefault(module, {})
+        self.graph.imports[module] = doc.get("imports", {})
+        scope = self.graph.scopes.setdefault(module, {})
         for fdoc in doc["functions"]:
             node = FunctionNode(
                 qualname=fdoc["qualname"],
@@ -382,7 +380,6 @@ class _Linker:
             self.graph.functions[node.qualname] = node
             parent = node.qualname.rsplit(".", 1)[0]
             self._parent[node.qualname] = parent
-            self._func_by_path[node.qualname] = node.qualname
             if parent == module_body and node.name != "<module>":
                 scope[node.name] = node.qualname
         for cdoc in doc["classes"]:
@@ -396,7 +393,6 @@ class _Linker:
                 attrs=dict(cdoc.get("attrs", {})),
             )
             self.graph.classes[cls.qualname] = cls
-            self._class_by_path[cls.qualname] = cls.qualname
             parent = cls.qualname.rsplit(".", 1)[0]
             self._parent[cls.qualname] = parent
             if parent == module_body:
@@ -416,22 +412,22 @@ class _Linker:
 
     def _resolve_import_path(self, module: str, path: str) -> Optional[str]:
         """A canonical dotted path -> function/class qualname, if internal."""
-        if path in self._func_by_path:
+        if path in self.graph.functions:
             return path
-        if path in self._class_by_path:
+        if path in self.graph.classes:
             return self._class_init(path)
         # longest-module-prefix match: repro.core.engine.CompressStreamDB.run
         parts = path.split(".")
         for cut in range(len(parts) - 1, 0, -1):
             mod = ".".join(parts[:cut])
-            if mod not in self._module_scope:
+            if mod not in self.graph.scopes:
                 continue
             rest = parts[cut:]
-            scope = self._module_scope[mod]
+            scope = self.graph.scopes[mod]
             head = scope.get(rest[0])
             if head is None:
                 # re-exported name (``from .x import f`` in __init__)
-                alias = self._imports.get(mod, {}).get(rest[0])
+                alias = self.graph.imports.get(mod, {}).get(rest[0])
                 if alias is not None:
                     return self._resolve_import_path(
                         mod, ".".join([alias] + rest[1:])
@@ -466,35 +462,10 @@ class _Linker:
                 continue
             out.append(current)
             for base in cls.bases:
-                resolved = self._resolve_class_path(cls.module, base)
+                resolved = self.graph.resolve_class(cls.module, base)
                 if resolved is not None:
                     frontier.append(resolved)
         return out
-
-    def _resolve_class_path(self, module: str, path: str) -> Optional[str]:
-        if path in self.graph.classes:
-            return path
-        head, _, rest = path.partition(".")
-        local = self._module_scope.get(module, {}).get(head)
-        if local in self.graph.classes and not rest:
-            return local
-        # canonical dotted path
-        parts = path.split(".")
-        for cut in range(len(parts), 0, -1):
-            mod = ".".join(parts[: cut - 1]) if cut > 1 else None
-            candidate = (
-                self._module_scope.get(mod, {}).get(parts[cut - 1])
-                if mod
-                else None
-            )
-            if candidate in self.graph.classes and cut == len(parts):
-                return candidate
-        # last resort: unique class of that leaf name
-        leaf = path.split(".")[-1]
-        matches = [
-            q for q, c in self.graph.classes.items() if c.name == leaf
-        ]
-        return matches[0] if len(matches) == 1 else None
 
     def _method_on_class(
         self, cls_qualname: str, method: str
@@ -512,7 +483,7 @@ class _Linker:
         base = self._method_on_class(cls_qualname, method)
         if base is not None:
             targets.append(base)
-        for sub in self.graph.subclasses(cls_qualname):
+        for sub in self.graph.subclasses([cls_qualname]):
             cls = self.graph.classes.get(sub)
             if cls and method in cls.methods:
                 targets.append(cls.methods[method])
@@ -531,7 +502,7 @@ class _Linker:
                 return candidate
             if scope.endswith(".<module>"):
                 module = scope[: -len(".<module>")]
-                target = self._module_scope.get(module, {}).get(name)
+                target = self.graph.scopes.get(module, {}).get(name)
                 if target is not None:
                     if target in self.graph.classes:
                         return self._class_init(target)
@@ -546,12 +517,12 @@ class _Linker:
         """Candidate class qualnames for a receiver name."""
         out: List[str] = []
         for path in fdoc.get("params", {}).get(head, []):
-            resolved = self._resolve_class_path(module, path)
+            resolved = self.graph.resolve_class(module, path)
             if resolved is not None:
                 out.append(resolved)
         if not out:
             for hint in _RECEIVER_HINTS.get(head, ()):
-                resolved = self._resolve_class_path(module, hint)
+                resolved = self.graph.resolve_class(module, hint)
                 if resolved is not None:
                     out.append(resolved)
         return out
@@ -576,7 +547,7 @@ class _Linker:
         module = doc["module"]
         qualname = fdoc["qualname"]
         node = self.graph.functions[qualname]
-        imports = self._imports.get(module, {})
+        imports = self.graph.imports.get(module, {})
 
         # nested definitions: defining scope -> inner function
         for other in doc["functions"]:
@@ -629,10 +600,7 @@ class _Linker:
             canonical = imports.get(name)
             if canonical is not None:
                 resolved = self._resolve_import_path(module, canonical)
-                if resolved is not None:
-                    self._add_edge(qualname, resolved, line, "call")
-                else:
-                    node.externals.append((canonical, line))
+                self._add_edge(qualname, resolved, line, "call")
             return
         if kind == "partial":
             target_site = site.get("target")
@@ -688,7 +656,7 @@ class _Linker:
                 types = self._attr_types(node.cls, attr)
                 if not types:
                     for hint in _RECEIVER_HINTS.get(attr, ()):
-                        resolved = self._resolve_class_path(module, hint)
+                        resolved = self.graph.resolve_class(module, hint)
                         if resolved is not None:
                             types.append(resolved)
                 if types:
@@ -714,13 +682,13 @@ class _Linker:
                     for target in self._virtual_targets(t, method):
                         self._add_edge(qualname, target, line, "method")
                 return
-            local = self._module_scope.get(module, {}).get(head)
+            local = self.graph.scopes.get(module, {}).get(head)
             if local in self.graph.classes:
                 target = self._method_on_class(local, method)
                 if target is not None:
                     self._add_edge(qualname, target, line, "call")
                     return
-        head_resolved = self._imports.get(module, {}).get(head, head)
+        head_resolved = self.graph.imports.get(module, {}).get(head, head)
         if head_resolved.split(".")[0] in self.graph.modules or any(
             m.startswith(head_resolved.split(".")[0] + ".")
             for m in self.graph.modules
@@ -729,16 +697,9 @@ class _Linker:
             # through instances): fall back to CHA on the method name
             self._cha(qualname, method, line, site)
             return
-        if (
-            len(parts) == 2
-            and method not in AMBIENT_METHODS
-            and self._methods_named.get(method)
-        ):
-            # untyped receiver whose method name is defined on a project
-            # class: class-hierarchy fallback rather than an external
+        if len(parts) == 2:
+            # untyped receiver: any project method of that name
             self._cha(qualname, method, line, site)
-            return
-        node.externals.append((path, line))
 
     def _attr_types(self, cls_qualname: str, attr: str) -> List[str]:
         out: List[str] = []
@@ -747,7 +708,7 @@ class _Linker:
             if cls is None or attr not in cls.attrs:
                 continue
             for path in cls.attrs[attr].get("types", []):
-                resolved = self._resolve_class_path(cls.module, path)
+                resolved = self.graph.resolve_class(cls.module, path)
                 if resolved is not None and resolved not in out:
                     out.append(resolved)
         return out

@@ -4,14 +4,14 @@ The engine is deliberately small: a taint *configuration* is three sets —
 entry nodes (sources), a sink predicate over function nodes, and
 sanitizer nodes that cut propagation — and a *flow* is a witness path
 from an entry to a node carrying a sink fact, discovered by BFS over the
-call graph with parent pointers.  Every flow-sensitive rule (CSD009–
-CSD012) is one or two configurations over the same graph, which keeps
+call graph with parent pointers.  Every flow-sensitive rule (CSD009,
+CSD011, CSD012) is one configuration over the same graph, which keeps
 the rules declarative and the traversal logic in one place.
 
 Two engines live here:
 
 * :func:`find_flows` — function-level taint for call-reachability rules
-  (decode discipline, wall-clock escape, exception taxonomy).
+  (decode discipline, exception taxonomy).
 * :func:`attribute_closure` — type-level reachability over the class
   attribute graph for the checkpoint-purity rule, walking annotated and
   inferred attribute types from a root class and reporting
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -86,19 +85,6 @@ def find_flows(
     return flows
 
 
-def external_sink(
-    predicate: Callable[[str], bool],
-) -> Callable[[FunctionNode], Iterator[SinkFact]]:
-    """Sink-fact source over a node's unresolved external call paths."""
-
-    def facts(node: FunctionNode) -> Iterator[SinkFact]:
-        for path, line in node.externals:
-            if predicate(path):
-                yield path, line
-
-    return facts
-
-
 # ----- class-attribute reachability (checkpoint purity) ----------------
 
 
@@ -115,18 +101,6 @@ class AttributeFinding:
     line: int
 
 
-def _resolve_type(graph: CallGraph, owner_module: str, path: str) -> Optional[str]:
-    """A summary-canonical type path -> class qualname, best effort."""
-    if path in graph.classes:
-        return path
-    candidate = f"{owner_module}.{path}"
-    if candidate in graph.classes:
-        return candidate
-    leaf = path.split(".")[-1]
-    matches = [q for q, c in graph.classes.items() if c.name == leaf]
-    return matches[0] if len(matches) == 1 else None
-
-
 def attribute_closure(
     graph: CallGraph,
     root: str,
@@ -135,22 +109,19 @@ def attribute_closure(
 ) -> List[AttributeFinding]:
     """Walk attribute types from ``root``; report pickle-hostile facts.
 
-    ``detached`` holds ``(class leaf name, attr)`` pairs excluded from
-    the pickled graph (attributes the checkpoint code nulls out or
-    rebuilds on restore).  ``unpicklable_type_roots`` are dotted-path
-    prefixes whose instances never pickle (``threading.`` …).
+    ``root`` is a dotted class path, resolved by
+    :meth:`CallGraph.resolve_class`.  ``detached`` holds ``(class leaf
+    name, attr)`` pairs excluded from the pickled graph (attributes the
+    checkpoint code nulls out or rebuilds on restore).
+    ``unpicklable_type_roots`` are dotted-path prefixes whose instances
+    never pickle (``threading.`` …).
     """
     findings: List[AttributeFinding] = []
-    root_cls = graph.classes.get(root)
-    if root_cls is None:
-        matches = [
-            q for q, c in graph.classes.items() if c.name == root.split(".")[-1]
-        ]
-        if len(matches) != 1:
-            return findings
-        root_cls = graph.classes[matches[0]]
-    seen: Set[str] = {root_cls.qualname}
-    frontier: List[Tuple[str, str]] = [(root_cls.qualname, "")]
+    root_qualname = graph.resolve_class("", root)
+    if root_qualname is None:
+        return findings
+    seen: Set[str] = {root_qualname}
+    frontier: List[Tuple[str, str]] = [(root_qualname, "")]
     while frontier:
         cls_qualname, prefix = frontier.pop()
         cls = graph.classes.get(cls_qualname)
@@ -189,7 +160,7 @@ def attribute_closure(
                             )
                         )
                     continue
-                resolved = _resolve_type(graph, cls.module, type_path)
+                resolved = graph.resolve_class(cls.module, type_path)
                 if resolved is not None and resolved not in seen:
                     seen.add(resolved)
                     frontier.append((resolved, attr_path))
@@ -201,6 +172,5 @@ __all__ = [
     "SinkFact",
     "TaintFlow",
     "attribute_closure",
-    "external_sink",
     "find_flows",
 ]

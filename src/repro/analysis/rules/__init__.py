@@ -11,10 +11,8 @@ from .decode_taint import DecodeTaintRule
 from .determinism import DeterminismRule
 from .exception_flow import ExceptionFlowRule
 from .exception_taxonomy import ExceptionTaxonomyRule
-from .optimizer_purity import OptimizerPurityRule
 from .scalar_parity import ScalarParityRule
 from .supervision import SupervisionRule
-from .wall_clock_escape import WallClockEscapeRule
 
 #: every registered rule, in id order
 ALL_RULES: List[Type[Rule]] = [
@@ -22,9 +20,7 @@ ALL_RULES: List[Type[Rule]] = [
     DeterminismRule,
     ExceptionTaxonomyRule,
     SupervisionRule,
-    OptimizerPurityRule,
     DecodeTaintRule,
-    WallClockEscapeRule,
     ExceptionFlowRule,
     CheckpointPurityRule,
 ]

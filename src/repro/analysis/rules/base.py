@@ -1,4 +1,4 @@
-"""Rule base class and shared AST helpers.
+"""Rule base classes.
 
 A rule is a stateless-per-run object with two hooks: :meth:`visit` runs
 once per applicable file, :meth:`finish` once per project (for
@@ -9,7 +9,7 @@ cross-file contracts such as scalar parity).  Rules emit findings via
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Iterable, Iterator, Set, Union
+from typing import ClassVar, Iterable, Union
 
 from ..findings import Finding
 from ..project import Project, SourceFile
@@ -60,15 +60,10 @@ class GraphRule(Rule):
     Graph rules run whole-project in :meth:`finish`; the engine
     guarantees ``project.graph`` is a linked
     :class:`~repro.analysis.callgraph.CallGraph` before ``finish`` is
-    called.  Per-file visiting is off by default; a rule that also
-    needs syntax the summaries do not keep (import statements) opts in
-    by overriding :meth:`applies`.
+    called.
     """
 
     needs_graph: ClassVar[bool] = True
-
-    def applies(self, sf: SourceFile) -> bool:
-        return False
 
     def flag_at(
         self, project: Project, relpath: str, line: int, message: str
@@ -83,24 +78,3 @@ class GraphRule(Rule):
             snippet=sf.snippet(line) if sf is not None else "",
             waiver=self.waiver_tag,
         )
-
-
-# ----- shared AST helpers ----------------------------------------------
-
-
-def walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    """Top-level function definitions of a module."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node  # type: ignore[misc]
-
-
-def identifier_set(tree: ast.Module) -> Set[str]:
-    """Every Name id and Attribute attr appearing in a module."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names

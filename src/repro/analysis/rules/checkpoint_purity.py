@@ -3,8 +3,8 @@
 ``TenantSession.state_bytes`` pickles the session's mutable object
 graph; anything pickle-hostile that *reaches* that graph — a lambda
 stored on an attribute three hops away, an open file handle, a live
-thread — fails at checkpoint time, and anything wall-clock-bearing
-breaks replay determinism silently.  The chaos campaign only exercises
+thread — fails at checkpoint time, and a stored clock reading breaks
+replay determinism silently.  The chaos campaign only exercises
 the states its seeds happen to produce, so this rule proves the
 property statically instead: it walks the class-attribute type graph
 from :class:`TenantSession` (annotated types, constructor assignments,
@@ -32,7 +32,7 @@ from ..project import Project
 from .base import GraphRule
 
 #: root of the pickled object graph
-ROOT_CLASS = "TenantSession"
+ROOT_CLASS = "repro.serve.session.TenantSession"
 
 #: (class leaf name, attribute) pairs excluded from the pickled state
 DETACHED_ATTRS: Set[Tuple[str, str]] = {
@@ -67,7 +67,7 @@ class CheckpointPurityRule(GraphRule):
     waiver_tag = "checkpoint-purity"
     rationale = (
         "Checkpoint/restore is the serving layer's crash-recovery "
-        "contract; a pickle-hostile or wall-clock-bearing attribute "
+        "contract; a pickle-hostile or clock-bearing attribute "
         "anywhere in TenantSession's reachable object graph corrupts it "
         "only on the states that happen to hit it at runtime.  Static "
         "reachability over the class-attribute graph proves the whole "
@@ -87,7 +87,7 @@ class CheckpointPurityRule(GraphRule):
                 project,
                 relpath,
                 found.line,
-                f"attribute {found.attr_path!r} in {ROOT_CLASS}'s pickled "
+                f"attribute {found.attr_path!r} in TenantSession's pickled "
                 f"object graph is {found.problem}; checkpoints must "
                 "pickle cleanly and replay deterministically — detach it "
                 "in state_bytes()/restore() or waive with "

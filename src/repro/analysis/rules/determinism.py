@@ -3,56 +3,38 @@
 The differential oracle, the fault injector and the golden-format
 digests are only reproducible because every random draw flows through a
 seeded ``np.random.Generator`` and no result depends on the wall clock.
-This rule forbids the wall-clock/entropy calls of :data:`WALL_CLOCK_CALLS`
-(``time.time``, ``datetime.now``, ``os.urandom``, ``secrets.*`` …), the
-stdlib ``random`` module, the legacy ``np.random.*`` global generator
-and *unseeded* ``np.random.default_rng()`` / ``default_rng(None)`` —
-everywhere except a documented allowlist (the CLI surface).
-``time.perf_counter`` is deliberately allowed: measuring elapsed time
-does not change any computed result.
+This rule forbids the wall-clock/entropy calls of the clock table
+(:data:`~repro.analysis.summaries.WALL_CLOCK_CALLS`: ``time.time``,
+``datetime.now``, ``os.urandom``, ``secrets.*`` …), the stdlib
+``random`` module, the legacy ``np.random.*`` global generator and
+*unseeded* ``np.random.default_rng()`` / ``default_rng(None)`` —
+everywhere except a documented allowlist (the CLI surface).  The
+elapsed-time clocks (``time.perf_counter``, ``monotonic``,
+``process_time``) are allowed: measuring a duration does not change any
+computed result.
+
+``repro.net`` and ``repro.serve`` run in virtual time and
+``repro.optimizer`` plans from (query, statistics) alone, so inside
+those packages even an import of ``time``, ``datetime`` or ``random``
+is flagged: a duration read there would steer recovery timing, restart
+backoff, breaker cooldowns or plan choices.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from ..findings import Finding
 from ..project import Project, SourceFile
 from ..summaries import (
     canonical_path,
     dotted_name,
+    is_wall_clock_call,
     module_imports,
     module_name_for,
 )
 from .base import Rule
-
-#: call targets that read the wall clock or ambient entropy.  CSD003
-#: keeps them out of computed results, CSD010 out of the virtual-time
-#: call closure
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.sleep",
-        "datetime.datetime.now",
-        "datetime.datetime.today",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-    }
-)
-
-#: modules every call of which draws ambient entropy
-ENTROPY_MODULES = ("secrets.",)
-
-
-def is_wall_clock_call(path: str) -> bool:
-    """Whether a canonical call path is in the wall-clock/entropy table."""
-    return path in WALL_CLOCK_CALLS or path.startswith(ENTROPY_MODULES)
-
 
 #: files exempt from this rule, with the reason on record
 ALLOWLIST: Dict[str, str] = {
@@ -65,6 +47,23 @@ ALLOWLIST: Dict[str, str] = {
 #: seeds through hypothesis and fixtures)
 SCOPE = ("src/repro/", "benchmarks/")
 
+#: the virtual-time packages, which may not import these modules at all
+VIRTUAL_TIME_PATHS: Tuple[str, ...] = (
+    "src/repro/net/",
+    "src/repro/serve/",
+    "src/repro/optimizer/",
+)
+CLOCK_MODULES = frozenset({"time", "datetime", "random"})
+
+
+def _imported_modules(node: ast.AST) -> Iterable[str]:
+    """Absolute module names an import statement names (none otherwise)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module or ""]
+    return []
+
 
 class DeterminismRule(Rule):
     rule_id = "CSD003"
@@ -75,7 +74,9 @@ class DeterminismRule(Rule):
         "randomness: the differential oracle replays cases byte-for-byte "
         "and the fault injector's campaigns must be reproducible from a "
         "seed alone, so wall-clock reads, stdlib random and unseeded "
-        "generators are forbidden outside the documented allowlist."
+        "generators are forbidden outside the documented allowlist, and "
+        "the virtual-time packages (net, serve, optimizer) may not even "
+        "import time, datetime or random."
     )
 
     def applies(self, sf: SourceFile) -> bool:
@@ -91,7 +92,20 @@ class DeterminismRule(Rule):
             module_name_for(sf.relpath),
             sf.relpath.endswith("/__init__.py"),
         )
+        virtual_time = sf.relpath.startswith(VIRTUAL_TIME_PATHS)
         for node in ast.walk(sf.tree):
+            if virtual_time and any(
+                module.split(".")[0] in CLOCK_MODULES
+                for module in _imported_modules(node)
+            ):
+                yield self.flag(
+                    sf,
+                    node,
+                    "a virtual-time package imports time, datetime or "
+                    "random; take time from the virtual clock and "
+                    "randomness from seeded generators",
+                )
+                continue
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 yield self.flag(
                     sf,

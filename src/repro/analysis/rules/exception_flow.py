@@ -74,6 +74,12 @@ def _package_of(node: FunctionNode) -> str:
     return next((p for p in PACKAGE_TAXONOMY if node.relpath.startswith(p)), "")
 
 
+def _taxonomy(graph: CallGraph, roots: Tuple[str, ...]) -> Set[str]:
+    """Leaf names of the ``roots`` classes and of every class under them."""
+    tops = [q for q, c in graph.classes.items() if c.name in roots]
+    return set(roots) | {graph.classes[q].name for q in graph.subclasses(tops)}
+
+
 class ExceptionFlowRule(GraphRule):
     rule_id = "CSD011"
     title = "taxonomy-flow"
@@ -92,11 +98,11 @@ class ExceptionFlowRule(GraphRule):
         if not isinstance(graph, CallGraph):
             return
         allowed = {
-            prefix: graph.class_descendants(roots)
+            prefix: _taxonomy(graph, roots)
             for prefix, roots in PACKAGE_TAXONOMY.items()
         }
-        allowed[""] = graph.class_descendants(
-            TAXONOMY_ROOTS + (ENGINE_TAXONOMY_ROOT,)
+        allowed[""] = _taxonomy(
+            graph, TAXONOMY_ROOTS + (ENGINE_TAXONOMY_ROOT,)
         ) | CONTROL_FLOW_RAISES
 
         def raise_facts(node: FunctionNode) -> Iterator[Tuple[str, int]]:

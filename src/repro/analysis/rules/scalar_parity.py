@@ -15,12 +15,12 @@ module.  Helpers shared by both modes can be waived with
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Set
+from typing import Iterable, Iterator, Optional, Set
 
 from ..findings import Finding
 from ..project import Project
 from ..summaries import dotted_name
-from .base import Rule, identifier_set, walk_functions
+from .base import Rule
 
 KERNELS_PATH = "src/repro/compression/kernels.py"
 SCALAR_REF_PATH = "src/repro/compression/scalar_ref.py"
@@ -30,6 +30,24 @@ TEST_MODULE_PATH = "tests/test_vectorized_kernels.py"
 DISPATCH_MACHINERY = frozenset(
     {"using_scalar_reference", "scalar_reference_mode"}
 )
+
+
+def _walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
+    """Top-level function definitions of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node  # type: ignore[misc]
+
+
+def _identifier_set(tree: ast.Module) -> Set[str]:
+    """Every Name id and Attribute attr appearing in a module."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 class ScalarParityRule(Rule):
@@ -52,12 +70,12 @@ class ScalarParityRule(Rule):
         tests = project.file(TEST_MODULE_PATH)
         scalar_names: Set[str] = set()
         if scalar is not None and scalar.tree is not None:
-            scalar_names = {fn.name for fn in walk_functions(scalar.tree)}
+            scalar_names = {fn.name for fn in _walk_functions(scalar.tree)}
         test_names: Set[str] = set()
         if tests is not None and tests.tree is not None:
-            test_names = identifier_set(tests.tree)
+            test_names = _identifier_set(tests.tree)
 
-        for fn in walk_functions(kernels.tree):
+        for fn in _walk_functions(kernels.tree):
             if fn.name.startswith("_") or fn.name in DISPATCH_MACHINERY:
                 continue
             target = self._dispatch_target(fn)

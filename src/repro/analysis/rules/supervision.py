@@ -9,7 +9,7 @@ rule forbids except-handlers that catch any engine/transport exception
 (or ``Exception``) under ``src/repro/serve/`` unless the handler
 carries a ``# lint: supervised`` waiver — which in practice only the
 supervisor's recovery point does.  (A bare ``except:`` is CSD004's, in
-every package; wall-clock imports are CSD010's.)
+every package; wall-clock imports are CSD003's.)
 """
 
 from __future__ import annotations

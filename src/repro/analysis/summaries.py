@@ -41,25 +41,47 @@ _MARKER_LAMBDA = "lambda"
 _MARKER_GENERATOR = "generator"
 _MARKER_ITERATOR = "iterator"
 _MARKER_OPEN_FILE = "open-file"
-_MARKER_WALL_CLOCK = "wall-clock"
+_MARKER_CLOCK = "clock-reading"
 _MARKER_MODULE = "module-object"
 
 #: call roots whose instances never pickle (threads, sockets, processes)
 _UNPICKLABLE_ROOTS = ("threading.", "socket.", "subprocess.", "multiprocessing.")
 
-#: wall-clock reads that poison a pickled attribute
-_WALL_CLOCK_VALUES = frozenset(
+#: the one clock table.  Elapsed-time clocks: CSD003 allows them, since
+#: measuring a duration changes no computed result, but a reading means
+#: nothing in another process, so CSD012 marks an attribute holding one
+ELAPSED_CLOCKS = frozenset(
+    {
+        f"time.{clock}{suffix}"
+        for clock in ("perf_counter", "monotonic", "process_time")
+        for suffix in ("", "_ns")
+    }
+)
+
+#: wall-clock and entropy reads: CSD003 forbids them, CSD012 marks them
+WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
         "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
+        "time.sleep",
         "datetime.datetime.now",
         "datetime.datetime.today",
         "datetime.datetime.utcnow",
         "datetime.date.today",
+        "os.urandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
     }
 )
+
+#: modules every call of which draws ambient entropy
+ENTROPY_MODULES = ("secrets.",)
+
+
+def is_wall_clock_call(path: str) -> bool:
+    """Whether a canonical call path reads the wall clock or entropy."""
+    return path in WALL_CLOCK_CALLS or path.startswith(ENTROPY_MODULES)
+
 
 #: str/bytes text-codec methods share names with column codecs; a call
 #: like ``name_b.decode("utf-8")`` is marked so decode rules skip it
@@ -367,28 +389,26 @@ class _Summarizer(ast.NodeVisitor):
         return []
 
     def _value_markers(self, value: Optional[ast.AST]) -> List[str]:
-        """Pickle-hostile / wall-clock markers of an assigned value."""
-        if value is None:
-            return []
-        markers: List[str] = []
+        """Pickle-hostile / clock-reading markers of an assigned value."""
         if isinstance(value, ast.Lambda):
-            markers.append(_MARKER_LAMBDA)
-        elif isinstance(value, ast.GeneratorExp):
-            markers.append(_MARKER_GENERATOR)
-        elif isinstance(value, ast.Call):
-            path = dotted_name(value.func)
-            canonical = canonical_path(path, self.aliases) if path else None
-            if canonical == "open":
-                markers.append(_MARKER_OPEN_FILE)
-            elif canonical == "iter":
-                markers.append(_MARKER_ITERATOR)
-            elif canonical in _WALL_CLOCK_VALUES:
-                markers.append(_MARKER_WALL_CLOCK)
-            elif canonical in _DYNAMIC_CALLS:
-                markers.append(_MARKER_MODULE)
-            elif canonical and canonical.startswith(_UNPICKLABLE_ROOTS):
-                markers.append("unpicklable:" + canonical.split(".")[0])
-        return markers
+            return [_MARKER_LAMBDA]
+        if isinstance(value, ast.GeneratorExp):
+            return [_MARKER_GENERATOR]
+        path = dotted_name(value.func) if isinstance(value, ast.Call) else None
+        if path is None:
+            return []
+        canonical = canonical_path(path, self.aliases)
+        if canonical == "open":
+            return [_MARKER_OPEN_FILE]
+        if canonical == "iter":
+            return [_MARKER_ITERATOR]
+        if canonical in ELAPSED_CLOCKS or is_wall_clock_call(canonical):
+            return [_MARKER_CLOCK]
+        if canonical in _DYNAMIC_CALLS:
+            return [_MARKER_MODULE]
+        if canonical.startswith(_UNPICKLABLE_ROOTS):
+            return ["unpicklable:" + canonical.split(".")[0]]
+        return []
 
     # ----- attribute writes (``self.x = ...``) -------------------------
 
@@ -558,8 +578,11 @@ def summarize_file(sf: SourceFile) -> Dict[str, Any]:
 
 
 __all__ = [
+    "ELAPSED_CLOCKS",
+    "WALL_CLOCK_CALLS",
     "canonical_path",
     "dotted_name",
+    "is_wall_clock_call",
     "module_imports",
     "module_name_for",
     "summarize_file",

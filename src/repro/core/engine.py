@@ -73,9 +73,6 @@ class EngineConfig:
     calibration: Optional[CalibrationTable] = None
     #: restrict the adaptive pool to these codec names (None = Table I pool)
     pool: Optional[List[str]] = None
-    #: selector hysteresis: a challenger codec must beat the incumbent by
-    #: this relative margin to replace it (0 = always take the argmin)
-    switch_margin: float = 0.0
     #: ablation switch: decompress every column before querying instead of
     #: processing compressed codes directly (the design the paper rejects)
     force_decode: bool = False
@@ -186,9 +183,7 @@ class CompressStreamDB:
                 include_plwah=(mode == "adaptive+plwah"),
                 extensions=CASCADE_POOL if mode == "adaptive+cascades" else (),
             )
-        return AdaptiveSelector(
-            cost_model, pool, switch_margin=self.config.switch_margin
-        )
+        return AdaptiveSelector(cost_model, pool)
 
     def make_pipeline(self) -> Pipeline:
         """A fresh pipeline (fresh executors, fresh channel counters)."""

@@ -8,7 +8,7 @@ measurements, transmission is the channel's virtual time (DESIGN.md §3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "STAGE_WAIT",
@@ -198,26 +198,6 @@ class CoverageMatrix:
             "(cells are direct/decoded column-batch counts; '.' = never hit)"
         )
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        return {
-            codec: {
-                kind: {"direct": cell.direct, "decoded": cell.decoded}
-                for kind, cell in row.items()
-            }
-            for codec, row in self.cells.items()
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Mapping[str, Mapping[str, int]]]
-    ) -> "CoverageMatrix":
-        matrix = cls()
-        for codec, row in data.items():
-            for kind, cell in row.items():
-                matrix.record(codec, kind, direct=True, count=int(cell["direct"]))
-                matrix.record(codec, kind, direct=False, count=int(cell["decoded"]))
-        return matrix
 
 
 def _kind_order(kind: str) -> Tuple[int, str]:

@@ -86,7 +86,7 @@ class AdaptiveSelector(SelectorBase):
     column, a challenger must beat it by more than this relative margin to
     replace it.  Estimates near a tie flip with sampling noise; hysteresis
     keeps decisions stable without giving up real wins.  The default 0
-    is the paper's selector; ``EngineConfig.switch_margin`` turns it on.
+    is the paper's selector, and the one the engine builds.
     """
 
     def __init__(

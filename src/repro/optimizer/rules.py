@@ -3,7 +3,7 @@
 Every rule is a pure plan-to-plan transform: it reads a logical tree,
 returns a rewritten tree (or the input unchanged) plus a record of what
 it did, and never touches compressed payloads, the wall clock, or any
-mutable state (CSD009 and CSD010 enforce the first two statically).  The
+mutable state (CSD009 and CSD003 enforce the first two statically).  The
 base class owns the cost gate: a rule's rewrite is kept only when the
 cost model prices it strictly below the plan it was handed — "refuses to
 fire when it loses" is therefore a property of the framework, not of
@@ -523,8 +523,9 @@ def _brief_predicate(node: PredicateNode) -> str:
     )
 
 
-#: the static rule table the driver executes, in order.  CSD008 checks
-#: that every RewriteRule subclass in this package is listed here.
+#: the static rule table the driver executes, in order.
+#: ``tests/test_optimizer.py`` checks that every RewriteRule subclass in
+#: this package is listed here.
 RULES: Tuple[RewriteRule, ...] = (
     ProjectionPrune(),
     PredicatePushdown(),

@@ -4,7 +4,7 @@ Runs many tenants' engine+transport sessions under one supervisor with
 crash containment, bounded-backoff restarts, admission control and
 backpressure, per-tenant circuit breakers with graceful degradation, and
 checkpointed recovery.  Everything is scheduled on a virtual clock
-(CSD010), so a serving run is deterministic and bit-reproducible.
+(CSD003), so a serving run is deterministic and bit-reproducible.
 """
 
 from .admission import (

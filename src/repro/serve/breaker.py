@@ -10,7 +10,7 @@ disables direct-on-compressed fast paths by forcing decode-first
 execution.  Degraded service is slower but keeps delivering results
 instead of burning retries on a hostile link.
 
-After a cooldown of :data:`COOLDOWN_S` virtual seconds (CSD010) the
+After a cooldown of :data:`COOLDOWN_S` virtual seconds (CSD003) the
 breaker goes HALF_OPEN and lets one probe step run at full service; a
 clean probe closes the breaker and restores normal mode, a failed probe
 re-opens it with the cooldown multiplied by :data:`COOLDOWN_FACTOR`, up

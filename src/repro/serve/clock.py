@@ -1,9 +1,9 @@
 """Virtual clock of the serving layer.
 
-Everything under :mod:`repro.net` already runs in virtual time (CSD010);
+Everything under :mod:`repro.net` already runs in virtual time (CSD003);
 the serving layer extends that discipline one level up: restart backoff,
 circuit-breaker cooldowns and token-bucket refill are all computed
-against this clock, never against the wall (CSD010).  A supervisor run
+against this clock, never against the wall (CSD003).  A supervisor run
 is therefore bit-reproducible — the schedule depends only on seeded
 inputs and deterministic virtual costs, and a simulated slow tenant
 costs no real seconds.

@@ -40,7 +40,7 @@ from .session import StepOutcome, TenantSession, TenantSpec
 
 #: restarts a crashing tenant gets before it is parked as QUARANTINED
 MAX_RESTARTS = 3
-#: backoff before the first restart, and its cap (virtual seconds, CSD010)
+#: backoff before the first restart, and its cap (virtual seconds, CSD003)
 RESTART_BACKOFF_BASE_S = 0.05
 RESTART_BACKOFF_CAP_S = 5.0
 

@@ -15,9 +15,9 @@ hints, statistics) the cost model prices rewrites with.  The optimizer's
 rules rewrite this tree; lowering the tree the binder emitted, with zero
 rules applied, *is* the unoptimized plan.
 
-Nodes are immutable: every rewrite builds a new tree via
+Nodes are frozen dataclasses: every rewrite builds a new tree via
 :func:`dataclasses.replace`, so a rule can never corrupt the plan it was
-given (CSD008 enforces this purity statically).
+given.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..compression.base import CompressedColumn
 from ..errors import SchemaError
-from .quantize import dequantize, quantize
+from .quantize import quantize
 from .schema import KIND_FLOAT, Schema
 
 
@@ -107,13 +107,6 @@ class Batch:
             self.schema,
             {name: arr[indices] for name, arr in self.columns.items()},
         )
-
-    def output_value(self, name: str, stored: np.ndarray) -> np.ndarray:
-        """Convert stored int64 values of a column to user-facing values."""
-        f = self.schema[name]
-        if f.kind == KIND_FLOAT:
-            return dequantize(stored, f.decimals)
-        return np.asarray(stored, dtype=np.int64)
 
     @property
     def uncompressed_nbytes(self) -> int:

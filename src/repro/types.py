@@ -17,7 +17,6 @@ from .errors import CodecError
 NUMPY_WIDTHS = (1, 2, 4, 8)
 
 _UNSIGNED_BY_WIDTH = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
-_SIGNED_BY_WIDTH = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
 
 
 def numpy_width(width: int) -> int:
@@ -33,11 +32,6 @@ def numpy_width(width: int) -> int:
 def unsigned_dtype(width: int) -> np.dtype:
     """Unsigned NumPy dtype able to hold ``width`` bytes."""
     return np.dtype(_UNSIGNED_BY_WIDTH[numpy_width(width)])
-
-
-def signed_dtype(width: int) -> np.dtype:
-    """Signed NumPy dtype able to hold ``width`` bytes."""
-    return np.dtype(_SIGNED_BY_WIDTH[numpy_width(width)])
 
 
 def bit_length(value: int) -> int:
@@ -174,8 +168,3 @@ def _strided_words(
 ) -> np.ndarray:
     """``count`` (possibly overlapping) words of ``buffer`` ``stride`` bytes apart."""
     return np.ndarray((count,), dtype=word, buffer=buffer, strides=(stride,))
-
-
-def exact_nbytes(count: int, width: int) -> int:
-    """Size in bytes of ``count`` elements packed at ``width`` bytes each."""
-    return count * width

@@ -11,13 +11,16 @@ gates on.
 
 import io
 import json
+import re
+import shutil
 import tokenize
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import load_project, run_analysis
+from repro.analysis import ALL_RULES, load_project, run_analysis
 from repro.analysis.project import parse_waiver_tags
+from repro.analysis.summaries import ELAPSED_CLOCKS, WALL_CLOCK_CALLS
 from repro.cli import main
 from repro.errors import AnalysisError
 
@@ -26,10 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = {"src/repro/placeholder.py": "X = 1\n"}
 
 #: every registered rule id, in registry order
-RULE_IDS = (
-    "CSD002", "CSD003", "CSD004", "CSD007", "CSD008",
-    "CSD009", "CSD010", "CSD011", "CSD012",
-)
+RULE_IDS = ("CSD002", "CSD003", "CSD004", "CSD007", "CSD009", "CSD011", "CSD012")
 
 
 def make_project(tmp_path, files):
@@ -433,7 +433,7 @@ class TestExceptionTaxonomy:
         assert len(report.waived) == 1
 
 
-# ----- CSD010 wall-clock-escape: imports in the entry packages ----------
+# ----- CSD003 in the virtual-time packages: no clock imports at all -----
 
 
 class TestVirtualTime:
@@ -451,15 +451,15 @@ class TestVirtualTime:
         report = run(
             tmp_path,
             {"src/repro/net/chan.py": snippet},
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
-        assert flagged_at(report) == [("CSD010", "src/repro/net/chan.py", 1)], snippet
+        assert flagged_at(report) == [("CSD003", "src/repro/net/chan.py", 1)], snippet
 
     def test_math_import_fine(self, tmp_path):
         report = run(
             tmp_path,
             {"src/repro/net/chan.py": "import math\nimport struct\n"},
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
         assert report.clean
 
@@ -467,12 +467,12 @@ class TestVirtualTime:
         report = run(
             tmp_path,
             {"src/repro/core/foo.py": "import time\n"},
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
         assert report.clean
 
 
-# ----- CSD007 supervised-recovery, CSD010 imports in serve/ -------------
+# ----- CSD007 supervised-recovery, CSD003 imports in serve/ -------------
 
 
 class TestSupervision:
@@ -548,10 +548,10 @@ class TestSupervision:
         report = run(
             tmp_path,
             {"src/repro/serve/clock.py": snippet},
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
         assert flagged_at(report) == [
-            ("CSD010", "src/repro/serve/clock.py", 1)
+            ("CSD003", "src/repro/serve/clock.py", 1)
         ], snippet
 
     def test_handlers_outside_serve_not_this_rules_business(self, tmp_path):
@@ -571,7 +571,9 @@ class TestSupervision:
         assert report.clean
 
 
-# ----- CSD008 optimizer-purity, CSD009/CSD010 in the optimizer ----------
+# ----- the optimizer: no decodes (CSD009), no clock imports (CSD003) -----
+# (that every RewriteRule subclass is in RULES is checked at runtime by
+# tests/test_optimizer.py::TestRules::test_static_table_lists_every_rule)
 
 PURE_RULES = '''\
 class RewriteRule:
@@ -598,7 +600,7 @@ class TestOptimizerPurity:
         report = run(
             tmp_path,
             {"src/repro/optimizer/rules.py": PURE_RULES},
-            rule_ids=["CSD008", "CSD009", "CSD010"],
+            rule_ids=["CSD003", "CSD009"],
         )
         assert report.clean
 
@@ -616,10 +618,10 @@ class TestOptimizerPurity:
         report = run(
             tmp_path,
             {"src/repro/optimizer/cost.py": snippet},
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
         assert flagged_at(report) == [
-            ("CSD010", "src/repro/optimizer/cost.py", 1)
+            ("CSD003", "src/repro/optimizer/cost.py", 1)
         ], snippet
 
     @pytest.mark.parametrize(
@@ -638,63 +640,6 @@ class TestOptimizerPurity:
         assert flagged_at(report) == [
             ("CSD009", "src/repro/optimizer/rules.py", 2)
         ], call
-
-    def test_flags_unregistered_rule_subclass(self, tmp_path):
-        source = PURE_RULES + (
-            "\n\nclass SneakyRule(RewriteRule):\n"
-            "    def rewrite(self, root, ctx):\n"
-            "        return root\n"
-        )
-        report = run(
-            tmp_path,
-            {"src/repro/optimizer/rules.py": source},
-            rule_ids=["CSD008"],
-        )
-        assert rules_of(report) == ["CSD008"]
-        assert "SneakyRule" in report.findings[0].message
-
-    def test_flags_subclasses_with_no_rules_table(self, tmp_path):
-        source = (
-            "class RewriteRule:\n    pass\n\n"
-            "class LoneRule(RewriteRule):\n    pass\n"
-        )
-        report = run(
-            tmp_path,
-            {"src/repro/optimizer/rules.py": source},
-            rule_ids=["CSD008"],
-        )
-        assert rules_of(report) == ["CSD008"]
-        assert "no static RULES table" in report.findings[0].message
-
-    def test_flags_computed_rules_table(self, tmp_path):
-        source = (
-            "class RewriteRule:\n    pass\n\n"
-            "class PruneRule(RewriteRule):\n    pass\n\n"
-            "RULES = tuple([PruneRule()])\n"
-        )
-        report = run(
-            tmp_path,
-            {"src/repro/optimizer/rules.py": source},
-            rule_ids=["CSD008"],
-        )
-        assert "CSD008" in rules_of(report)
-        assert any(
-            "tuple literal" in f.message for f in report.findings
-        )
-
-    def test_flags_non_literal_table_entry(self, tmp_path):
-        source = (
-            "class RewriteRule:\n    pass\n\n"
-            "class PruneRule(RewriteRule):\n    pass\n\n"
-            "_instance = PruneRule()\n"
-            "RULES = (_instance,)\n"
-        )
-        report = run(
-            tmp_path,
-            {"src/repro/optimizer/rules.py": source},
-            rule_ids=["CSD008"],
-        )
-        assert "CSD008" in rules_of(report)
 
     def test_decode_elsewhere_is_not_this_rules_business(self, tmp_path):
         report = run(
@@ -830,7 +775,7 @@ class TestLintCLI:
             tmp_path,
             dict(VIOLATION, **{"src/repro/net/chan.py": "import time\n"}),
         )
-        assert main(["lint", "--root", str(root), "--rule", "CSD010"]) == 1
+        assert main(["lint", "--root", str(root), "--rule", "CSD003"]) == 1
 
     def test_json_output(self, tmp_path, capsys):
         root = make_project(tmp_path, VIOLATION)
@@ -844,9 +789,12 @@ class TestLintCLI:
         listed = {line.split()[0] for line in out.splitlines() if line[:3] == "CSD"}
         assert listed == set(RULE_IDS)
 
-    # CSD001/CSD005 were folded into CSD009/CSD010; CSD006 (bench
-    # registration) went with the bench registry
-    @pytest.mark.parametrize("rule_id", ["CSD001", "CSD005", "CSD006"])
+    # CSD001 was folded into CSD009 and CSD005 into CSD010, which was
+    # folded into CSD003; CSD006 (bench registration) went with the bench
+    # registry; CSD008 (rule registration) is a runtime test now
+    @pytest.mark.parametrize(
+        "rule_id", ["CSD001", "CSD005", "CSD006", "CSD008", "CSD010"]
+    )
     def test_superseded_rule_ids_are_unknown(self, tmp_path, rule_id, capsys):
         root = make_project(tmp_path, {})
         assert main(["lint", "--root", str(root), "--rule", rule_id]) == 2
@@ -890,9 +838,15 @@ class TestRepositoryContracts:
         report = run_analysis(REPO_ROOT)
         assert report.clean, "\n".join(report.format_lines())
 
-    def test_all_nine_rules_ran(self):
+    def test_all_seven_rules_ran(self):
         report = run_analysis(REPO_ROOT)
         assert report.rules == list(RULE_IDS)
+
+    def test_docs_catalog_lists_every_rule(self):
+        text = (REPO_ROOT / "docs/static-analysis.md").read_text()
+        catalog = text.split("## Rule catalog", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| (CSD\d{3}) \|", catalog, re.M)
+        assert documented == [cls.rule_id for cls in ALL_RULES]
 
     def test_every_waiver_is_used(self):
         """Each ``# lint:`` comment silences at least one finding.
@@ -923,6 +877,106 @@ class TestRepositoryContracts:
                 ):
                     unused.append(f"{sf.relpath}:{line}: {tok.string}")
         assert not unused, "\n".join(unused)
+
+
+# ----- every kept rule catches a seeded mutation of the real tree -------
+
+#: (rule, file, text replaced, replacement, text of the line the finding
+#: anchors at): the violation each kept rule names, seeded into the real
+#: source; the ``import time`` is CSD003's virtual-time clause.  Tier-1
+#: passes on each of them except the unseeded generator, which
+#: test_oracle's determinism test also catches.
+SEEDED_MUTATIONS = [
+    (
+        "CSD002",
+        "src/repro/compression/kernels.py",
+        "    if using_scalar_reference():\n"
+        "        return scalar_ref.rle_runs(values)\n",
+        "",
+        "def rle_runs(",
+    ),
+    (
+        "CSD003",
+        "src/repro/oracle/generator.py",
+        "rng = np.random.default_rng([self.seed, int(index)])",
+        "rng = np.random.default_rng()",
+        "rng = np.random.default_rng()",
+    ),
+    (
+        "CSD003",
+        "src/repro/net/transport.py",
+        "import struct\n",
+        "import struct\nimport time\n",
+        "import time",
+    ),
+    (
+        "CSD004",
+        "src/repro/stream/schema.py",
+        "            return self._by_name[name]\n        except KeyError:\n",
+        "            return self._by_name[name]\n        except:\n",
+        "        except:",
+    ),
+    (
+        "CSD007",
+        "src/repro/serve/session.py",
+        "        record = self.pipeline.step(compute_seconds=quantum)\n",
+        "        try:\n"
+        "            record = self.pipeline.step(compute_seconds=quantum)\n"
+        "        except CodecError:\n"
+        "            raise\n",
+        "        except CodecError:",
+    ),
+    (
+        "CSD009",
+        "src/repro/operators/aggregation.py",
+        "    extreme_codes = sliding_extreme(\n"
+        '        column.codes, starts, ends, take_max=(func == "max")\n'
+        "    )\n"
+        "    return column.decode(extreme_codes)",
+        "    values = column.decode(column.codes)\n"
+        '    return sliding_extreme(values, starts, ends, take_max=(func == "max"))',
+        "values = column.decode(column.codes)",
+    ),
+    (
+        "CSD011",
+        "src/repro/compression/null_suppression_variable.py",
+        'raise CodecError(f"nsv column is missing meta entry {exc}")',
+        'raise ValueError(f"nsv column is missing meta entry {exc}")',
+        "raise ValueError(",
+    ),
+    (
+        "CSD012",
+        "src/repro/core/pipeline.py",
+        "        self.arrived_tuples = 0\n",
+        "        self.arrived_tuples = 0\n"
+        "        self.opened_at = time.perf_counter()\n",
+        "self.opened_at = time.perf_counter()",
+    ),
+]
+
+
+def test_each_rule_catches_its_seeded_mutation(tmp_path):
+    """Copy the real tree, seed one violation per rule, each in its own
+    file: the findings are exactly the seeded sites, nothing else."""
+    shutil.copytree(
+        REPO_ROOT / "src/repro",
+        tmp_path / "src/repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    kernel_tests = "tests/test_vectorized_kernels.py"
+    (tmp_path / "tests").mkdir()
+    shutil.copy(REPO_ROOT / kernel_tests, tmp_path / kernel_tests)
+    assert len({path for _, path, *_ in SEEDED_MUTATIONS}) == len(SEEDED_MUTATIONS)
+    expected = []
+    for rule, relpath, old, new, anchor in SEEDED_MUTATIONS:
+        path = tmp_path / relpath
+        text = path.read_text()
+        assert text.count(old) == 1, (relpath, old)
+        lines = text.replace(old, new).split("\n")
+        path.write_text("\n".join(lines))
+        (line,) = [i for i, at in enumerate(lines, 1) if anchor in at]
+        expected.append((rule, relpath, line))
+    assert sorted(flagged_at(run_analysis(tmp_path))) == sorted(expected)
 
 
 # ----- CSD009-CSD012: interprocedural graph rules ------------------------
@@ -1024,6 +1078,12 @@ class TestDecodeTaint:
 
 
 class TestWallClockEscape:
+    """A wall-clock read a helper makes on the serving layer's behalf.
+
+    CSD003 scans every engine file, so the helper's site is flagged
+    wherever its callers live; no call-graph walk is needed for it.
+    """
+
     def test_transitive_wall_clock_flagged(self, tmp_path):
         report = run(
             tmp_path,
@@ -1039,12 +1099,9 @@ class TestWallClockEscape:
                     "    return time.sleep(0.1)\n"
                 ),
             },
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
-        findings = [f for f in report.findings if f.rule == "CSD010"]
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/util/pacing.py"
-        assert "tick" in findings[0].message
+        assert flagged_at(report) == [("CSD003", "src/repro/util/pacing.py", 5)]
 
     def test_virtual_clock_helper_passes(self, tmp_path):
         report = run(
@@ -1060,23 +1117,7 @@ class TestWallClockEscape:
                     "    return clock.advance(1)\n"
                 ),
             },
-            rule_ids=["CSD010"],
-        )
-        assert report.clean
-
-    def test_helper_not_reached_from_entry_paths_passes(self, tmp_path):
-        # wall clock in a helper only the CLI calls is CSD003's
-        # allowlist decision, not an escape from the serving layer
-        report = run(
-            tmp_path,
-            {
-                "src/repro/util/pacing.py": (
-                    "import time\n\n\n"
-                    "def pace(session):\n"
-                    "    return time.sleep(0.1)\n"
-                ),
-            },
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
         assert report.clean
 
@@ -1093,9 +1134,9 @@ class TestWallClockEscape:
                     f"import {module}\n\n\ndef new_id():\n    return {call}\n"
                 ),
             },
-            rule_ids=["CSD010"],
+            rule_ids=["CSD003"],
         )
-        assert flagged_at(report) == [("CSD010", "src/repro/serve/ids.py", 5)]
+        assert flagged_at(report) == [("CSD003", "src/repro/serve/ids.py", 5)]
 
 
 WIRE_RERAISE = {
@@ -1218,6 +1259,42 @@ class TestCheckpointPurity:
         findings = [f for f in report.findings if f.rule == "CSD012"]
         assert [f.path for f in findings] == ["src/repro/core/pipeline2.py"]
         assert "pipeline.started" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "clock",
+        sorted(ELAPSED_CLOCKS | WALL_CLOCK_CALLS) + ["secrets.token_hex"],
+    )
+    def test_every_clock_reading_in_the_graph(self, tmp_path, clock):
+        """One clock table: CSD012 marks an attribute holding any clock
+        reading, CSD003 forbids only the wall-clock and entropy ones."""
+        pipeline = "src/repro/core/pipeline2.py"
+        feed = "        self.feed = deque()\n"
+        started = f"        self.started = {clock}()"
+        files = dict(self.COMPOSED)
+        body = files[pipeline].replace(feed, f"{feed}{started}\n")
+        files[pipeline] = f"import {clock.split('.')[0]}\n{body}"
+        report = run(tmp_path, files, rule_ids=["CSD003", "CSD012"])
+        line = files[pipeline].split("\n").index(started) + 1
+        expected = [("CSD012", pipeline, line)]
+        if clock not in ELAPSED_CLOCKS:
+            expected.insert(0, ("CSD003", pipeline, line))
+        assert flagged_at(report) == expected
+
+    def test_same_leaf_name_elsewhere_does_not_hide_a_class(self, tmp_path):
+        """The walk resolves ``Pipeline`` through the session's import,
+        not by the one class of that name in the project."""
+        pipeline = "src/repro/core/pipeline2.py"
+        feed = "        self.feed = deque()\n"
+        files = dict(self.COMPOSED)
+        files[pipeline] = files[pipeline].replace(
+            feed, f"{feed}        self.order_key = lambda b: b\n"
+        )
+        report = run(tmp_path, files, rule_ids=["CSD012"])
+        assert flagged_at(report) == [("CSD012", pipeline, 10)]
+        files["src/repro/other/pipeline3.py"] = "class Pipeline:\n    pass\n"
+        report = run(tmp_path, files, rule_ids=["CSD012"])
+        assert flagged_at(report) == [("CSD012", pipeline, 10)]
+        assert "pipeline.order_key" in report.findings[0].message
 
     def test_detach_list_names_what_restore_rebuilds(self):
         from repro.analysis.rules.checkpoint_purity import DETACHED_ATTRS

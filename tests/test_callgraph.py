@@ -18,11 +18,7 @@ from repro.analysis import (
     load_project,
 )
 from repro.analysis.callgraph import GRAPH_SCHEMA_VERSION
-from repro.analysis.dataflow import (
-    attribute_closure,
-    external_sink,
-    find_flows,
-)
+from repro.analysis.dataflow import attribute_closure, find_flows
 from repro.analysis.summaries import (
     module_imports,
     module_name_for,
@@ -50,6 +46,13 @@ def graph_of(tmp_path, files):
 
 def edge_set(graph):
     return {(e.caller, e.callee) for e in graph.edges}
+
+
+def node_class(graph, suffix):
+    """The unique class whose qualname ends with ``suffix``."""
+    matches = [q for q in graph.classes if q.endswith(suffix)]
+    assert len(matches) == 1, (suffix, matches)
+    return matches[0]
 
 
 def node(graph, suffix):
@@ -336,20 +339,6 @@ class TestCallGraphShapes:
         ]
         assert [e.callee for e in match] == [node(graph, ".Pipe.advance_cursor")]
 
-    def test_external_calls_are_tracked(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "src/repro/core/x.py": (
-                    "import time\n"
-                    "def now():\n"
-                    "    return time.time()\n"
-                )
-            },
-        )
-        n = graph.function(node(graph, ".now"))
-        assert ("time.time", 3) in n.externals
-
 
 class TestGraphQueries:
     FILES = {
@@ -389,9 +378,33 @@ class TestGraphQueries:
                 )
             },
         )
-        allowed = graph.class_descendants(["Root"])
-        assert {"Root", "Mid", "Leaf"} <= allowed
-        assert "Other" not in allowed
+        root = node_class(graph, ".Root")
+        assert graph.subclasses([root]) == {
+            node_class(graph, ".Mid"),
+            node_class(graph, ".Leaf"),
+        }
+
+    def test_class_resolves_through_imports_and_reexports(self, tmp_path):
+        graph = graph_of(
+            tmp_path,
+            {
+                "src/repro/core/errs.py": "class Boom(Exception):\n    pass\n",
+                "src/repro/core/__init__.py": "from .errs import Boom\n",
+                "src/repro/other/errs.py": "class Boom(Exception):\n    pass\n",
+                "src/repro/wire/x.py": (
+                    "from repro.core import Boom\n"
+                    "class Sub(Boom):\n    pass\n"
+                ),
+            },
+        )
+        boom = "repro.core.errs.<module>.Boom"
+        assert graph.resolve_class("repro.wire.x", "repro.core.Boom") == boom
+        assert graph.resolve_class("repro.core.errs", "Boom") == boom
+        assert graph.resolve_class("repro.wire.x", "Boom") == boom
+        # from a module that names neither, two classes share the leaf
+        # name: no guess
+        assert graph.resolve_class("repro.placeholder", "Boom") is None
+        assert graph.subclasses([boom]) == {"repro.wire.x.<module>.Sub"}
 
 
 # ----- exports ----------------------------------------------------------
@@ -415,7 +428,7 @@ class TestGraphExports:
 
 
 class TestDataflow:
-    def test_external_sink_flow_with_sanitizer(self, tmp_path):
+    def test_sink_flow_with_sanitizer(self, tmp_path):
         graph = graph_of(
             tmp_path,
             {
@@ -432,7 +445,12 @@ class TestDataflow:
                 )
             },
         )
-        facts = external_sink(lambda p: p == "time.time")
+
+        def facts(n):
+            for site in n.summary["sites"]:
+                if site.get("path") == "time.time":
+                    yield site["path"], site["line"]
+
         entry = node(graph, ".entry")
         clean = node(graph, ".clean")
         flows = find_flows(graph, [entry], facts, sanitizers={clean})

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.optimizer
 import repro.sql
 from repro import CompressStreamDB, EngineConfig
 from repro.datasets import QUERIES
@@ -31,7 +34,6 @@ from repro.optimizer import (
     DeriveNode,
     FilterAggFusion,
     FilterNode,
-    FormatMorph,
     JoinNode,
     OrderLimitNode,
     PredicatePushdown,
@@ -207,15 +209,19 @@ class TestCostModel:
 
 class TestRules:
     def test_static_table_lists_every_rule(self):
-        # CSD008 enforces this statically; keep a runtime witness too
-        assert {type(r) for r in RULES} == {
-            ProjectionPrune,
-            PredicatePushdown,
-            SelectionReorder,
-            FilterAggFusion,
-            CommonSubplanSharing,
-            FormatMorph,
-        }
+        """An unregistered rule never runs: every RewriteRule subclass
+        the optimizer package defines is in RULES, once."""
+        for info in pkgutil.iter_modules(repro.optimizer.__path__):
+            importlib.import_module(f"repro.optimizer.{info.name}")
+        defined, frontier = set(), [RewriteRule]
+        while frontier:
+            for sub in frontier.pop().__subclasses__():
+                frontier.append(sub)
+                if sub.__module__.startswith("repro.optimizer."):
+                    defined.add(sub)
+        registered = [type(r) for r in RULES]
+        assert len(set(registered)) == len(registered)
+        assert set(registered) == defined
 
     def _ctx(self, root, codec_hint=""):
         scan = find(root, ScanNode)

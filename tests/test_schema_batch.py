@@ -143,13 +143,6 @@ class TestBatch:
         with pytest.raises(SchemaError):
             Batch.concat([b1, b2])
 
-    def test_output_value_dequantizes(self, simple_schema):
-        b = Batch.from_values(simple_schema, {"ts": [1], "key": [1], "load": [1.25]})
-        np.testing.assert_array_equal(
-            b.output_value("load", np.array([125])), [1.25]
-        )
-        np.testing.assert_array_equal(b.output_value("ts", np.array([5])), [5])
-
     def test_uncompressed_nbytes(self, simple_schema):
         b = Batch.from_values(
             simple_schema,

@@ -10,11 +10,9 @@ from repro.types import (
     bytes_for_range,
     bytes_for_signed,
     bytes_for_unsigned,
-    exact_nbytes,
     narrow_int_array,
     numpy_width,
     pack_int_array,
-    signed_dtype,
     unpack_int_array,
     unsigned_dtype,
 )
@@ -36,7 +34,6 @@ class TestNumpyWidth:
     def test_dtype_helpers_match_width(self):
         for w in NUMPY_WIDTHS:
             assert unsigned_dtype(w).itemsize == w
-            assert signed_dtype(w).itemsize == w
 
 
 class TestByteWidths:
@@ -75,9 +72,6 @@ class TestByteWidths:
     def test_range_dispatches_on_sign(self):
         assert bytes_for_range(0, 255) == 1       # unsigned fit
         assert bytes_for_range(-1, 255) == 2      # needs sign bit
-
-    def test_exact_nbytes(self):
-        assert exact_nbytes(10, 3) == 30
 
 
 class TestPacking:
